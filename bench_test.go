@@ -317,7 +317,7 @@ func BenchmarkAlignCascade(b *testing.B) {
 // batch-alignment pair corpus: the striped int16 local kernel against
 // its int32 scalar reference (same pairs, same scores), the bit-parallel
 // fit-edit-distance bound, and the full containment cascade with kernels
-// on vs -kernels=scalar.
+// on vs the int32 scalar kernels.
 func BenchmarkAlignKernels(b *testing.B) {
 	set, _ := experiments.SetOfSize(120, 31)
 	pairs := experiments.BenchPairs(set, 2048)

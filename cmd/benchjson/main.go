@@ -54,16 +54,6 @@ type fileFormat struct {
 	// TraceOverheadRatio is traced/untraced ns/op on the threads=1
 	// pipeline kernel minus one — the fractional cost of event tracing.
 	TraceOverheadRatio float64 `json:"trace_overhead_ratio,omitempty"`
-	// SimOverlapSpeedup is the deterministic virtual-makespan ratio
-	// lockstep/overlapped on the 4-rank straggler-link simulation, and
-	// SimTaskWaitShare* are the corresponding worker task-wait shares —
-	// the protocol win the overlapped dataflow exists to deliver.
-	SimOverlapSpeedup        float64 `json:"sim_overlap_speedup,omitempty"`
-	SimTaskWaitShareLockstep float64 `json:"sim_task_wait_share_lockstep,omitempty"`
-	SimTaskWaitShareOverlap  float64 `json:"sim_task_wait_share_overlap,omitempty"`
-	// TCPWireBytesRatio is gob/binary worker→master bytes on realistic
-	// batch traffic over loopback TCP (work checksum, not timing).
-	TCPWireBytesRatio float64 `json:"tcp_wire_bytes_ratio,omitempty"`
 	// KernelSpeedup is scalar/striped ns/op on the local-score pair batch
 	// (AlignLocalScalar vs AlignStriped at threads=1) — the striped int16
 	// kernel's isolated win over the int32 scalar DP. CascadeKernelSpeedup
@@ -183,9 +173,6 @@ func main() {
 				experiments.AlignCascadeKernel(alignSet, seedPairs, th)
 			}
 		})
-		// PipelineThreads runs with the seed-anchored cascade (the
-		// pipeline default); PipelineExact keeps the full-matrix
-		// reference visible in the trajectory at one thread count.
 		record(fmt.Sprintf("PipelineThreads/threads=%d", th), func(b *testing.B) {
 			cfg := experiments.PipelineConfig()
 			cfg.ThreadsPerRank = th
@@ -200,7 +187,7 @@ func main() {
 	// against the int32 scalar reference on the same pair batches,
 	// isolating the per-kernel win from the thread ladder. The cascade
 	// pair keeps the production mix visible (bit-parallel reject bound +
-	// striped rescore + profile reuse vs -kernels=scalar).
+	// striped rescore + profile reuse vs the scalar kernels).
 	record("AlignStriped/threads=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			experiments.AlignStripedKernel(alignSet, pairs, 1)
@@ -219,16 +206,6 @@ func main() {
 	record("AlignCascadeScalar/threads=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			experiments.AlignCascadeKernelMode(alignSet, seedPairs, 1, true)
-		}
-	})
-	record("PipelineExact/threads=1", func(b *testing.B) {
-		cfg := experiments.PipelineConfig()
-		cfg.ThreadsPerRank = 1
-		cfg.ExactAlign = true
-		for i := 0; i < b.N; i++ {
-			if _, _, err := profam.RunSet(pipeSet, 2, false, cfg); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 	// PipelineSparse mirrors PipelineThreads/threads=1 on the sparse
@@ -332,23 +309,15 @@ func main() {
 		}
 		return p
 	}
-	for _, wf := range []struct {
-		name   string
-		format mpi.WireFormat
-	}{{"gob", mpi.WireGob}, {"binary", mpi.WireBinary}} {
-		wf := wf
-		record("PipelineTCP/wire="+wf.name, func(b *testing.B) {
-			mpi.SetWireFormat(wf.format)
-			defer mpi.SetWireFormat(mpi.WireBinary)
-			cfg := experiments.PipelineConfig()
-			cfg.ThreadsPerRank = 1
-			for i := 0; i < b.N; i++ {
-				if err := experiments.PipelineTCP(pipeSet, cfg, nextTCPPorts()); err != nil {
-					b.Fatal(err)
-				}
+	record("PipelineTCP", func(b *testing.B) {
+		cfg := experiments.PipelineConfig()
+		cfg.ThreadsPerRank = 1
+		for i := 0; i < b.N; i++ {
+			if err := experiments.PipelineTCP(pipeSet, cfg, nextTCPPorts()); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 	roundBatches := experiments.MasterRoundBatches(64, 256, 9)
 	record("MasterRoundLatency", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -392,26 +361,9 @@ func main() {
 	if auto, ok := results["AlignCascade/threads=1"]; ok && auto > 0 {
 		if scalar, ok := results["AlignCascadeScalar/threads=1"]; ok {
 			payload.CascadeKernelSpeedup = scalar / auto
-			log.Printf("cascade kernel speedup over -kernels=scalar: %.2fx", payload.CascadeKernelSpeedup)
+			log.Printf("cascade kernel speedup over the scalar kernels: %.2fx", payload.CascadeKernelSpeedup)
 		}
 	}
-	// Protocol-comparison scalars: deterministic simulation and a byte
-	// count, so they need no noise guard.
-	ov, err := experiments.OverlapWin(experiments.OverlapCorpus(), experiments.OverlapConfig(), 4, experiments.StragglerLink(4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	payload.SimOverlapSpeedup = ov.Speedup()
-	payload.SimTaskWaitShareLockstep = ov.TaskWaitShareLockstep
-	payload.SimTaskWaitShareOverlap = ov.TaskWaitShareOverlap
-	log.Printf("sim overlap win (4 ranks, straggler link): %.2fx makespan, task-wait share %.3f -> %.3f",
-		ov.Speedup(), ov.TaskWaitShareLockstep, ov.TaskWaitShareOverlap)
-	wireRatio, err := experiments.WireBytesRatio(experiments.MasterRoundBatches(24, 48, 11), nextTCPPorts())
-	if err != nil {
-		log.Fatal(err)
-	}
-	payload.TCPWireBytesRatio = wireRatio
-	log.Printf("tcp wire bytes gob/binary: %.2fx", wireRatio)
 	// Peak index memory, ESA vs sparse, on a corpus large enough that
 	// the largest single CSR block sits well below the summed subtrees.
 	// Deterministic arithmetic over the bucket list — no noise guard —

@@ -43,7 +43,6 @@ import (
 
 	"profam"
 	"profam/internal/metrics"
-	"profam/internal/mpi"
 	"profam/internal/quality"
 	"profam/internal/report"
 	"profam/internal/seq"
@@ -104,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	reduction := fs.String("reduction", "global", "bipartite reduction: global (B_d) or domain (B_m)")
 	truthPath := fs.String("truth", "", "optional truth TSV (from datagen) to score the clustering against")
 	pairs := fs.String("pairs", "gst", "promising-pair backend: gst (generalized suffix tree), esa (enhanced suffix array) or sparse (streamed k-mer matrix multiply); families are identical across backends")
-	useESA := fs.Bool("esa", false, "deprecated alias for -pairs=esa")
 	jsonOut := fs.Bool("json", false, "write families as JSON instead of text")
 	reportPath := fs.String("report", "", "write a full text report (summary, histogram, MSA blocks) to this file")
 	metricsOut := fs.String("metrics-out", "", "write the merged metrics report (counters, gauges, histograms, phase spans) as JSON to this file (- for stdout) and print a summary table")
@@ -133,15 +131,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Int64Var(&cfg.Seed, "seed", 0, "shingle permutation seed (0 = default)")
 	fs.IntVar(&cfg.ThreadsPerRank, "threads", 0,
 		"goroutines per rank for alignment/index/component work (0 = auto: max(1, NumCPU/p); simulated runs default to 1)")
-	fs.BoolVar(&cfg.ExactAlign, "exact-align", false,
-		"disable the seed-anchored alignment cascade and run full-matrix DP on every promising pair (identical output, more work)")
-	kernels := fs.String("kernels", "auto",
-		"alignment kernel selection: auto (bit-parallel and striped int16 kernels with certified fallthrough) or scalar (int32 reference kernels only; identical output, more work)")
-	fs.BoolVar(&cfg.Lockstep, "lockstep", false,
-		"revert the master-worker phases to the synchronous round-robin protocol (no arrival-order service, no worker prefetch) — the reference arm for overlap measurements")
 	fs.IntVar(&cfg.Shards, "shards", 1,
 		"LSH similarity shards: split the ranks into this many rank groups, each running its own master over one shard of the corpus, with a cross-shard boundary pass merging families (1 = single master)")
-	wire := fs.String("wire", "binary", "TCP payload encoding for hot master-worker messages: binary (compact delta/varint frames) or gob")
 
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -162,25 +153,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -reduction %q (want global or domain)", *reduction)
 	}
-	backend, err := resolvePairBackend(fs, *pairs, *useESA)
-	if err != nil {
+	var err error
+	if cfg.Pairs, err = profam.ParsePairBackend(*pairs); err != nil {
 		return err
-	}
-	cfg.Pairs = backend
-	switch *wire {
-	case "binary":
-		mpi.SetWireFormat(mpi.WireBinary)
-	case "gob":
-		mpi.SetWireFormat(mpi.WireGob)
-	default:
-		return fmt.Errorf("unknown -wire %q (want binary or gob)", *wire)
-	}
-	switch *kernels {
-	case "auto":
-	case "scalar":
-		cfg.ScalarKernels = true
-	default:
-		return fmt.Errorf("unknown -kernels %q (want auto or scalar)", *kernels)
 	}
 	if *traceOut != "" {
 		if *traceCap <= 0 {
@@ -431,27 +406,4 @@ func writeTo(path string, stdout io.Writer, f func(io.Writer) error) error {
 		return err
 	}
 	return file.Close()
-}
-
-// resolvePairBackend merges the -pairs selector with the deprecated
-// -esa alias: -esa alone maps to -pairs=esa, and combining -esa with a
-// conflicting explicit -pairs value is rejected.
-func resolvePairBackend(fs *flag.FlagSet, pairs string, useESA bool) (profam.PairBackend, error) {
-	b, err := profam.ParsePairBackend(pairs)
-	if err != nil {
-		return b, err
-	}
-	if !useESA {
-		return b, nil
-	}
-	explicit := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "pairs" {
-			explicit = true
-		}
-	})
-	if explicit && b != profam.PairsESA {
-		return b, fmt.Errorf("-esa conflicts with -pairs=%s (drop -esa; it is a deprecated alias for -pairs=esa)", b)
-	}
-	return profam.PairsESA, nil
 }

@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	fs.IntVar(&cfg.ThreadsPerRank, "threads", 0, "goroutines per rank (0 = auto)")
 	fs.IntVar(&cfg.Shards, "shards", 1, "LSH similarity shards per epoch: split the ranks into this many rank groups, each running its own master, with a cross-shard boundary merge (1 = single master; sharded epochs always recluster from scratch)")
 	pairs := fs.String("pairs", "gst", "promising-pair backend: gst (generalized suffix tree), esa (enhanced suffix array) or sparse (streamed k-mer matrix multiply); families are identical across backends")
-	useESA := fs.Bool("esa", false, "deprecated alias for -pairs=esa")
 	reduction := fs.String("reduction", "global", "bipartite reduction: global (B_d) or domain (B_m)")
 
 	if err := fs.Parse(args); err != nil {
@@ -105,11 +104,10 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	default:
 		return fmt.Errorf("unknown -reduction %q (want global or domain)", *reduction)
 	}
-	backend, err := resolvePairBackend(fs, *pairs, *useESA)
-	if err != nil {
+	var err error
+	if cfg.Pairs, err = profam.ParsePairBackend(*pairs); err != nil {
 		return err
 	}
-	cfg.Pairs = backend
 	logger, err := buildLogger(stderr, *logLevel, *logJSON)
 	if err != nil {
 		return err
@@ -241,27 +239,4 @@ func buildLogger(w io.Writer, level string, jsonOut bool) (*slog.Logger, error) 
 		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
 	return slog.New(slog.NewTextHandler(w, opts)), nil
-}
-
-// resolvePairBackend merges the -pairs selector with the deprecated
-// -esa alias: -esa alone maps to -pairs=esa, and combining -esa with a
-// conflicting explicit -pairs value is rejected.
-func resolvePairBackend(fs *flag.FlagSet, pairs string, useESA bool) (profam.PairBackend, error) {
-	b, err := profam.ParsePairBackend(pairs)
-	if err != nil {
-		return b, err
-	}
-	if !useESA {
-		return b, nil
-	}
-	explicit := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "pairs" {
-			explicit = true
-		}
-	})
-	if explicit && b != profam.PairsESA {
-		return b, fmt.Errorf("-esa conflicts with -pairs=%s (drop -esa; it is a deprecated alias for -pairs=esa)", b)
-	}
-	return profam.PairsESA, nil
 }

@@ -87,8 +87,8 @@ func AlignCascadeKernel(set *seq.Set, pairs []SeedPair, threads int) (int64, int
 }
 
 // AlignCascadeKernelMode is AlignCascadeKernel with the kernel mode
-// explicit: scalar == true is the -kernels=scalar reference arm (int32
-// kernels, no profiles).
+// explicit: scalar == true is the scalar reference arm (int32 kernels,
+// no profiles).
 func AlignCascadeKernelMode(set *seq.Set, pairs []SeedPair, threads int, scalar bool) (int64, int64) {
 	mode := align.KernelAuto
 	if scalar {

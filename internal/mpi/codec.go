@@ -4,41 +4,16 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
-
-// WireFormat selects how the TCP transport encodes hot payloads. The
-// in-memory transports are unaffected (no serialization happens there).
-type WireFormat int32
-
-const (
-	// WireBinary (the default) sends payloads implementing BinaryPayload
-	// as compact length-framed binary blobs riding inside the gob
-	// stream; everything else still goes through gob.
-	WireBinary WireFormat = iota
-	// WireGob forces plain gob encoding for every payload — the escape
-	// hatch behind the -wire=gob flag, and the baseline for byte-volume
-	// comparisons.
-	WireGob
-)
-
-var wireFormat atomic.Int32
-
-// SetWireFormat switches the process-wide TCP payload encoding. Both
-// formats decode transparently on the receiving side regardless of the
-// sender's setting, so mixed meshes interoperate; the choice never
-// changes message contents, only their encoded size.
-func SetWireFormat(f WireFormat) { wireFormat.Store(int32(f)) }
-
-// CurrentWireFormat returns the active TCP payload encoding.
-func CurrentWireFormat() WireFormat { return WireFormat(wireFormat.Load()) }
 
 // BinaryPayload is implemented by hot message payloads that can encode
-// themselves into a compact binary frame (varint/delta encoded), letting
-// the TCP transport bypass gob's per-field framing. AppendBinary must
-// append a self-delimiting encoding to buf and return the extended
-// slice; a decoder for the same kind must be registered with
-// RegisterBinaryDecoder on every participating process.
+// themselves into a compact binary frame (varint/delta encoded). The TCP
+// transport always sends such payloads as frames, bypassing gob's
+// per-field framing; everything else goes through gob. The in-memory
+// transports are unaffected (no serialization happens there).
+// AppendBinary must append a self-delimiting encoding to buf and return
+// the extended slice; a decoder for the same kind must be registered
+// with RegisterBinaryDecoder on every participating process.
 type BinaryPayload interface {
 	WireKind() byte
 	AppendBinary(buf []byte) []byte

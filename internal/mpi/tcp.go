@@ -85,13 +85,11 @@ func (t *tcpTransport) send(to, tag int, data any) int {
 	}
 	payload := data
 	var scratch *[]byte
-	if CurrentWireFormat() == WireBinary {
-		if bp, ok := data.(BinaryPayload); ok {
-			scratch = wireBufPool.Get().(*[]byte)
-			body := bp.AppendBinary((*scratch)[:0])
-			*scratch = body // keep any growth for reuse
-			payload = rawFrame{Kind: bp.WireKind(), Body: body}
-		}
+	if bp, ok := data.(BinaryPayload); ok {
+		scratch = wireBufPool.Get().(*[]byte)
+		body := bp.AppendBinary((*scratch)[:0])
+		*scratch = body // keep any growth for reuse
+		payload = rawFrame{Kind: bp.WireKind(), Body: body}
 	}
 	p := t.peers[to]
 	p.mu.Lock()

@@ -35,15 +35,13 @@ type phaseCounters struct {
 	// pairs would have cost under the exact full-matrix predicates, so
 	// cells-eliminated = cascadeFullCells − pace_align_cells. The series
 	// only appear with the cascade enabled (created lazily on first
-	// staged outcome) so an -exact-align run exports an identical
-	// metric set to the seed pipeline.
+	// staged outcome) so an ExactAlign run never grows them.
 	cascadeStage     map[align.Stage]*metrics.Counter
 	cascadeFullCells *metrics.Counter
 	// kernelPairs[k] counts cascade-decided pairs whose deciding stage
 	// ran on kernel k (bitvec/striped/int32); kernelCells[k] splits the
-	// DP cells the same way. Lazily created like cascadeStage, so an
-	// -exact-align run exports an unchanged metric set and a
-	// -kernels=scalar run never grows bitvec/striped series.
+	// DP cells the same way. Lazily created like cascadeStage, so a
+	// ScalarKernels run never grows bitvec/striped series.
 	kernelPairs map[string]*metrics.Counter
 	kernelCells map[string]*metrics.Counter
 	reg         *metrics.Registry
@@ -351,76 +349,8 @@ func (ms *masterState) popTasks(k int) []PairItem {
 	return tasks
 }
 
-// runMaster drives the lockstep master loop on rank 0.
-func runMaster(c *mpi.Comm, ms *masterState) {
-	p := c.Size()
-	tr := ms.cfg.Trace
-	phase := ms.ctr.phase
-	exhausted := make([]bool, p)
-	var round int64
-	for {
-		round++
-		ms.ctr.rounds.Inc()
-		roundStart := tr.Now()
-		for w := 1; w < p; w++ {
-			msg := c.Recv(w, tagWorker).Data.(WorkerMsg)
-			tr.Instant(trace.CatMaster, phase+"/collect",
-				"pairs", int64(len(msg.Pairs)), "results", int64(len(msg.Results)))
-			ms.absorbResults(msg.Results)
-			if msg.Exhausted {
-				exhausted[w] = true
-			}
-			ms.ctr.generated.Add(int64(len(msg.Pairs)))
-			if len(msg.Pairs) > 0 {
-				ms.ctr.batchPairs.Observe(int64(len(msg.Pairs)))
-			}
-			nops := ms.ingestPairs(msg.Pairs)
-			c.Advance(float64(nops+len(msg.Results)) * ms.cfg.Costs.SecPerPairFilter)
-		}
-		done := ms.pending.Len() == 0
-		for w := 1; w < p; w++ {
-			if !exhausted[w] {
-				done = false
-			}
-		}
-		// Spread the pending work evenly over the workers this round:
-		// handing the first workers full batches would leave the rest
-		// idle and serialize the round on the loaded few.
-		quota := ms.cfg.BatchTasks
-		if p > 1 {
-			fair := ms.pending.Len()/(p-1) + 1
-			if fair < quota {
-				quota = fair
-			}
-		}
-		for w := 1; w < p; w++ {
-			var tasks []PairItem
-			if !done {
-				tasks = ms.popTasks(quota)
-			}
-			if len(tasks) > 0 {
-				ms.ctr.batchTasks.Observe(int64(len(tasks)))
-			}
-			tr.Instant(trace.CatMaster, phase+"/dispatch",
-				"to", int64(w), "tasks", int64(len(tasks)))
-			c.Send(w, tagMaster, MasterMsg{Tasks: tasks, Done: done})
-		}
-		tr.Count(trace.CatMaster, phase+"/queue", int64(ms.pending.Len()))
-		tr.Count(trace.CatMaster, phase+"/merges", ms.merges)
-		tr.Span(trace.CatMaster, phase+"/round", roundStart, tr.Now(),
-			"round", round, "queue", int64(ms.pending.Len()))
-		ms.cfg.Log.Debug("master round",
-			"phase", phase, "round", round,
-			"queue", ms.pending.Len(), "merges", ms.merges, "t", c.Time())
-		if done {
-			return
-		}
-	}
-}
-
-// overlapWorker is the master's per-worker protocol bookkeeping for the
-// event-driven loop.
-type overlapWorker struct {
+// workerState is the master's per-worker protocol bookkeeping.
+type workerState struct {
 	exhausted   bool // the worker's pair source is drained
 	outstanding int  // tasks dispatched whose outcomes have not come back
 	owed        int  // requests received and not yet answered (parked)
@@ -429,12 +359,12 @@ type overlapWorker struct {
 	received    int  // requests received so far
 }
 
-// runMasterOverlap drives the event-driven master loop on rank 0: it
-// serves worker messages strictly in arrival order (RecvAny) and answers
-// each request individually, so a fast worker is never stalled behind a
-// slow one the way the lockstep global round stalls it.
+// runMaster drives the event-driven master loop on rank 0: it serves
+// worker messages strictly in arrival order (RecvAny) and answers each
+// request individually, so a fast worker is never stalled behind a slow
+// one.
 //
-// Protocol: each worker keeps PrefetchDepth requests in flight; every
+// Protocol: each worker keeps prefetchDepth requests in flight; every
 // non-Done reply provokes exactly one further request (carrying the
 // next pair batch and the outcomes of the batch the worker just
 // finished), which is the accounting behind expect/received — the
@@ -449,28 +379,21 @@ type overlapWorker struct {
 // with outstanding tasks is safe: each of the replies it already holds
 // provokes one results-bearing request, so the outcomes the termination
 // condition waits for arrive without any further prompting.
-func runMasterOverlap(c *mpi.Comm, ms *masterState) {
+func runMaster(c *mpi.Comm, ms *masterState) {
 	p := c.Size()
 	tr := ms.cfg.Trace
 	phase := ms.ctr.phase
-	depth := ms.cfg.PrefetchDepth
-	// With depth requests in flight per worker, a per-dispatch quota of
-	// BatchTasks/depth keeps each worker's undispatchable window (tasks
-	// the closure filter can no longer recall) at BatchTasks — the same
-	// window the lockstep protocol exposes. A larger quota overlaps no
-	// better and measurably inflates the aligned-pair count: stale tasks
-	// connecting already-merged clusters slip past the filter.
-	maxQuota := ms.cfg.BatchTasks / max(1, depth)
-	if maxQuota < 1 {
-		maxQuota = 1
-	}
-	initialQuota := maxQuota / 8
-	if initialQuota < 1 {
-		initialQuota = 1
-	}
-	ws := make([]overlapWorker, p)
+	// With prefetchDepth requests in flight per worker, a per-dispatch
+	// quota of BatchTasks/prefetchDepth keeps each worker's undispatchable
+	// window (tasks the closure filter can no longer recall) at
+	// BatchTasks. A larger quota overlaps no better and measurably
+	// inflates the aligned-pair count: stale tasks connecting
+	// already-merged clusters slip past the filter.
+	maxQuota := max(1, ms.cfg.BatchTasks/prefetchDepth)
+	initialQuota := max(1, maxQuota/8)
+	ws := make([]workerState, p)
 	for w := 1; w < p; w++ {
-		ws[w] = overlapWorker{quota: initialQuota, expect: depth}
+		ws[w] = workerState{quota: initialQuota, expect: prefetchDepth}
 	}
 	done := false
 
@@ -521,10 +444,8 @@ func runMasterOverlap(c *mpi.Comm, ms *masterState) {
 		msg := in.Data.(WorkerMsg)
 		w := in.From
 		s := &ws[w]
-		if msg.Request {
-			s.received++
-			s.owed++
-		}
+		s.received++
+		s.owed++
 		served++
 		ms.ctr.rounds.Inc()
 		tr.Instant(trace.CatMaster, phase+"/collect",
@@ -559,7 +480,7 @@ func runMasterOverlap(c *mpi.Comm, ms *masterState) {
 				}
 			}
 		} else {
-			if msg.Request && !(s.exhausted && ms.pending.Len() == 0) {
+			if !(s.exhausted && ms.pending.Len() == 0) {
 				reply(w)
 			}
 			// New pairs may have unparked idle workers: feed them while
@@ -620,8 +541,7 @@ func alignBatch(cache *pool.AlignerCache, profs *pool.ProfileCache, threads int,
 // workerCaches builds the per-worker aligner and profile caches from the
 // phase config: aligners carry the configured kernel mode, and the
 // profile cache exists only when the word-parallel kernels will consume
-// profiles (it would be dead weight under -kernels=scalar or
-// -exact-align).
+// profiles (it would be dead weight under ScalarKernels or ExactAlign).
 func workerCaches(cfg Config) (*pool.AlignerCache, *pool.ProfileCache) {
 	mode := align.KernelAuto
 	if cfg.ScalarKernels {
@@ -635,67 +555,24 @@ func workerCaches(cfg Config) (*pool.AlignerCache, *pool.ProfileCache) {
 	return cache, profs
 }
 
-// runWorker drives the lockstep worker loop on ranks 1..p-1.
-func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvider, cfg Config, phase string) {
-	sp := cfg.Metrics.StartSpan(phase + "/exchange")
-	defer sp.End()
-	tr := cfg.Trace
-	threads := max(1, cfg.Threads)
-	cache, profs := workerCaches(cfg)
-	obs := poolObserver(cfg.Metrics, phase, "align")
-	var results []AlignOutcome
-	exhausted := false
-	for {
-		var pairs []PairItem
-		if !exhausted {
-			pairs, exhausted = src.next(cfg.BatchPairs)
-			c.Advance(float64(len(pairs)) * cfg.Costs.SecPerPairGen)
-			var ex int64
-			if exhausted {
-				ex = 1
-			}
-			tr.Instant(trace.CatWorker, phase+"/pairgen",
-				"pairs", int64(len(pairs)), "exhausted", ex)
-		}
-		c.Send(0, tagWorker, WorkerMsg{Pairs: pairs, Exhausted: exhausted, Results: results, Request: true})
-		w0 := tr.Now()
-		msg := c.Recv(0, tagMaster).Data.(MasterMsg)
-		// The full master round-trip is dead time in lockstep: the worker
-		// holds no other work. Recording it as an explicit task-wait span
-		// is what lets trace.Analyze show the overlapped protocol's win.
-		tr.Span(trace.CatComm, "task-wait", w0, tr.Now(), "from", 0, "inflight", 0)
-		if msg.Done {
-			return
-		}
-		t0 := tr.Now()
-		var cells int64
-		results, cells = alignBatch(cache, profs, threads, set, wl, msg.Tasks, results, obs)
-		c.Advance(float64(pool.CeilDiv(cells, threads)) * cfg.Costs.SecPerCell)
-		// The span closes after Advance, so under simtime its duration is
-		// the batch's charged virtual compute.
-		tr.Span(trace.CatWorker, phase+"/align", t0, tr.Now(),
-			"tasks", int64(len(msg.Tasks)), "cells", cells)
-	}
-}
-
-// runWorkerOverlap drives the double-buffered worker loop on ranks
-// 1..p-1. The worker opens PrefetchDepth requests up front and, from
-// then on, answers every non-Done reply with the next request *before*
-// aligning the batch it just received, so the master's reply to the
-// prefetched request is (ideally) already queued when the current batch
-// finishes, hiding the round-trip behind alignment compute.
+// runWorker drives the double-buffered worker loop on ranks 1..p-1. The
+// worker opens prefetchDepth requests up front and, from then on,
+// answers every non-Done reply with the next request *before* aligning
+// the batch it just received, so the master's reply to the prefetched
+// request is (ideally) already queued when the current batch finishes,
+// hiding the round-trip behind alignment compute.
 //
 // Task outcomes ship on the request sent right *after* the batch
 // completes — not on the one sent before it. The distinction matters: a
 // stale master is an expensive master (every outcome it hasn't absorbed
 // yet is a cluster merge its closure filter can't use, so late reports
 // directly inflate the number of pairs the whole mesh aligns), and with
-// depth ≥ 2 the previously posted request already keeps the master busy
-// through the compute window, so deferring the next request to after
-// the alignment costs no overlap while making its piggybacked outcomes
-// as fresh as a dedicated report message would be — without doubling
-// the phase's message count.
-func runWorkerOverlap(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvider, cfg Config, phase string) {
+// prefetchDepth ≥ 2 the previously posted request already keeps the
+// master busy through the compute window, so deferring the next request
+// to after the alignment costs no overlap while making its piggybacked
+// outcomes as fresh as a dedicated report message would be — without
+// doubling the phase's message count.
+func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvider, cfg Config, phase string) {
 	sp := cfg.Metrics.StartSpan(phase + "/exchange")
 	defer sp.End()
 	tr := cfg.Trace
@@ -717,9 +594,9 @@ func runWorkerOverlap(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvide
 				"pairs", int64(len(pairs)), "exhausted", ex)
 		}
 		sent++
-		c.Send(0, tagWorker, WorkerMsg{Pairs: pairs, Exhausted: exhausted, Results: results, Request: true})
+		c.Send(0, tagWorker, WorkerMsg{Pairs: pairs, Exhausted: exhausted, Results: results})
 	}
-	for i := 0; i < cfg.PrefetchDepth; i++ {
+	for i := 0; i < prefetchDepth; i++ {
 		request(nil)
 	}
 	for {
@@ -844,11 +721,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 	assign := suffixtree.AssignBuckets(buckets, p-1)
 	if c.Rank() == 0 {
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
-		if cfg.Lockstep {
-			runMaster(c, ms)
-		} else {
-			runMasterOverlap(c, ms)
-		}
+		runMaster(c, ms)
 		sp.End()
 		raw := c.ReduceInt64(0, 0, addInt64)
 		st := ms.ctr.stats()
@@ -860,11 +733,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 	if err != nil {
 		return Stats{}, err
 	}
-	if cfg.Lockstep {
-		runWorker(c, set, wl, src, cfg, phase)
-	} else {
-		runWorkerOverlap(c, set, wl, src, cfg, phase)
-	}
+	runWorker(c, set, wl, src, cfg, phase)
 	// The enumerating ranks own the raw-pair counter; the master's Stats
 	// read-out gets the total via the reduction below.
 	raw, _ := src.counts()

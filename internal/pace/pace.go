@@ -90,12 +90,6 @@ type Config struct {
 	// block of the IndexSparse multiply (default 4096). Block size only
 	// affects batching and memory, never the emitted pair set.
 	SparseBlockNNZ int
-	// SparseMinShared is the IndexSparse shared-k-mer count a pair must
-	// reach within one block to become a candidate. The default 1 (any
-	// shared ψ-mer) is the setting under which the sparse candidate set
-	// equals the GST/ESA maximal-match pair set; higher values trade
-	// recall for pair volume.
-	SparseMinShared int
 	// SparseMaxRowOcc caps the distinct sequences one ψ-mer row of the
 	// IndexSparse matrix may touch (low-complexity blowup control).
 	// 0 (the default) disables the cap, preserving backend equivalence.
@@ -103,22 +97,12 @@ type Config struct {
 	// BatchPairs is how many promising pairs a worker ships to the
 	// master per round (default 4096).
 	BatchPairs int
-	// BatchTasks is how many alignment tasks the master assigns to one
-	// worker per round (default 512). Under the overlapped protocol this
-	// is the ceiling of the per-worker adaptive quota, which slow-starts
-	// at BatchTasks/8 and doubles on every productive dispatch.
+	// BatchTasks bounds the alignment tasks one worker holds undone
+	// (default 512): each of its prefetchDepth open requests is answered
+	// with at most BatchTasks/prefetchDepth tasks, under an adaptive
+	// quota that slow-starts at an eighth of that and doubles on every
+	// productive dispatch.
 	BatchTasks int
-	// PrefetchDepth is how many task requests a worker keeps in flight
-	// under the overlapped protocol (default 2): the next batch is
-	// requested before the current one is aligned, so compute overlaps
-	// the master round-trip.
-	PrefetchDepth int
-	// Lockstep reverts to the global-round protocol: the master collects
-	// from every worker in rank order, then dispatches to every worker,
-	// once per round. It is the reference arm for the arrival-order
-	// invariance tests and for measuring the overlap win; the default is
-	// the event-driven arrival-order protocol.
-	Lockstep bool
 	// Threads bounds the intra-rank goroutine pool used for index
 	// construction and batch alignment (the hybrid rank×thread model).
 	// 0 or 1 means serial — the host-independent default, so simulated
@@ -153,14 +137,14 @@ type Config struct {
 	// ExactAlign disables the seed-anchored alignment cascade and runs
 	// every assigned pair through the full-matrix predicates. Verdicts
 	// are identical either way (the cascade only takes provably-safe
-	// shortcuts); this is the escape hatch and the reference for the
-	// determinism tests.
+	// shortcuts); this is the reference arm of the determinism tests.
 	ExactAlign bool
 	// ScalarKernels disables the word-parallel alignment kernels (the
 	// bit-parallel and striped-int16 cascade stages and the batch-level
 	// profile reuse), keeping the cascade on the int32 scalar kernels
 	// only. Verdicts are identical either way; this is the reference arm
-	// for the kernel determinism tests and benchmarks.
+	// for the kernel determinism tests, and what the simtime scaling
+	// experiments pin (their cost model prices scalar DP cells).
 	ScalarKernels bool
 	// Metrics receives every phase counter, histogram and span; it is
 	// the single accumulation path behind Stats (which is a read-out of
@@ -194,14 +178,8 @@ func (c Config) withDefaults() Config {
 	if c.SparseBlockNNZ == 0 {
 		c.SparseBlockNNZ = 4096
 	}
-	if c.SparseMinShared == 0 {
-		c.SparseMinShared = 1
-	}
 	if c.BatchTasks == 0 {
 		c.BatchTasks = 512
-	}
-	if c.PrefetchDepth == 0 {
-		c.PrefetchDepth = 2
 	}
 	if c.Scoring == nil {
 		c.Scoring = align.DefaultScoring()
@@ -281,17 +259,13 @@ type AlignOutcome struct {
 	CellsStriped int64
 }
 
-// WorkerMsg is the worker→master payload: the next pair batch, the
-// outcomes of the worker's most recently finished task batch, and the
-// Request marker telling the master this message is owed exactly one
-// MasterMsg reply. Both protocols currently send only requests; the
-// flag exists so a fire-and-forget report (outcomes with no reply debt)
-// stays expressible on the wire.
+// WorkerMsg is the worker→master payload: the next pair batch and the
+// outcomes of the worker's most recently finished task batch. Every
+// WorkerMsg is a request: the master owes it exactly one MasterMsg reply.
 type WorkerMsg struct {
 	Pairs     []PairItem
 	Exhausted bool // no more pairs will come from this worker
 	Results   []AlignOutcome
-	Request   bool // this message expects a MasterMsg reply
 }
 
 // WireSize implements mpi.Sized.
@@ -306,13 +280,11 @@ type MasterMsg struct {
 // WireSize implements mpi.Sized.
 func (m MasterMsg) WireSize() int { return 16 + 20*len(m.Tasks) }
 
-// RegisterWireTypes registers the phase payloads for the TCP transport —
-// both their gob form and the compact binary frames the default
-// WireBinary format uses for the hot batch messages.
+// RegisterWireTypes registers the phase payloads for the TCP transport:
+// the binary frame decoders for the hot batch messages, and the gob types
+// of everything that has no frame.
 func RegisterWireTypes() {
 	registerBinaryCodecs()
-	mpi.RegisterType(WorkerMsg{})
-	mpi.RegisterType(MasterMsg{})
 	mpi.RegisterType([]bool{})
 	mpi.RegisterType([]int32{})
 	mpi.RegisterType(Stats{})
@@ -325,6 +297,11 @@ const (
 	tagWorker = 10 // worker → master round message
 	tagMaster = 11 // master → worker round message
 )
+
+// prefetchDepth is how many task requests a worker keeps in flight: the
+// next batch is requested before the current one is aligned, so compute
+// overlaps the master round-trip.
+const prefetchDepth = 2
 
 // --- pending-task priority queue ---------------------------------------
 

@@ -82,7 +82,6 @@ func newSparseSource(c *mpi.Comm, set *seq.Set, own []int, buckets []suffixtree.
 		K:         cfg.Psi,
 		PrefixLen: cfg.PrefixLen,
 		BlockNNZ:  cfg.SparseBlockNNZ,
-		MinShared: cfg.SparseMinShared,
 		MaxRowOcc: cfg.SparseMaxRowOcc,
 		NewFrom:   int32(cfg.NewFrom),
 	}

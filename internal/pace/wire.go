@@ -15,8 +15,8 @@ import (
 // are bursts of near-monotone ids and nearby offsets, so most deltas fit
 // one byte — and ride through the TCP transport's rawFrame envelope (see
 // mpi/codec.go). The encoding is pure layout: decoded messages are
-// byte-for-byte the structs gob would have delivered, so -wire can never
-// change results, only mpi_bytes_sent{transport=tcp}.
+// byte-for-byte the structs gob would have delivered
+// (TestBinaryWireBytesReduction checks both that and the size win).
 
 // Wire kinds identifying the frame payloads (mpi.BinaryPayload).
 const (
@@ -123,9 +123,6 @@ func (m WorkerMsg) AppendBinary(buf []byte) []byte {
 	if m.Exhausted {
 		flags = 1
 	}
-	if m.Request {
-		flags |= 2
-	}
 	buf = append(buf, flags)
 	buf = appendPairs(buf, m.Pairs)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Results)))
@@ -140,8 +137,8 @@ func (m WorkerMsg) AppendBinary(buf []byte) []byte {
 		}
 		f |= byte(r.Which) << 1
 		// Bit 2 marks a per-kernel cell split; the two counts ride along
-		// only then, so scalar-kernel and exact-align traffic keeps the
-		// pre-kernel frame layout byte for byte.
+		// only then, so outcomes decided on the scalar kernels pay no
+		// bytes for them.
 		if r.CellsBitvec != 0 || r.CellsStriped != 0 {
 			f |= 4
 		}
@@ -165,7 +162,6 @@ func decodeWorkerMsg(body []byte) (any, error) {
 	}
 	var m WorkerMsg
 	m.Exhausted = flags&1 != 0
-	m.Request = flags&2 != 0
 	if m.Pairs, err = r.pairs(); err != nil {
 		return nil, err
 	}
@@ -251,8 +247,7 @@ func decodeMasterMsg(body []byte) (any, error) {
 }
 
 // registerBinaryCodecs hooks the compact frames into the TCP transport;
-// called from RegisterWireTypes so every mesh participant that can gob
-// these payloads can also decode their binary form.
+// called from RegisterWireTypes on every mesh participant.
 func registerBinaryCodecs() {
 	mpi.RegisterBinaryDecoder(wireKindWorkerMsg, decodeWorkerMsg)
 	mpi.RegisterBinaryDecoder(wireKindMasterMsg, decodeMasterMsg)

@@ -25,7 +25,7 @@ func NewAlignerCache(sc *align.Scoring) *AlignerCache {
 
 // NewAlignerCacheKernels is NewAlignerCache with an explicit kernel
 // mode: every aligner the cache produces carries it, so a worker that
-// was configured -kernels=scalar never sees a word-parallel stage.
+// was configured with scalar kernels never sees a word-parallel stage.
 func NewAlignerCacheKernels(sc *align.Scoring, mode align.KernelMode) *AlignerCache {
 	c := &AlignerCache{}
 	c.p.New = func() any {

@@ -99,9 +99,9 @@ func TestPipelineInvariantsProperty(t *testing.T) {
 		// Serial and parallel runs may disagree on a few borderline
 		// redundancy decisions: the paper's skip-if-already-redundant
 		// heuristic makes the outcome of containment *chains* (a⊂b⊂c)
-		// depend on result arrival order, and the arrival-order service
-		// loop widens the space of orders beyond lockstep's rank cycle.
-		// Require the disagreement to stay marginal.
+		// depend on result arrival order, which the arrival-order service
+		// loop leaves to the network. Require the disagreement to stay
+		// marginal.
 		par, _, err := profam.RunSet(set, 3, false, cfg)
 		if err != nil {
 			return false

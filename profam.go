@@ -182,32 +182,6 @@ type Config struct {
 	// assignment). Families are byte-identical across backends.
 	Pairs PairBackend
 
-	// Lockstep reverts the master–worker phases to the synchronous
-	// round-robin protocol (master serves ranks 1..p-1 in a fixed cycle,
-	// workers block on each reply before aligning). The default is the
-	// overlapped protocol: arrival-order service, worker prefetch and an
-	// adaptive task quota. Lockstep is the reference arm for the
-	// order-invariance tests and the baseline for measuring the overlap
-	// win; at p > 2 it is also the only protocol whose service order is
-	// content-deterministic, which some metric-identity tests rely on.
-	Lockstep bool
-
-	// ExactAlign disables the seed-anchored alignment cascade everywhere
-	// (RR, CCD and B_d edge discovery), running every promising pair
-	// through the full-matrix DP predicates. Families and canonical
-	// metrics are identical either way — the cascade only takes
-	// certified shortcuts — so this is purely an escape hatch and the
-	// reference arm for the determinism tests.
-	ExactAlign bool
-
-	// ScalarKernels disables the word-parallel alignment kernels (the
-	// bit-parallel and striped-int16 cascade stages and the batch-level
-	// profile reuse) everywhere the cascade runs, keeping it on the int32
-	// scalar kernels. Families and canonical metrics are identical either
-	// way; this is the reference arm for the kernel determinism tests and
-	// the -kernels benchmark comparisons.
-	ScalarKernels bool
-
 	// TraceCapacity enables event-level tracing: each rank records up to
 	// this many protocol and communication events into a bounded ring
 	// buffer (oldest overwritten beyond capacity, drops counted under
@@ -296,9 +270,8 @@ func (c Config) withDefaults() Config {
 // output, plus the pair backend. Incremental epochs refuse to extend
 // state built under a different fingerprint: the determinism contract
 // (incremental == byte-identical to cold) only holds when all epochs
-// agree on these. Execution-shape knobs (threads, batching, protocol,
-// kernels) are deliberately excluded — families are certified identical
-// across them. The pair backend is family-identical too, but it is
+// agree on these. Execution-shape knobs (threads, batching) are
+// deliberately excluded — families are certified identical across them. The pair backend is family-identical too, but it is
 // included anyway: a service that drifts backends mid-stream would mix
 // per-backend metric series and memory behavior across epochs, so the
 // drift is rejected up front instead.
@@ -328,26 +301,21 @@ func (c Config) paceConfig() pace.Config {
 		idx = pace.IndexGST
 	}
 	return pace.Config{
-		Psi:           c.Psi,
-		Index:         idx,
-		BatchPairs:    c.BatchPairs,
-		BatchTasks:    c.BatchTasks,
-		Threads:       c.ThreadsPerRank,
-		Contain:       align.ContainParams{MinIdentity: c.ContainIdentity, MinCoverage: c.ContainCoverage},
-		Overlap:       align.OverlapParams{MinSimilarity: c.OverlapSimilarity, MinLongCoverage: c.OverlapCoverage},
-		ExactAlign:    c.ExactAlign,
-		ScalarKernels: c.ScalarKernels,
-		Lockstep:      c.Lockstep,
+		Psi:        c.Psi,
+		Index:      idx,
+		BatchPairs: c.BatchPairs,
+		BatchTasks: c.BatchTasks,
+		Threads:    c.ThreadsPerRank,
+		Contain:    align.ContainParams{MinIdentity: c.ContainIdentity, MinCoverage: c.ContainCoverage},
+		Overlap:    align.OverlapParams{MinSimilarity: c.OverlapSimilarity, MinLongCoverage: c.OverlapCoverage},
 	}
 }
 
 func (c Config) bipartiteConfig() bipartite.Config {
 	return bipartite.Config{
-		Psi:           c.Psi,
-		Edge:          align.OverlapParams{MinSimilarity: c.EdgeSimilarity, MinLongCoverage: c.OverlapCoverage},
-		W:             c.W,
-		ExactAlign:    c.ExactAlign,
-		ScalarKernels: c.ScalarKernels,
+		Psi:  c.Psi,
+		Edge: align.OverlapParams{MinSimilarity: c.EdgeSimilarity, MinLongCoverage: c.OverlapCoverage},
+		W:    c.W,
 	}
 }
 

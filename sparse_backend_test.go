@@ -19,7 +19,7 @@ import (
 // order-invariant closure of per-pair verdicts, so nothing may differ.
 func TestSparseBackendMatchesGST(t *testing.T) {
 	set, _ := integrationSet()
-	base := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3, Lockstep: true}
+	base := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3}
 	ref, _, err := profam.RunSet(set, 1, true, base)
 	if err != nil {
 		t.Fatal(err)
