@@ -1,8 +1,8 @@
 // Command benchjson runs the hybrid-parallelism benchmarks
 // (batch-alignment kernel and full pipeline, at 1..NumCPU threads per
-// rank) through testing.Benchmark and writes the ns/op results to a
-// JSON file, giving future changes a machine-readable perf trajectory
-// to compare against.
+// rank, plus the per-layer kernels) through testing.Benchmark and writes
+// the ns/op, B/op and allocs/op results to a JSON file, giving future
+// changes a machine-readable perf trajectory to compare against.
 //
 // With -compare it acts as a regression gate instead: results are
 // checked against the baseline file and the exit status is non-zero if
@@ -76,6 +76,10 @@ type fileFormat struct {
 	// middleware, gated at -obs-tolerance in -compare mode.
 	ServiceObsOverheadRatio float64            `json:"service_obs_overhead_ratio,omitempty"`
 	Benchmarks              map[string]float64 `json:"benchmarks_ns_per_op"`
+	// AllocsPerOp and BytesPerOp are the heap objects and bytes one
+	// iteration of each kernel allocates (recorded, not gated).
+	AllocsPerOp map[string]int64 `json:"benchmarks_allocs_per_op,omitempty"`
+	BytesPerOp  map[string]int64 `json:"benchmarks_bytes_per_op,omitempty"`
 }
 
 func main() {
@@ -110,13 +114,16 @@ func main() {
 	}()
 
 	results := map[string]float64{}
+	allocs, allocBytes := map[string]int64{}, map[string]int64{}
 	record := func(name string, fn func(b *testing.B)) {
 		if ctx.Err() != nil {
 			return
 		}
 		r := testing.Benchmark(fn)
 		results[name] = float64(r.NsPerOp())
-		log.Printf("%-40s %12d ns/op  (%d iters)", name, r.NsPerOp(), r.N)
+		allocs[name], allocBytes[name] = r.AllocsPerOp(), r.AllocedBytesPerOp()
+		log.Printf("%-40s %12d ns/op %12d B/op %10d allocs/op  (%d iters)",
+			name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp(), r.N)
 	}
 
 	if runtime.NumCPU() == 1 {
@@ -255,6 +262,23 @@ func main() {
 			}
 		}
 	})
+	// The phase-4 kernels: the Shingle detector alone on one B_d and one
+	// B_m component graph (adjacency lists mostly distinct vs mostly
+	// shared).
+	shingleBd, shingleBm, err := experiments.ShingleBenchGraphs()
+	if err != nil {
+		log.Fatal(err)
+	}
+	record("ShingleDetect/bd", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			experiments.ShingleDetectKernel(shingleBd)
+		}
+	})
+	record("ShingleDetect/bm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			experiments.ShingleDetectKernel(shingleBm)
+		}
+	})
 	// PipelineTraced mirrors PipelineThreads/threads=1 with event tracing
 	// on; its ratio against the untraced kernel is the tracing overhead.
 	record("PipelineTraced/threads=1", func(b *testing.B) {
@@ -351,6 +375,8 @@ func main() {
 		TraceOverheadRatio:      traceOverhead,
 		ServiceObsOverheadRatio: obsRatio,
 		Benchmarks:              results,
+		AllocsPerOp:             allocs,
+		BytesPerOp:              allocBytes,
 	}
 	if striped, ok := results["AlignStriped/threads=1"]; ok && striped > 0 {
 		if scalar, ok := results["AlignLocalScalar/threads=1"]; ok {

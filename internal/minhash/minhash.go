@@ -12,7 +12,6 @@ package minhash
 import (
 	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // MersennePrime61 is the modulus of the hash family.
@@ -72,8 +71,9 @@ func NewFamily(c int, seed int64) *Family {
 }
 
 // Shingle computes the s minimum elements of the permutation's image of
-// elems, returning them sorted ascending. If len(elems) < s the whole
-// image is returned (sorted). The scratch slice is reused if large enough.
+// elems, returning them sorted ascending (s ≥ 1). If len(elems) < s the
+// whole image is returned (sorted). The scratch slice is reused if large
+// enough, in which case the call does not allocate.
 func (pm Perm) Shingle(elems []uint64, s int, scratch []uint64) []uint64 {
 	if len(elems) == 0 {
 		return scratch[:0]
@@ -81,30 +81,38 @@ func (pm Perm) Shingle(elems []uint64, s int, scratch []uint64) []uint64 {
 	if s > len(elems) {
 		s = len(elems)
 	}
-	scratch = scratch[:0]
-	// Keep a bounded max-heap-free approach: s is tiny (≈5), so a simple
-	// insertion into a sorted s-slot buffer is fastest.
-	for _, e := range elems {
-		h := pm.Apply(e)
-		if len(scratch) < s {
-			scratch = append(scratch, h)
-			sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-			continue
-		}
-		if h >= scratch[s-1] {
-			continue
-		}
-		// Insert h keeping scratch sorted.
-		pos := sort.Search(s, func(i int) bool { return scratch[i] > h })
-		copy(scratch[pos+1:], scratch[pos:s-1])
-		scratch[pos] = h
+	if cap(scratch) < s {
+		scratch = make([]uint64, s)
 	}
-	return scratch
+	buf := scratch[:s]
+	a, b := pm.A, pm.B%MersennePrime61
+	// s is tiny (≈5): an insertion into a sorted s-slot buffer beats a
+	// heap. The first s elements fill the buffer, the rest must beat
+	// its maximum to get in.
+	for n, e := range elems[:s] {
+		insertSorted(buf, n, addMod(mulMod(a, mod61(e)), b))
+	}
+	for _, e := range elems[s:] {
+		if h := addMod(mulMod(a, mod61(e)), b); h < buf[s-1] {
+			insertSorted(buf, s-1, h)
+		}
+	}
+	return buf
+}
+
+// insertSorted places h into the ascending buf[:n+1], whose first n slots
+// are filled; the value in slot n, if any, is dropped.
+func insertSorted(buf []uint64, n int, h uint64) {
+	for ; n > 0 && buf[n-1] > h; n-- {
+		buf[n] = buf[n-1]
+	}
+	buf[n] = h
 }
 
 // HashTuple collapses a sorted shingle tuple into a single 64-bit value
-// (FNV-1a over the byte representation), which is how shingles are stored
-// and compared downstream.
+// (FNV-1a over the little-endian byte representation), which is how
+// shingles are stored and compared downstream. The values are part of
+// the output contract: their order fixes first-level shingle indices.
 func HashTuple(tuple []uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -112,11 +120,14 @@ func HashTuple(tuple []uint64) uint64 {
 	)
 	h := uint64(offset64)
 	for _, v := range tuple {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+		h = (h ^ (v & 0xff)) * prime64
+		h = (h ^ (v >> 8 & 0xff)) * prime64
+		h = (h ^ (v >> 16 & 0xff)) * prime64
+		h = (h ^ (v >> 24 & 0xff)) * prime64
+		h = (h ^ (v >> 32 & 0xff)) * prime64
+		h = (h ^ (v >> 40 & 0xff)) * prime64
+		h = (h ^ (v >> 48 & 0xff)) * prime64
+		h = (h ^ (v >> 56)) * prime64
 	}
 	return h
 }

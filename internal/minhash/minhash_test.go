@@ -1,6 +1,8 @@
 package minhash
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/big"
 	"math/rand"
 	"sort"
@@ -60,7 +62,9 @@ func TestPermInjectiveOnSmallDomain(t *testing.T) {
 }
 
 // TestShingleAgainstBruteForce validates that Shingle really returns the s
-// smallest permuted values, sorted.
+// smallest permuted values, sorted — including when elements repeat (a
+// repeated element keeps its repeated image) and when s reaches or
+// exceeds the number of elements.
 func TestShingleAgainstBruteForce(t *testing.T) {
 	f := func(seed int64, raw []uint64) bool {
 		if len(raw) == 0 {
@@ -68,11 +72,20 @@ func TestShingleAgainstBruteForce(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		pm := NewFamily(1, seed).Perms[0]
+		elems := append([]uint64(nil), raw...)
+		if rng.Intn(2) == 0 { // squeeze into a tiny universe: many duplicates
+			for i := range elems {
+				elems[i] %= 4
+			}
+		}
 		s := 1 + rng.Intn(6)
-		got := pm.Shingle(raw, s, nil)
+		if rng.Intn(3) == 0 { // s at, or past, the end
+			s = len(elems) + rng.Intn(3)
+		}
+		got := pm.Shingle(elems, s, nil)
 
-		all := make([]uint64, len(raw))
-		for i, e := range raw {
+		all := make([]uint64, len(elems))
+		for i, e := range elems {
 			all[i] = pm.Apply(e)
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
@@ -90,8 +103,47 @@ func TestShingleAgainstBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestShingleDoesNotAllocate pins the kernel's contract with its callers:
+// given a scratch buffer of capacity s it runs in place.
+func TestShingleDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pm := NewFamily(1, 11).Perms[0]
+	scratch := make([]uint64, 5)
+	for _, n := range []int{1, 3, 5, 64, 1000} {
+		elems := make([]uint64, n)
+		for i := range elems {
+			elems[i] = rng.Uint64() % 50
+		}
+		var sink uint64
+		if a := testing.AllocsPerRun(50, func() { sink += HashTuple(pm.Shingle(elems, 5, scratch)) }); a != 0 {
+			t.Errorf("Shingle over %d elements allocates %.0f times per call", n, a)
+		}
+		_ = sink
+	}
+}
+
+// TestHashTupleIsFNV1a pins the tuple hash to the standard library's
+// FNV-1a over the little-endian bytes: first-level shingle indices, and
+// through them union–find roots, follow the order of these values.
+func TestHashTupleIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for n := 0; n < 8; n++ {
+		tuple := make([]uint64, n)
+		h := fnv.New64a()
+		for i := range tuple {
+			tuple[i] = rng.Uint64()
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], tuple[i])
+			h.Write(b[:])
+		}
+		if got, want := HashTuple(tuple), h.Sum64(); got != want {
+			t.Errorf("HashTuple(%v) = %#x, FNV-1a gives %#x", tuple, got, want)
+		}
 	}
 }
 
@@ -186,6 +238,7 @@ func BenchmarkShingle(b *testing.B) {
 	}
 	fam := NewFamily(100, 3)
 	var scratch []uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pm := range fam.Perms {

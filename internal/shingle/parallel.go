@@ -1,10 +1,7 @@
 package shingle
 
 import (
-	"sort"
-
 	"profam/internal/bipartite"
-	"profam/internal/minhash"
 	"profam/internal/mpi"
 )
 
@@ -17,12 +14,6 @@ import (
 // <shingle, vertex> tuples to rank 0, which runs the (much smaller)
 // second pass and the union–find reporting. Every rank returns the same
 // result.
-
-// shingleTuples is the wire payload of one rank's pass-I output.
-type shingleTuples struct {
-	Hashes []uint64
-	Verts  []int32
-}
 
 // WireSize implements mpi.Sized.
 func (t shingleTuples) WireSize() int { return 16 + 12*len(t.Hashes) }
@@ -51,10 +42,6 @@ const (
 	tagResult = 41
 )
 
-// secPerHashOp is the virtual-clock charge per element hashed, matching
-// the serial detector's accounting.
-const secPerHashOp = 2.0e-8
-
 // DetectParallel runs the two-pass Shingle algorithm with pass I
 // distributed over all ranks of c. The result is identical to
 // Detect(g, p) — the permutation family is seeded, so shingles do not
@@ -67,53 +54,25 @@ func DetectParallel(c *mpi.Comm, g *bipartite.Graph, p Params) ([]DenseSubgraph,
 
 	// Pass I over this rank's slice of left vertices.
 	rank, size := c.Rank(), c.Size()
-	lo := g.NLeft * rank / size
-	hi := g.NLeft * (rank + 1) / size
-	fam1 := minhash.NewFamily(p.C1, p.Seed)
-	var mine shingleTuples
-	var scratch, elems []uint64
-	var ops int64
-	for v := lo; v < hi; v++ {
-		adj := g.Adj[v]
-		if len(adj) == 0 {
-			continue
-		}
-		elems = elems[:0]
-		for _, r := range adj {
-			elems = append(elems, uint64(r))
-		}
-		seenHere := map[uint64]bool{}
-		for _, pm := range fam1.Perms {
-			scratch = pm.Shingle(elems, p.S1, scratch)
-			h := minhash.HashTuple(scratch)
-			ops += int64(len(elems))
-			if !seenHere[h] {
-				seenHere[h] = true
-				mine.Hashes = append(mine.Hashes, h)
-				mine.Verts = append(mine.Verts, int32(v))
-			}
-		}
-	}
-	c.Advance(float64(ops) * secPerHashOp)
+	mine, ops := passOne(g, g.NLeft*rank/size, g.NLeft*(rank+1)/size, p)
+	c.Advance(float64(ops) * SecPerHashOp)
 
 	// Gather tuples at rank 0; it completes the algorithm.
 	gathered := c.Gather(0, mine)
 	var subs []DenseSubgraph
 	var st Stats
 	if rank == 0 {
-		shingleMembers := map[uint64][]int32{}
-		for _, g := range gathered {
-			t := g.(shingleTuples)
-			for i, h := range t.Hashes {
-				shingleMembers[h] = append(shingleMembers[h], t.Verts[i])
-			}
-		}
 		// Tuples arrive in rank order with ascending vertex order within
-		// each rank, so member lists are already sorted ascending —
-		// identical to the serial pass-I output.
+		// each rank: concatenated they are the serial pass-I output.
+		var all shingleTuples
+		for _, part := range gathered {
+			t := part.(shingleTuples)
+			all.Hashes = append(all.Hashes, t.Hashes...)
+			all.Verts = append(all.Verts, t.Verts...)
+		}
 		st.LeftVertices = g.NLeft
 		st.WorkOps = ops // rank-0 share; workers' ops are on their clocks
-		subs, st = passTwoAndReport(g, p, shingleMembers, st)
+		subs, st = reportFromShingles(g, p, all, st)
 	}
 
 	// Broadcast the result so every rank returns the same families.
@@ -139,18 +98,4 @@ func DetectParallel(c *mpi.Comm, g *bipartite.Graph, p Params) ([]DenseSubgraph,
 		}
 	}
 	return subs, st
-}
-
-// passTwoAndReport performs pass II, the union–find component
-// enumeration, the disjointness vote, and the τ/size filtering — shared
-// verbatim with the serial path via refactoring of Detect.
-func passTwoAndReport(g *bipartite.Graph, p Params, shingleMembers map[uint64][]int32, st Stats) ([]DenseSubgraph, Stats) {
-	hashes := make([]uint64, 0, len(shingleMembers))
-	for h := range shingleMembers {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-	st.ShinglesPass1 = len(hashes)
-	subs, st2 := reportFromShingles(g, p, hashes, shingleMembers, st)
-	return subs, st2
 }

@@ -18,7 +18,9 @@
 package shingle
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"profam/internal/bipartite"
@@ -91,164 +93,335 @@ type Stats struct {
 	WorkOps       int64 // hash evaluations, the dominant cost
 }
 
+// SecPerHashOp is the virtual-clock charge per min-hash evaluation
+// (Stats.WorkOps), in the same calibration family as pace.CostParams.
+const SecPerHashOp = 2.0e-8
+
 // Detect runs the two-pass algorithm on one bipartite graph and returns
 // the dense subgraphs, largest first.
 func Detect(g *bipartite.Graph, p Params) ([]DenseSubgraph, Stats) {
 	p = p.withDefaults()
-	var st Stats
-	st.LeftVertices = g.NLeft
+	st := Stats{LeftVertices: g.NLeft}
 	if g.NLeft == 0 {
 		return nil, st
 	}
+	tuples, ops := passOne(g, 0, g.NLeft, p)
+	st.WorkOps = ops
+	return reportFromShingles(g, p, tuples, st)
+}
 
-	fam1 := minhash.NewFamily(p.C1, p.Seed)
+// shingleTuples is pass I's output, one <first-level shingle, left
+// vertex> pair per entry in ascending vertex order. It doubles as the
+// wire payload of one rank's share in DetectParallel.
+type shingleTuples struct {
+	Hashes []uint64
+	Verts  []int32
+}
 
-	// Pass I: shingle every left vertex's out-link set.
-	shingleMembers := map[uint64][]int32{} // first-level shingle -> left vertices
-	var scratch []uint64
-	elems := make([]uint64, 0, 64)
-	for v := 0; v < g.NLeft; v++ {
+// listKey hashes a vertex list to the 64-bit key the two memos look
+// lists up by. A hit is always verified against the list itself, so a
+// collision costs a recomputation, never a wrong answer.
+func listKey(a []int32) uint64 {
+	h := uint64(len(a)) + 0x9e3779b97f4a7c15
+	for _, v := range a {
+		h = (h ^ uint64(uint32(v))) * 0x100000001b3
+		h ^= h >> 29
+	}
+	return h
+}
+
+// span is a half-open range of tuple positions.
+type span struct{ lo, hi int32 }
+
+// passOne computes the (s1, c1)-shingle set of every left vertex in
+// [lo, hi): per vertex, the distinct shingle hashes in permutation
+// order. A shingle set is a pure function of the adjacency list, so
+// vertices sharing one (the members of a clique in B_d, the words of
+// one conserved domain in B_m) are shingled once: later vertices replay
+// the first one's tuples. It returns the tuples and the number of hash
+// evaluations performed.
+func passOne(g *bipartite.Graph, lo, hi int, p Params) (shingleTuples, int64) {
+	fam := minhash.NewFamily(p.C1, p.Seed)
+	var t shingleTuples
+	var ops int64
+	done := map[uint64]span{} // listKey(adjacency) -> its first vertex's tuples
+	seen := make(map[uint64]struct{}, p.C1)
+	scratch := make([]uint64, p.S1)
+	var elems []uint64
+	for v := lo; v < hi; v++ {
 		adj := g.Adj[v]
 		if len(adj) == 0 {
+			continue
+		}
+		key := listKey(adj)
+		first, known := done[key]
+		if known && slices.Equal(g.Adj[t.Verts[first.lo]], adj) {
+			t.Hashes = append(t.Hashes, t.Hashes[first.lo:first.hi]...)
+			for range first.hi - first.lo {
+				t.Verts = append(t.Verts, int32(v))
+			}
 			continue
 		}
 		elems = elems[:0]
 		for _, r := range adj {
 			elems = append(elems, uint64(r))
 		}
-		seenHere := map[uint64]bool{}
-		for _, pm := range fam1.Perms {
-			scratch = pm.Shingle(elems, p.S1, scratch)
-			h := minhash.HashTuple(scratch)
-			st.WorkOps += int64(len(elems))
-			if !seenHere[h] {
-				seenHere[h] = true
-				shingleMembers[h] = append(shingleMembers[h], int32(v))
+		clear(seen)
+		start := len(t.Hashes)
+		for _, pm := range fam.Perms {
+			h := minhash.HashTuple(pm.Shingle(elems, p.S1, scratch))
+			if _, dup := seen[h]; !dup {
+				seen[h] = struct{}{}
+				t.Hashes = append(t.Hashes, h)
+				t.Verts = append(t.Verts, int32(v))
 			}
 		}
+		ops += int64(len(elems)) * int64(len(fam.Perms))
+		if !known {
+			done[key] = span{int32(start), int32(len(t.Hashes))}
+		}
 	}
-
-	// Index first-level shingles deterministically.
-	hashes := make([]uint64, 0, len(shingleMembers))
-	for h := range shingleMembers {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-	st.ShinglesPass1 = len(hashes)
-	return reportFromShingles(g, p, hashes, shingleMembers, st)
+	return t, ops
 }
 
-// reportFromShingles runs pass II and the reporting stage over the
-// pass-I output: the sorted first-level shingle hashes and their member
-// vertices. Shared by the serial and parallel detectors.
-func reportFromShingles(g *bipartite.Graph, p Params, hashes []uint64, shingleMembers map[uint64][]int32, st Stats) ([]DenseSubgraph, Stats) {
-	fam2 := minhash.NewFamily(p.C2, p.Seed+1)
-	var scratch []uint64
-	elems := make([]uint64, 0, 64)
+// firstLevel is pass I's output grouped by shingle. Shingles are numbered
+// by ascending hash; shingle i has the member vertices
+// verts[off[i]:off[i+1]], ascending, and tuple k belongs to shingle id[k].
+type firstLevel struct {
+	id, off, verts []int32
+}
 
-	// Pass II: shingle each first-level shingle's vertex membership and
-	// union first-level shingles sharing a second-level shingle.
-	uf := unionfind.New(len(hashes))
-	second := map[uint64]int{} // second-level shingle -> first first-level index seen
-	for i, h := range hashes {
-		members := shingleMembers[h]
+func (f firstLevel) len() int                { return len(f.off) - 1 }
+func (f firstLevel) members(i int32) []int32 { return f.verts[f.off[i]:f.off[i+1]] }
+
+// groupTuples indexes the pass-I tuples, which must be in ascending
+// vertex order.
+func groupTuples(t shingleTuples) firstLevel {
+	id := make([]int32, len(t.Hashes))
+	index := make(map[uint64]int32, len(t.Hashes)/4)
+	var hashes []uint64 // in first-seen order
+	for k, h := range t.Hashes {
+		i, ok := index[h]
+		if !ok {
+			i = int32(len(hashes))
+			index[h] = i
+			hashes = append(hashes, h)
+		}
+		id[k] = i
+	}
+	n := len(hashes)
+	order := make([]int32, n) // sorted position -> first-seen position
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(hashes[a], hashes[b]) })
+	rank := make([]int32, n) // first-seen position -> sorted position
+	for i, o := range order {
+		rank[o] = int32(i)
+	}
+	off := make([]int32, n+1)
+	for k := range id {
+		id[k] = rank[id[k]]
+		off[id[k]+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	verts := make([]int32, len(id))
+	fill := slices.Clone(off[:n])
+	for k, i := range id {
+		verts[fill[i]] = t.Verts[k]
+		fill[i]++
+	}
+	return firstLevel{id: id, off: off, verts: verts}
+}
+
+// passTwo shingles each first-level shingle's vertex membership
+// ((s2, c2)) and unions first-level shingles sharing a second-level
+// shingle. It returns the component root of every first-level shingle
+// and fills in the pass's counters.
+//
+// A shingle whose member list equals an earlier one's would draw the
+// same c2 second-level shingles and be unioned with whatever holds
+// them, which by then is the earlier shingle's own set: one union with
+// that shingle leaves the same sets, roots and ranks (DESIGN §5).
+func passTwo(f firstLevel, p Params, st *Stats) []int32 {
+	fam := minhash.NewFamily(p.C2, p.Seed+1)
+	n := f.len()
+	uf := unionfind.New(n)
+	second := map[uint64]int32{} // second-level shingle -> first first-level index seen
+	sameAs := map[uint64]int32{} // listKey(members) -> first first-level index with them
+	scratch := make([]uint64, p.S2)
+	var elems []uint64
+	for i := int32(0); i < int32(n); i++ {
+		members := f.members(i)
+		key := listKey(members)
+		first, known := sameAs[key]
+		if known && slices.Equal(f.members(first), members) {
+			uf.Union(int(first), int(i))
+			continue
+		}
+		if !known {
+			sameAs[key] = i
+		}
 		elems = elems[:0]
 		for _, v := range members {
 			elems = append(elems, uint64(v))
 		}
-		for _, pm := range fam2.Perms {
-			scratch = pm.Shingle(elems, p.S2, scratch)
-			h2 := minhash.HashTuple(scratch)
-			st.WorkOps += int64(len(elems))
-			if first, ok := second[h2]; ok {
-				uf.Union(first, i)
+		for _, pm := range fam.Perms {
+			h2 := minhash.HashTuple(pm.Shingle(elems, p.S2, scratch))
+			if holder, ok := second[h2]; ok {
+				uf.Union(int(holder), int(i))
 			} else {
 				second[h2] = i
 			}
 		}
+		st.WorkOps += int64(len(elems)) * int64(len(fam.Perms))
 	}
 	st.ShinglesPass2 = len(second)
-
-	// Collect components of first-level shingles; gather their vertices.
-	compVerts := map[int]map[int32]bool{}
-	for i, h := range hashes {
-		r := uf.Find(i)
-		vs := compVerts[r]
-		if vs == nil {
-			vs = map[int32]bool{}
-			compVerts[r] = vs
-		}
-		for _, v := range shingleMembers[h] {
-			vs[v] = true
-		}
+	// Components of first-level shingles are the candidates (every
+	// shingle has at least one member vertex).
+	st.Candidates = uf.Sets()
+	root := make([]int32, n)
+	for i := range root {
+		root[i] = int32(uf.Find(i))
 	}
-	st.Candidates = len(compVerts)
+	return root
+}
+
+// reportFromShingles runs pass II and the reporting stage over the
+// pass-I tuples, which must be in ascending vertex order. Shared by the
+// serial and parallel detectors.
+func reportFromShingles(g *bipartite.Graph, p Params, t shingleTuples, st Stats) ([]DenseSubgraph, Stats) {
+	f := groupTuples(t)
+	n, id := f.len(), f.id
+	st.ShinglesPass1 = n
+	root := passTwo(f, p, &st)
 
 	// A left vertex can surface in several components (its c1 shingles
 	// may scatter); keep the output disjoint by assigning each vertex to
 	// the component holding more of its shingles (ties to the smaller
-	// root for determinism).
-	votes := map[int32]map[int]int{}
-	for i, h := range hashes {
-		r := uf.Find(i)
-		for _, v := range shingleMembers[h] {
-			m := votes[v]
-			if m == nil {
-				m = map[int]int{}
-				votes[v] = m
-			}
-			m[r]++
-		}
+	// root for determinism). A vertex's tuples are consecutive.
+	assigned := make([]int32, g.NLeft) // left vertex -> root, -1 without shingles
+	for v := range assigned {
+		assigned[v] = -1
 	}
-	assigned := map[int32]int{}
-	for v, m := range votes {
-		bestRoot, bestVotes := -1, -1
-		for r, n := range m {
-			if n > bestVotes || (n == bestVotes && r < bestRoot) {
-				bestRoot, bestVotes = r, n
+	votes := make([]int32, n) // by root; zero between vertices
+	sizeA := make([]int32, n) // by root: vertices assigned
+	for lo := 0; lo < len(id); {
+		v := t.Verts[lo]
+		hi := lo
+		for ; hi < len(id) && t.Verts[hi] == v; hi++ {
+			votes[root[id[hi]]]++
+		}
+		best, bestVotes := int32(-1), int32(0)
+		for _, i := range id[lo:hi] {
+			r := root[i]
+			if c := votes[r]; c > bestVotes || (c == bestVotes && r < best) {
+				best, bestVotes = r, c
 			}
 		}
-		assigned[v] = bestRoot
+		for _, i := range id[lo:hi] {
+			votes[root[i]] = 0
+		}
+		assigned[v] = best
+		sizeA[best]++
+		lo = hi
 	}
 
-	// Build candidate (A, B) per component from assigned vertices.
-	compA := map[int][]int32{}
-	for v, r := range assigned {
-		compA[r] = append(compA[r], v)
-	}
-	roots := make([]int, 0, len(compA))
-	for r := range compA {
-		roots = append(roots, r)
-	}
+	// Candidate (A, B) per component: A are the assigned vertices.
 	// Deterministic order: larger A first, then smaller root.
-	sort.Slice(roots, func(i, j int) bool {
-		if len(compA[roots[i]]) != len(compA[roots[j]]) {
-			return len(compA[roots[i]]) > len(compA[roots[j]])
+	var roots []int32
+	for r, c := range sizeA {
+		if c > 0 {
+			roots = append(roots, int32(r))
 		}
-		return roots[i] < roots[j]
+	}
+	slices.SortFunc(roots, func(a, b int32) int {
+		if c := cmp.Compare(sizeA[b], sizeA[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-
-	claimed := map[int32]bool{} // sequence IDs already reported
-	var out []DenseSubgraph
+	startA := make([]int32, n) // by root: offset of its A in vertsA
+	total := int32(0)
 	for _, r := range roots {
-		A := compA[r]
-		sort.Slice(A, func(i, j int) bool { return A[i] < A[j] })
-		B := map[int32]bool{}
+		startA[r] = total
+		total += sizeA[r]
+	}
+	vertsA := make([]int32, total)
+	fillA := slices.Clone(startA)
+	for v, r := range assigned {
+		if r >= 0 {
+			vertsA[fillA[r]] = int32(v)
+			fillA[r]++
+		}
+	}
+
+	// Right vertices are sequences, one each, so "already reported" is
+	// kept per right vertex. For B_d both sides index the same universe.
+	claimed := make([]bool, g.NRight)
+	inB := make([]int32, g.NRight)   // == stamp: in this candidate's A∪B
+	inFam := make([]int32, g.NRight) // == stamp: in this candidate's family
+	var cand []int32                 // B, then A∖B for B_d
+	var out []DenseSubgraph
+	for k, r := range roots {
+		stamp := int32(k + 1)
+		A := vertsA[startA[r] : startA[r]+sizeA[r]]
+		cand = cand[:0]
 		for _, v := range A {
 			for _, rv := range g.Adj[v] {
-				B[rv] = true
+				if inB[rv] != stamp {
+					inB[rv] = stamp
+					cand = append(cand, rv)
+				}
 			}
 		}
-		members := assemble(g, A, B, p, claimed)
-		if len(members) < p.MinSize {
+		if g.Kind == bipartite.Duplicate {
+			// Require A ≈ B, then report A∪B.
+			inter := 0
+			for _, v := range A {
+				if inB[v] == stamp {
+					inter++
+				} else {
+					inB[v] = stamp
+					cand = append(cand, v)
+				}
+			}
+			if float64(inter)/float64(len(cand)) < p.Tau {
+				continue
+			}
+		}
+		// Skip already-claimed sequences to keep outputs disjoint.
+		fam := cand[:0]
+		for _, v := range cand {
+			if !claimed[v] {
+				fam = append(fam, v)
+			}
+		}
+		if len(fam) < p.MinSize {
 			continue
 		}
-		ds := DenseSubgraph{Members: members}
-		if g.Kind == bipartite.Duplicate {
-			ds.MeanDegree, ds.Density = induceDensity(g, members)
+		ds := DenseSubgraph{Members: make([]int32, len(fam))}
+		for i, v := range fam {
+			ds.Members[i] = g.RightSeq[v]
+			claimed[v] = true
+			inFam[v] = stamp
 		}
-		for _, id := range members {
-			claimed[id] = true
+		slices.Sort(ds.Members)
+		if g.Kind == bipartite.Duplicate {
+			// Mean within-family degree over the similarity edges, and
+			// the paper's density measure (mean degree / (m-1)).
+			degSum := 0
+			for _, v := range fam {
+				for _, nb := range g.Adj[v] {
+					if nb != v && inFam[nb] == stamp { // ignore B_d self edges
+						degSum++
+					}
+				}
+			}
+			ds.MeanDegree = float64(degSum) / float64(len(fam))
+			ds.Density = ds.MeanDegree / float64(len(fam)-1)
 		}
 		out = append(out, ds)
 	}
@@ -260,80 +433,6 @@ func reportFromShingles(g *bipartite.Graph, p Params, hashes []uint64, shingleMe
 	})
 	st.Reported = len(out)
 	return out, st
-}
-
-// assemble turns a candidate (A, B) into the family's sequence-ID list,
-// applying the reduction-specific rule and skipping already-claimed
-// sequences to keep outputs disjoint.
-func assemble(g *bipartite.Graph, A []int32, B map[int32]bool, p Params, claimed map[int32]bool) []int32 {
-	switch g.Kind {
-	case bipartite.Duplicate:
-		// A and B index the same sequence universe; require A ≈ B.
-		union := map[int32]bool{}
-		inter := 0
-		for _, v := range A {
-			union[v] = true
-			if B[v] {
-				inter++
-			}
-		}
-		for v := range B {
-			union[v] = true
-		}
-		if len(union) == 0 || float64(inter)/float64(len(union)) < p.Tau {
-			return nil
-		}
-		out := make([]int32, 0, len(union))
-		for v := range union {
-			id := g.RightSeq[v] // LeftSeq == RightSeq for B_d
-			if !claimed[id] {
-				out = append(out, id)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	default: // Match: report B directly.
-		out := make([]int32, 0, len(B))
-		for v := range B {
-			id := g.RightSeq[v]
-			if !claimed[id] {
-				out = append(out, id)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-}
-
-// induceDensity computes the mean within-family degree and the paper's
-// density measure (mean degree / (m-1)) over the similarity edges of a
-// B_d graph.
-func induceDensity(g *bipartite.Graph, members []int32) (meanDeg, density float64) {
-	if len(members) < 2 {
-		return 0, 0
-	}
-	// members hold original sequence IDs; map back to local indices.
-	local := map[int32]bool{}
-	idToLocal := map[int32]int32{}
-	for li, id := range g.RightSeq {
-		idToLocal[id] = int32(li)
-	}
-	for _, id := range members {
-		if li, ok := idToLocal[id]; ok {
-			local[li] = true
-		}
-	}
-	var degSum int
-	for li := range local {
-		for _, nb := range g.Adj[li] {
-			if nb != li && local[nb] { // ignore B_d self edges
-				degSum++
-			}
-		}
-	}
-	meanDeg = float64(degSum) / float64(len(local))
-	density = meanDeg / float64(len(members)-1)
-	return meanDeg, density
 }
 
 // SizeHistogram buckets subgraph sizes into [lo, lo+width) bins and

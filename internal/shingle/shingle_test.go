@@ -231,6 +231,7 @@ func BenchmarkDetect(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			g := denseBd(rng, size/20, 20, 0.8, 0.2)
 			p := Params{S1: 5, C1: 100, S2: 5, C2: 50, MinSize: 5}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Detect(g, p)

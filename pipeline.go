@@ -2,6 +2,7 @@ package profam
 
 import (
 	"runtime"
+	"time"
 
 	"profam/internal/bipartite"
 	"profam/internal/metrics"
@@ -13,10 +14,6 @@ import (
 	"profam/internal/trace"
 	"profam/internal/unionfind"
 )
-
-// secPerShingleOp is the virtual cost of one min-hash evaluation in the
-// dense-subgraph phase (same calibration family as pace.CostParams).
-const secPerShingleOp = 2.0e-8
 
 // wireFamily is the gob-friendly family representation exchanged between
 // ranks. Comp is the index of the component the family came from (into
@@ -389,6 +386,8 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		chars int64 // B_m word-extraction characters
 		words int64 // B_m shared words (left vertices)
 		sh    shingle.Stats
+		bggS  float64 // wall seconds in Build*
+		dsdS  float64 // wall seconds in Detect
 		err   error
 	}
 	jobs := make([]compJob, len(mine))
@@ -403,6 +402,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		members := missComps[mine[i]]
 		reg.Histogram("pipeline_component_size").Observe(int64(len(members)))
 		var g *bipartite.Graph
+		start := time.Now()
 		switch cfg.Reduction {
 		case DomainBased:
 			var st bipartite.BuildStats
@@ -419,8 +419,10 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 			}
 			j.cells, j.pairs = st.Cells, st.PairsAligned
 		}
+		built := time.Now()
 		subs, st := shingle.Detect(g, sp)
 		j.sh = st
+		j.bggS, j.dsdS = built.Sub(start).Seconds(), time.Since(built).Seconds()
 		for _, d := range subs {
 			reg.Histogram("pipeline_family_size").Observe(int64(len(d.Members)))
 			j.fams = append(j.fams, wireFamily{
@@ -437,9 +439,11 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	// perfect-intra-rank-speedup model — keeping simulated curves
 	// deterministic for a given thread count. On wall-clock transports
 	// Advance is a no-op and the elapsed time of the parallel section
-	// (t1-t0) is apportioned between the phases by modeled work.
+	// (t1-t0) is apportioned between the phases by the seconds the jobs
+	// measured in each; under simtime that section takes no virtual time.
 	var local []wireFamily
 	var cells, pairs, chars, words, ops int64
+	var bggS, dsdS float64
 	var sh shingle.Stats
 	for i := range jobs {
 		j := &jobs[i]
@@ -451,6 +455,8 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		chars += j.chars
 		words += j.words
 		ops += j.sh.WorkOps
+		bggS += j.bggS
+		dsdS += j.dsdS
 		sh.ShinglesPass1 += j.sh.ShinglesPass1
 		sh.ShinglesPass2 += j.sh.ShinglesPass2
 		sh.Candidates += j.sh.Candidates
@@ -473,21 +479,21 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	bggAdv := float64(pool.CeilDiv(cells, threads))*costs.SecPerCell +
 		float64(pool.CeilDiv(pairs, threads))*costs.SecPerPairGen +
 		float64(pool.CeilDiv(chars, threads))*costs.SecPerTreeChar
-	dsdAdv := float64(pool.CeilDiv(ops, threads)) * secPerShingleOp
+	dsdAdv := float64(pool.CeilDiv(ops, threads)) * shingle.SecPerHashOp
 	c.Advance(bggAdv)
 	t2 := c.Time()
 	c.Advance(dsdAdv)
 	t3 := c.Time()
 	bggShare := 1.0
-	if bggAdv+dsdAdv > 0 {
-		bggShare = bggAdv / (bggAdv + dsdAdv)
+	if bggS+dsdS > 0 {
+		bggShare = bggS / (bggS + dsdS)
 	}
 	wall := t1 - t0
 	bggTime := (t2 - t1) + wall*bggShare
 	dsdTime := (t3 - t2) + wall*(1-bggShare)
 	// Phases 3+4 interleave inside the per-component jobs, so their
-	// spans are recorded from the modeled apportionment rather than
-	// bracketed directly.
+	// spans are recorded from the apportionment rather than bracketed
+	// directly.
 	reg.RecordSpan("bgg", t0, t0+bggTime)
 	tracer.Instant(trace.CatPipeline, "phase:dsd", "", 0, "", 0)
 	reg.RecordSpan("dsd", t0+bggTime, t0+bggTime+dsdTime)

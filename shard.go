@@ -12,6 +12,7 @@ import (
 	"profam/internal/mpi"
 	"profam/internal/pace"
 	"profam/internal/seq"
+	"profam/internal/shingle"
 	"profam/internal/trace"
 	"profam/internal/unionfind"
 )
@@ -185,7 +186,7 @@ func shardAssignments(c, sub *mpi.Comm, G int, set *seq.Set, cfg Config, costs p
 	}
 	// Hashing cost mirrors the suffix-tree char calibration; permutation
 	// evaluations are priced like the dense-subgraph phase's min-hash ops.
-	c.Advance(float64(sigChars)*costs.SecPerTreeChar + float64(sigOps)*secPerShingleOp)
+	c.Advance(float64(sigChars)*costs.SecPerTreeChar + float64(sigOps)*shingle.SecPerHashOp)
 
 	// All-to-all: rank r keeps only the hash classes ≡ r (mod p), so the
 	// posting table is partitioned, never replicated. Sends complete
@@ -218,7 +219,7 @@ func shardAssignments(c, sub *mpi.Comm, G int, set *seq.Set, cfg Config, costs p
 			}
 		}
 		placeShards(bands, n, B, cfg.Shards, primary)
-		c.Advance(float64(n*B) * secPerShingleOp)
+		c.Advance(float64(n*B) * shingle.SecPerHashOp)
 		sizes := make([]int64, cfg.Shards)
 		for _, s := range primary {
 			sizes[s]++
