@@ -205,27 +205,6 @@ func BenchmarkPsi(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexKind compares the pair-generation backends (generalized
-// suffix tree, enhanced suffix array, streamed sparse multiply) driving
-// the same CCD phase.
-func BenchmarkIndexKind(b *testing.B) {
-	set, _ := experiments.SetOfSize(300, 15)
-	for _, kind := range []pace.IndexKind{pace.IndexGST, pace.IndexESA, pace.IndexSparse} {
-		b.Run(kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := mpi.RunSim(1, mpi.CostModel{}, func(c *mpi.Comm) {
-					if _, _, err := pace.ConnectedComponents(c, set, nil, pace.Config{Psi: 7, Index: kind}); err != nil {
-						panic(err)
-					}
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPipelineVsBaseline contrasts the suffix-tree-filtered
 // pipeline against the Θ(n²) GOS-style baseline on identical input.
 func BenchmarkPipelineVsBaseline(b *testing.B) {

@@ -17,11 +17,11 @@
 #                       validate the epoch provenance ledger (record count,
 #                       schema round-trip, families digest vs the cold run)
 #                       plus the per-epoch traces and telemetry series;
-#                       then repeat the waves through a sparse-backend
-#                       daemon and a 4-shard multi-master daemon, diffing
-#                       both against the single-master serve and their own
-#                       cold runs (shard-balance metrics land as an
-#                       artifact); artifacts land in e2e_artifacts/
+#                       then repeat the waves through a 4-shard
+#                       multi-master daemon, diffing it against the
+#                       single-master serve and its own cold run
+#                       (shard-balance metrics land as an artifact);
+#                       artifacts land in e2e_artifacts/
 #
 # The race pass matters: the hybrid rank×thread execution model runs
 # alignment batches, index construction and phase 3+4 component jobs on
@@ -165,55 +165,6 @@ if [ "${1:-}" = "e2e" ]; then
 			|| { echo "ci.sh e2e: missing persisted trace for epoch $w" >&2; exit 1; }
 	done
 
-	echo "-- sparse backend leg: profamd -pairs sparse over the same waves"
-	"$tmp/profamd" -addr 127.0.0.1:0 -addr-file "$tmp/addr_sparse" -p 2 \
-		-pairs sparse -batch-wait 100ms \
-		>"$artifacts/profamd_sparse.stdout" 2>"$artifacts/profamd_sparse.log" &
-	daemon_pid=$!
-	i=0
-	while [ ! -s "$tmp/addr_sparse" ]; do
-		i=$((i + 1))
-		[ "$i" -gt 100 ] && { echo "sparse profamd never wrote its address" >&2; exit 1; }
-		kill -0 "$daemon_pid" 2>/dev/null || { echo "sparse profamd died during startup" >&2; cat "$artifacts/profamd_sparse.log" >&2; exit 1; }
-		sleep 0.1
-	done
-	base="http://$(cat "$tmp/addr_sparse")"
-	i=0
-	while ! curl -sf "$base/readyz" >/dev/null; do
-		i=$((i + 1))
-		[ "$i" -gt 100 ] && { echo "sparse profamd never became ready" >&2; exit 1; }
-		sleep 0.1
-	done
-	for w in 0 1 2; do
-		[ -f "$tmp/wave$w.fasta" ] || continue
-		curl -sf --data-binary "@$tmp/wave$w.fasta" "$base/v1/sequences" >/dev/null \
-			|| { echo "sparse wave $w submission failed" >&2; cat "$artifacts/profamd_sparse.log" >&2; exit 1; }
-	done
-	curl -sf "$base/v1/families?format=text" >"$artifacts/served_families_sparse.txt"
-	kill -TERM "$daemon_pid"
-	i=0
-	while kill -0 "$daemon_pid" 2>/dev/null; do
-		i=$((i + 1))
-		[ "$i" -gt 300 ] && { echo "sparse profamd did not exit after SIGTERM" >&2; exit 1; }
-		sleep 0.1
-	done
-	wait "$daemon_pid" 2>/dev/null && rc=0 || rc=$?
-	daemon_pid=""
-	[ "$rc" -eq 0 ] || { echo "sparse profamd exited with status $rc" >&2; cat "$artifacts/profamd_sparse.log" >&2; exit 1; }
-
-	# The sparse service must serve the same families as the GST service
-	# and as a cold sparse run: backends are interchangeable end to end.
-	if ! diff -u "$artifacts/served_families.txt" "$artifacts/served_families_sparse.txt"; then
-		echo "ci.sh e2e: sparse-served families differ from the gst-served run" >&2
-		exit 1
-	fi
-	"$tmp/profam" -in "$tmp/orfs.fasta" -p 2 -pairs sparse \
-		-out "$artifacts/cold_families_sparse.txt" 2>/dev/null
-	if ! diff -u "$artifacts/cold_families_sparse.txt" "$artifacts/served_families_sparse.txt"; then
-		echo "ci.sh e2e: sparse-served families differ from the cold sparse run" >&2
-		exit 1
-	fi
-
 	echo "-- sharded leg: profamd -shards 4 over the same waves"
 	"$tmp/profamd" -addr 127.0.0.1:0 -addr-file "$tmp/addr_sharded" -p 4 \
 		-shards 4 -batch-wait 100ms \
@@ -277,7 +228,7 @@ if [ "${1:-}" = "e2e" ]; then
 	grep -q 'pace_shard_imbalance' "$artifacts/metrics_shard_balance.json" \
 		|| { echo "ci.sh e2e: shard-balance metrics missing pace_shard_imbalance gauge" >&2; exit 1; }
 
-	echo "ci.sh: e2e service gate passed ($total sequences, byte-identical families, gst+sparse backends, single- and multi-master, ledgers verified)"
+	echo "ci.sh: e2e service gate passed ($total sequences, byte-identical families, single- and multi-master, ledgers verified)"
 	exit 0
 fi
 

@@ -62,10 +62,6 @@ type fileFormat struct {
 	// and profile reuse also contribute.
 	KernelSpeedup        float64 `json:"kernel_speedup,omitempty"`
 	CascadeKernelSpeedup float64 `json:"cascade_kernel_speedup,omitempty"`
-	// SparsePeakBytesRatio is ESA/sparse peak index bytes on a large
-	// corpus (work checksum, not timing) — the memory win the sparse
-	// pair backend exists to deliver. The run fails if it is ≤ 1.
-	SparsePeakBytesRatio float64 `json:"sparse_peak_bytes_ratio,omitempty"`
 	// SimShardSpeedup is the deterministic virtual-makespan ratio
 	// single-master/sharded on the 64-rank master-bound corpus
 	// (experiments.ShardCorpus at 8 shards) — the multi-master win LSH
@@ -215,19 +211,6 @@ func main() {
 			experiments.AlignCascadeKernelMode(alignSet, seedPairs, 1, true)
 		}
 	})
-	// PipelineSparse mirrors PipelineThreads/threads=1 on the sparse
-	// pair backend; its ratio against the untraced GST kernel is the
-	// end-to-end cost of the streamed multiply.
-	record("PipelineSparse/threads=1", func(b *testing.B) {
-		cfg := experiments.PipelineConfig()
-		cfg.ThreadsPerRank = 1
-		cfg.Pairs = profam.PairsSparse
-		for i := 0; i < b.N; i++ {
-			if _, _, err := profam.RunSet(pipeSet, 2, false, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	// PipelineSharded mirrors PipelineThreads at 4 ranks, single-master
 	// vs 4 LSH shards, keeping the real-time cost of the sharded path
 	// (signature phase, split collectives, boundary merge) visible in
@@ -245,19 +228,12 @@ func main() {
 			}
 		})
 	}
-	// The pair-generation kernels isolate the candidate-pair index+
-	// enumeration hot path (no alignment, no transport) on the two
-	// non-default backends over the same corpus and ψ.
-	record("PairGenESA/threads=1", func(b *testing.B) {
+	// The pair-generation kernel isolates the candidate-pair index +
+	// enumeration hot path (no alignment, no transport) over the pipeline
+	// kernels' corpus and ψ.
+	record("PairGen/threads=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiments.PairGenESAKernel(pipeSet, 7); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	record("PairGenSparse/threads=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.PairGenSparseKernel(pipeSet, 7); err != nil {
+			if _, err := experiments.PairGenKernel(pipeSet, 7); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -389,21 +365,6 @@ func main() {
 			payload.CascadeKernelSpeedup = scalar / auto
 			log.Printf("cascade kernel speedup over the scalar kernels: %.2fx", payload.CascadeKernelSpeedup)
 		}
-	}
-	// Peak index memory, ESA vs sparse, on a corpus large enough that
-	// the largest single CSR block sits well below the summed subtrees.
-	// Deterministic arithmetic over the bucket list — no noise guard —
-	// and a hard gate: the sparse backend's whole reason to exist is
-	// peaking lower than the resident-tree backends.
-	memSet, _ := experiments.SetOfSize(1500, 53)
-	esaBytes, sparseBytes, memRatio, err := experiments.SparsePeakBytesRatio(memSet, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	payload.SparsePeakBytesRatio = memRatio
-	log.Printf("peak index bytes esa/sparse: %d / %d = %.2fx", esaBytes, sparseBytes, memRatio)
-	if memRatio <= 1.0 {
-		log.Fatalf("sparse peak index bytes (%d) not below ESA (%d); ratio %.2f <= 1.0", sparseBytes, esaBytes, memRatio)
 	}
 	// Multi-master sharding win: deterministic 64-rank virtual-time
 	// makespans, single-master vs 8 LSH shards, on the master-bound

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"profam/internal/ledger"
@@ -26,7 +27,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout *os.File) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ledgercheck", flag.ContinueOnError)
 	path := fs.String("ledger", "", "ledger JSONL file to validate (required)")
 	expectCommitted := fs.Int("expect-committed", -1, "required number of committed records (-1 skips the check)")

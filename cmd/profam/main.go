@@ -102,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sim := fs.Bool("sim", false, "run on the virtual-time simulator instead of goroutine ranks")
 	reduction := fs.String("reduction", "global", "bipartite reduction: global (B_d) or domain (B_m)")
 	truthPath := fs.String("truth", "", "optional truth TSV (from datagen) to score the clustering against")
-	pairs := fs.String("pairs", "gst", "promising-pair backend: gst (generalized suffix tree), esa (enhanced suffix array) or sparse (streamed k-mer matrix multiply); families are identical across backends")
 	jsonOut := fs.Bool("json", false, "write families as JSON instead of text")
 	reportPath := fs.String("report", "", "write a full text report (summary, histogram, MSA blocks) to this file")
 	metricsOut := fs.String("metrics-out", "", "write the merged metrics report (counters, gauges, histograms, phase spans) as JSON to this file (- for stdout) and print a summary table")
@@ -152,10 +151,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Reduction = profam.DomainBased
 	default:
 		return fmt.Errorf("unknown -reduction %q (want global or domain)", *reduction)
-	}
-	var err error
-	if cfg.Pairs, err = profam.ParsePairBackend(*pairs); err != nil {
-		return err
 	}
 	if *traceOut != "" {
 		if *traceCap <= 0 {

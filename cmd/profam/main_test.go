@@ -177,50 +177,13 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// TestPairsFlag: -pairs is the only backend selector. Every backend name
-// runs and yields the same families file; anything else is rejected with
-// ParsePairBackend's message before the input is even opened.
-func TestPairsFlag(t *testing.T) {
-	dir := t.TempDir()
-	fa := writeFASTA(t, dir, workload.Params{
-		Families: 3, MeanFamilySize: 6, MeanLength: 80,
-		Divergence: 0.08, Singletons: 2, Seed: 5,
-	})
-	var want []byte
-	for _, backend := range []string{"gst", "esa", "sparse"} {
-		out := filepath.Join(dir, backend+".txt")
-		var stdout, stderr bytes.Buffer
-		err := run([]string{"-in", fa, "-out", out, "-pairs=" + backend,
-			"-min-component", "3", "-min-family", "3", "-log-level", "error"}, &stdout, &stderr)
-		if err != nil {
-			t.Fatalf("-pairs=%s: %v\nstderr:\n%s", backend, err, stderr.String())
-		}
-		got, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Errorf("-pairs=%s wrote different families than -pairs=gst", backend)
-		}
-	}
-
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-in", "x.fasta", "-pairs", "nope"}, &stdout, &stderr)
-	const msg = `unknown pair backend "nope" (want gst, esa or sparse)`
-	if err == nil || !strings.Contains(err.Error(), msg) {
-		t.Errorf("-pairs=nope: err = %v, want %q", err, msg)
-	}
-}
-
 // TestFlagSet pins the CLI's flag names, so adding or removing a flag is
 // a deliberate diff here and not a side effect.
 func TestFlagSet(t *testing.T) {
 	want := strings.Fields(`
 		c1 c2 contain-coverage contain-identity edge-similarity in json
 		log-json log-level metrics-out min-component min-family out
-		overlap-coverage overlap-similarity p pairs pprof-addr progress psi
+		overlap-coverage overlap-similarity p pprof-addr progress psi
 		reduction report s1 s2 seed shards sim tau threads trace-cap
 		trace-out truth w`)
 	var stdout, usage bytes.Buffer

@@ -87,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	fs.IntVar(&cfg.MinFamilySize, "min-family", 5, "minimum dense subgraph size")
 	fs.IntVar(&cfg.ThreadsPerRank, "threads", 0, "goroutines per rank (0 = auto)")
 	fs.IntVar(&cfg.Shards, "shards", 1, "LSH similarity shards per epoch: split the ranks into this many rank groups, each running its own master, with a cross-shard boundary merge (1 = single master; sharded epochs always recluster from scratch)")
-	pairs := fs.String("pairs", "gst", "promising-pair backend: gst (generalized suffix tree), esa (enhanced suffix array) or sparse (streamed k-mer matrix multiply); families are identical across backends")
 	reduction := fs.String("reduction", "global", "bipartite reduction: global (B_d) or domain (B_m)")
 
 	if err := fs.Parse(args); err != nil {
@@ -103,10 +102,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 		cfg.Reduction = profam.DomainBased
 	default:
 		return fmt.Errorf("unknown -reduction %q (want global or domain)", *reduction)
-	}
-	var err error
-	if cfg.Pairs, err = profam.ParsePairBackend(*pairs); err != nil {
-		return err
 	}
 	logger, err := buildLogger(stderr, *logLevel, *logJSON)
 	if err != nil {

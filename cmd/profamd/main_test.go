@@ -152,11 +152,6 @@ func TestDaemonFlagErrors(t *testing.T) {
 	if err := run([]string{"-log-level", "nope"}, io.Discard, io.Discard, sig); err == nil {
 		t.Error("bad -log-level accepted")
 	}
-	err := run([]string{"-pairs", "nope"}, io.Discard, io.Discard, sig)
-	const msg = `unknown pair backend "nope" (want gst, esa or sparse)`
-	if err == nil || !strings.Contains(err.Error(), msg) {
-		t.Errorf("-pairs=nope: err = %v, want %q", err, msg)
-	}
 }
 
 // TestDaemonAddrInUse surfaces listener errors instead of hanging.

@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"profam/internal/align"
+	"profam/internal/esa"
 	"profam/internal/pool"
 	"profam/internal/seq"
 	"profam/internal/suffixtree"
@@ -153,7 +154,7 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 	}
 
 	sub, _ := set.Subset(sorted)
-	trees, err := suffixtree.Build(sub, suffixtree.Options{MinMatch: cfg.Psi})
+	trees, err := esa.Build(sub, suffixtree.Options{MinMatch: cfg.Psi})
 	if err != nil {
 		return nil, BuildStats{}, err
 	}

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -54,6 +55,32 @@ func TestBuildBdSymmetricAndLabelled(t *testing.T) {
 		if g.LeftSeq[i] != g.RightSeq[i] {
 			t.Fatal("Bd left/right sequence mapping differs")
 		}
+	}
+}
+
+// TestBuildBdAllocationBound pins what a small component costs: the
+// recursive suffix-tree builder grabbed a 256 KB child-bounds arena per
+// recorded bucket (16.6 MB here), the suffix-array builder phase 3 now
+// calls allocates 0.13 MB for the whole call. The service rebuilds B_d
+// for many such components every epoch, so a per-bucket allocation that
+// does not scale with the bucket is what this guards against.
+func TestBuildBdAllocationBound(t *testing.T) {
+	set, _ := workload.Generate(workload.Params{
+		Families: 1, MeanFamilySize: 5, MeanLength: 130,
+		Divergence: 0.08, Singletons: 0, Seed: 11,
+	})
+	members := make([]int, min(5, set.Len()))
+	for i := range members {
+		members[i] = i
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := BuildBd(set, members, Config{Psi: 7}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Errorf("BuildBd on %d members allocated %.1f MB, want <= 2 MB", len(members), float64(got)/(1<<20))
 	}
 }
 

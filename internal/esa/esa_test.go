@@ -3,8 +3,8 @@ package esa
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"profam/internal/seq"
 	"profam/internal/suffixtree"
@@ -69,40 +69,105 @@ func TestMatchesSuffixTree(t *testing.T) {
 	}
 }
 
-// Property: pair-set equality on random inputs across psi and prefix
-// settings.
-func TestMatchesSuffixTreeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		set := randomSet(rng, 2+rng.Intn(6), 50)
-		psi := 2 + rng.Intn(4)
-		opt := suffixtree.Options{MinMatch: psi, PrefixLen: 1 + rng.Intn(2)}
-		if opt.PrefixLen > psi {
-			opt.PrefixLen = psi
+// fuzzAlphabet is deliberately tiny so short random sequences share long
+// repeats; byte value 4 (mod 5) ends a sequence.
+const fuzzAlphabet = "ACDE"
+
+func encodeSeqs(seqs ...string) []byte {
+	var out []byte
+	for _, s := range seqs {
+		for i := range s {
+			out = append(out, byte(strings.IndexByte(fuzzAlphabet, s[i])))
 		}
-		want, err := suffixtree.Build(set, opt)
+		out = append(out, 4)
+	}
+	return out
+}
+
+func decodeSeqs(data []byte) *seq.Set {
+	set := seq.NewSet()
+	var cur []byte
+	flush := func() {
+		if len(cur) > 0 {
+			set.MustAdd(fmt.Sprintf("s%d", set.Len()), string(cur))
+			cur = cur[:0]
+		}
+	}
+	for _, b := range data {
+		if b%5 == 4 {
+			flush()
+		} else {
+			cur = append(cur, fuzzAlphabet[b%5])
+		}
+	}
+	flush()
+	return set
+}
+
+// FuzzBuildBucketMatchesReference: on every bucket of a small random
+// set, for ψ in 1…6 and every legal PrefixLen, the suffix-array builder
+// must enumerate exactly the pair multiset of the recursive suffix-tree
+// builder — the reference it replaced in production — over the same
+// leaves, with node depths non-increasing (the order the pace phases and
+// MergedPairs rely on).
+func FuzzBuildBucketMatchesReference(f *testing.F) {
+	// Low-complexity runs: every suffix of the shorter is a prefix of many.
+	f.Add(encodeSeqs("AAAAAAAA", "AAAA"), uint8(1), uint8(0))
+	// Suffixes ending exactly at a node's depth (identical sequences, and
+	// one a suffix of another): the tree's TermChild case, which the
+	// suffix array represents as singleton children instead.
+	f.Add(encodeSeqs("ACDEACDEAC", "CDEACD", "ACDE", "ACDE", "DE"), uint8(1), uint8(1))
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 40; i++ {
+		var seqs []string
+		for n := 2 + rng.Intn(6); n > 0; n-- {
+			b := make([]byte, 1+rng.Intn(50))
+			for j := range b {
+				b[j] = fuzzAlphabet[rng.Intn(3+i%2)]
+			}
+			seqs = append(seqs, string(b))
+		}
+		f.Add(encodeSeqs(seqs...), uint8(rng.Intn(6)), uint8(rng.Intn(6)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, psi, prefix uint8) {
+		if len(data) > 512 {
+			t.Skip("pair enumeration is quadratic; keep inputs small")
+		}
+		set := decodeSeqs(data)
+		opt := suffixtree.Options{MinMatch: 1 + int(psi%6)}
+		opt.PrefixLen = 1 + int(prefix)%opt.MinMatch
+		buckets, err := suffixtree.Buckets(set, opt)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		got, err := Build(set, opt)
-		if err != nil {
-			return false
-		}
-		w, g := pairSet(want), pairSet(got)
-		if len(w) != len(g) {
-			t.Logf("seed %d: esa %d pairs vs tree %d", seed, len(g), len(w))
-			return false
-		}
-		for p := range w {
-			if !g[p] {
-				return false
+		for _, b := range buckets {
+			want, err := suffixtree.BuildBucket(set, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BuildBucket(set, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Leaves) != len(want.Leaves) {
+				t.Fatalf("bucket %q: %d leaves, reference %d", b.Prefix, len(got.Leaves), len(want.Leaves))
+			}
+			for i := 1; i < len(got.Nodes); i++ {
+				if got.Nodes[i].Depth > got.Nodes[i-1].Depth {
+					t.Fatalf("bucket %q: node depths increase at %d", b.Prefix, i)
+				}
+			}
+			pairs := map[suffixtree.Pair]int{}
+			want.ForEachPair(func(p suffixtree.Pair) bool { pairs[p]++; return true })
+			got.ForEachPair(func(p suffixtree.Pair) bool { pairs[p]--; return true })
+			for p, n := range pairs {
+				if n != 0 {
+					t.Fatalf("psi=%d prefix=%d bucket %q: pair %+v emitted %+d times vs the reference",
+						opt.MinMatch, opt.PrefixLen, b.Prefix, p, -n)
+				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 // TestDecreasingOrder: per-bucket enumeration must be non-increasing in

@@ -20,7 +20,7 @@ type AblateRow struct {
 
 // Ablate runs the CCD phase under the design-choice ablations DESIGN.md
 // calls out: the transitive-closure filter, the decreasing-match-length
-// ordering, the ψ filter length, and the index implementation.
+// ordering and the ψ filter length.
 func Ablate(scale float64) ([]AblateRow, error) {
 	set, _ := SetOfSize(int(500*scale), 77)
 
@@ -29,11 +29,10 @@ func Ablate(scale float64) ([]AblateRow, error) {
 		cfg  pace.Config
 	}
 	variants := []variant{
-		{"reference (psi=7, closure on, ordered, GST)", pace.Config{Psi: 7}},
+		{"reference (psi=7, closure on, ordered)", pace.Config{Psi: 7}},
 		{"closure filter off", pace.Config{Psi: 7, DisableClosureFilter: true}},
 		{"FIFO pair order", pace.Config{Psi: 7, RandomPairOrder: true}},
 		{"psi=10", pace.Config{Psi: 10}},
-		{"ESA index", pace.Config{Psi: 7, Index: pace.IndexESA}},
 	}
 
 	var refComp []int32

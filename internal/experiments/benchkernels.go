@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
 	"profam/internal/align"
+	"profam/internal/esa"
 	"profam/internal/pool"
 	"profam/internal/seq"
 	"profam/internal/suffixtree"
@@ -55,7 +57,7 @@ type SeedPair struct {
 // maximal match of length ≥ psi) with their seed coordinates, truncated
 // to maxPairs, for the cascade benchmarks.
 func BenchSeedPairs(set *seq.Set, psi, maxPairs int) ([]SeedPair, error) {
-	trees, err := suffixtree.Build(set, suffixtree.Options{MinMatch: psi})
+	trees, err := esa.Build(set, suffixtree.Options{MinMatch: psi})
 	if err != nil {
 		return nil, err
 	}
@@ -72,6 +74,16 @@ func BenchSeedPairs(set *seq.Set, psi, maxPairs int) ([]SeedPair, error) {
 		return len(out) < maxPairs
 	})
 	return out, nil
+}
+
+// PairGenKernel is the pair-generation path in isolation: build the
+// maximal-match index, then drain the merged pair stream with
+// first-occurrence dedup — the same enumeration the worker-side pair
+// source performs. It returns the deduplicated pair count (a work
+// checksum, identical across runs).
+func PairGenKernel(set *seq.Set, psi int) (int, error) {
+	pairs, err := BenchSeedPairs(set, psi, math.MaxInt)
+	return len(pairs), err
 }
 
 // AlignCascadeKernel runs the seed-anchored containment cascade (the

@@ -49,6 +49,10 @@ const (
 	StatusAborted   = "aborted"
 )
 
+// PairBackendESA is the one value Record.PairBackend and /v1/status's
+// "pair_backend" take: the suffix-array index of internal/esa.
+const PairBackendESA = "esa"
+
 // Record is one epoch's provenance entry. All fields are plain data so
 // the JSONL encoding round-trips byte-identically (map keys are emitted
 // sorted by encoding/json).
@@ -64,7 +68,10 @@ type Record struct {
 	// Fingerprint is the canonical family-affecting config fingerprint
 	// every epoch of one corpus must share (profam.Config.Fingerprint).
 	Fingerprint string `json:"config_fingerprint"`
-	// PairBackend is the promising-pair backend (gst, esa or sparse).
+	// PairBackend names the maximal-match index the epoch ran on. Every
+	// record this build writes carries PairBackendESA; the field stays in
+	// the schema so ledgers from builds that still had a backend switch
+	// ("gst", "sparse") keep decoding.
 	PairBackend string `json:"pair_backend"`
 	// Submissions and NewSequences count the batch that rode into this
 	// epoch; CorpusSize is the union corpus after it.

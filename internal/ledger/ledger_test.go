@@ -14,7 +14,7 @@ func sampleRecord(epoch int) Record {
 		Status:           StatusCommitted,
 		UnixNanos:        1700000000000000000 + int64(epoch),
 		Fingerprint:      "k=4;q=3",
-		PairBackend:      "gst",
+		PairBackend:      PairBackendESA,
 		Submissions:      2,
 		NewSequences:     10,
 		CorpusSize:       10 * epoch,
@@ -29,22 +29,40 @@ func sampleRecord(epoch int) Record {
 	}
 }
 
+// TestAppendReopenRoundTrip starts from a ledger written while the pair
+// backend was still selectable (epochs 1–2 of a PR 15 `./ci.sh e2e` run:
+// "pairs=gst" in the fingerprint, "pair_backend":"gst"): old records must
+// replay, stay byte-identical on disk, and take this build's records
+// after them.
 func TestAppendReopenRoundTrip(t *testing.T) {
+	old, err := os.ReadFile("testdata/ledger_pr15.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Record{sampleRecord(1), sampleRecord(2)}
-	want[1].Status = StatusFailed
-	want[1].Error = "boom"
-	for _, r := range want {
+	if l.Recovered() || l.Len() != 2 || l.Records()[0].PairBackend != "gst" {
+		t.Fatalf("old-format ledger: recovered=%v records=%+v", l.Recovered(), l.Records())
+	}
+	want := append(l.Records(), sampleRecord(3), sampleRecord(4))
+	want[3].Status = StatusFailed
+	want[3].Error = "boom"
+	for _, r := range want[2:] {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if raw, _ := os.ReadFile(path); !bytes.HasPrefix(raw, old) {
+		t.Error("appending rewrote the old-format records")
 	}
 
 	l2, err := Open(path)
@@ -66,8 +84,8 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 			t.Errorf("record %d round-trip mismatch:\n got %s\nwant %s", i, gj, wj)
 		}
 	}
-	if rec, ok := l2.Epoch(2); !ok || rec.Status != StatusFailed {
-		t.Errorf("Epoch(2) = %+v, %v; want failed record", rec, ok)
+	if rec, ok := l2.Epoch(4); !ok || rec.Status != StatusFailed {
+		t.Errorf("Epoch(4) = %+v, %v; want failed record", rec, ok)
 	}
 	if _, ok := l2.Epoch(99); ok {
 		t.Error("Epoch(99) unexpectedly found")

@@ -49,17 +49,16 @@ type phaseCounters struct {
 	base        Stats
 }
 
-// rawPairsName labels the raw-pair counter with the enumerating
-// backend, so runs are attributable (and comparable) per backend. The
-// same name must be used by the worker ranks that own the counter.
-func rawPairsName(backend, phase string) string {
-	return metrics.Name("pace_pairs_raw", "backend", backend, "phase", phase)
+// rawPairsName names the raw-pair counter, which the master reads and
+// the enumerating worker ranks own.
+func rawPairsName(phase string) string {
+	return metrics.Name("pace_pairs_raw", "phase", phase)
 }
 
-func newPhaseCounters(reg *metrics.Registry, phase, backend string) phaseCounters {
+func newPhaseCounters(reg *metrics.Registry, phase string) phaseCounters {
 	l := func(n string) string { return metrics.Name(n, "phase", phase) }
 	pc := phaseCounters{
-		raw:          reg.Counter(rawPairsName(backend, phase)),
+		raw:          reg.Counter(rawPairsName(phase)),
 		generated:    reg.Counter(l("pace_pairs_generated")),
 		duplicate:    reg.Counter(l("pace_pairs_duplicate")),
 		closure:      reg.Counter(l("pace_pairs_closure")),
@@ -235,35 +234,34 @@ func (s *pairSource) next(k int) ([]PairItem, bool) {
 	return out, exhausted
 }
 
-// buildTrees constructs the per-bucket indexes owned by this rank (GST
-// or ESA per cfg.Index), charging construction work to the virtual
-// clock. Buckets are independent, so they build on the rank's goroutine
-// pool; the result slice is indexed by bucket position, keeping the
-// tree order — and therefore the pair stream — identical for every
-// thread count.
+// buildTrees constructs the per-bucket indexes owned by this rank,
+// charging construction work to the virtual clock. Buckets are
+// independent, so they build on the rank's goroutine pool; the result
+// slice is indexed by bucket position, keeping the tree order — and
+// therefore the pair stream — identical for every thread count. The
+// subtrees stay alive for the whole phase, so pace_index_bytes is their
+// summed footprint.
 func buildTrees(c *mpi.Comm, set *seq.Set, bucketIdx []int, buckets []suffixtree.Bucket, cfg Config, phase string) ([]*suffixtree.SubTree, error) {
 	sp := cfg.Metrics.StartSpan(phase + "/index")
 	defer sp.End()
 	opt := suffixtree.Options{MinMatch: cfg.Psi, PrefixLen: cfg.PrefixLen}
-	build := suffixtree.BuildBucket
-	if cfg.Index == IndexESA {
-		build = esa.BuildBucket
-	}
 	threads := max(1, cfg.Threads)
 	trees := make([]*suffixtree.SubTree, len(bucketIdx))
 	errs := make([]error, len(bucketIdx))
 	pool.RunObserved(threads, len(bucketIdx), poolObserver(cfg.Metrics, phase, "index"), func(i int) {
-		trees[i], errs[i] = build(set, buckets[bucketIdx[i]], opt)
+		trees[i], errs[i] = esa.BuildBucket(set, buckets[bucketIdx[i]], opt)
 	})
-	var weight int64
+	var weight, indexBytes int64
 	for i, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 		weight += buckets[bucketIdx[i]].Weight
+		indexBytes += trees[i].Stats().ApproxBytes
 	}
 	c.Advance(float64(pool.CeilDiv(weight, threads)) * cfg.Costs.SecPerTreeChar)
 	cfg.Metrics.Counter(metrics.Name("pace_index_chars", "phase", phase)).Add(weight)
+	cfg.Metrics.Gauge(metrics.Name("pace_index_bytes", "phase", phase)).SetMax(float64(indexBytes))
 	return trees, nil
 }
 
@@ -284,7 +282,7 @@ func newMasterState(logic masterLogic, cfg Config, phase string) *masterState {
 	return &masterState{
 		pending: taskHeap{fifo: cfg.RandomPairOrder},
 		seen:    make(map[int64]bool),
-		ctr:     newPhaseCounters(cfg.Metrics, phase, cfg.Index.String()),
+		ctr:     newPhaseCounters(cfg.Metrics, phase),
 		logic:   logic,
 		cfg:     cfg,
 	}
@@ -572,7 +570,7 @@ func workerCaches(cfg Config) (*pool.AlignerCache, *pool.ProfileCache) {
 // to after the alignment costs no overlap while making its piggybacked
 // outcomes as fresh as a dedicated report message would be — without
 // doubling the phase's message count.
-func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvider, cfg Config, phase string) {
+func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg Config, phase string) {
 	sp := cfg.Metrics.StartSpan(phase + "/exchange")
 	defer sp.End()
 	tr := cfg.Trace
@@ -632,7 +630,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src pairProvider, cfg 
 
 // runSerial executes a whole phase on a single rank: pairs are consumed
 // in decreasing match-length order with the same filtering policy.
-func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src pairProvider, cfg Config) {
+func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *pairSource, cfg Config) {
 	al := align.NewAligner(cfg.Scoring)
 	if cfg.ScalarKernels {
 		al.Kernels = align.KernelScalar
@@ -668,8 +666,7 @@ func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src p
 		ms.cfg.Log.Debug("serial round",
 			"phase", phase, "round", round, "merges", ms.merges, "t", c.Time())
 		if exhausted {
-			raw, _ := src.counts()
-			ms.ctr.raw.Add(raw)
+			ms.ctr.raw.Add(src.raw)
 			return
 		}
 	}
@@ -699,13 +696,11 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 		for i := range own {
 			own[i] = i
 		}
-		src, err := newSource(c, set, own, buckets, cfg, phase)
+		trees, err := buildTrees(c, set, own, buckets, cfg, phase)
 		if err != nil {
 			return Stats{}, err
 		}
-		// The sparse backend builds its blocks lazily inside the
-		// exchange, so its TreeTime stays ~0 — index cost shows up in
-		// PhaseTime and the pace_index_chars counter instead.
+		src := newPairSource(trees, int32(cfg.NewFrom))
 		treeDone := c.Time()
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
 		runSerial(c, set, ms, wl, src, cfg)
@@ -729,17 +724,17 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 		st.PhaseTime = c.MaxFloat64(c.Time()) - start
 		return st, nil
 	}
-	src, err := newSource(c, set, assign[c.Rank()-1], buckets, cfg, phase)
+	trees, err := buildTrees(c, set, assign[c.Rank()-1], buckets, cfg, phase)
 	if err != nil {
 		return Stats{}, err
 	}
+	src := newPairSource(trees, int32(cfg.NewFrom))
 	runWorker(c, set, wl, src, cfg, phase)
 	// The enumerating ranks own the raw-pair counter; the master's Stats
 	// read-out gets the total via the reduction below.
-	raw, _ := src.counts()
-	cfg.Metrics.Counter(rawPairsName(cfg.Index.String(), phase)).Add(raw)
+	cfg.Metrics.Counter(rawPairsName(phase)).Add(src.raw)
 	countPriorPairs(cfg, phase, src)
-	c.ReduceInt64(0, raw, addInt64)
+	c.ReduceInt64(0, src.raw, addInt64)
 	c.MaxFloat64(c.Time())
 	return Stats{}, nil
 }
@@ -750,9 +745,9 @@ func addInt64(a, b int64) int64 { return a + b }
 // suppressed because both sides predate the current epoch. The counter is
 // created lazily so cold runs (NewFrom == 0) export an unchanged metric
 // set.
-func countPriorPairs(cfg Config, phase string, src pairProvider) {
-	if _, prior := src.counts(); prior > 0 {
-		cfg.Metrics.Counter(metrics.Name("pace_pairs_prior", "phase", phase)).Add(prior)
+func countPriorPairs(cfg Config, phase string, src *pairSource) {
+	if src.prior > 0 {
+		cfg.Metrics.Counter(metrics.Name("pace_pairs_prior", "phase", phase)).Add(src.prior)
 	}
 }
 

@@ -5,9 +5,10 @@
 // All ranks hold the sequence set (a few MB at the scales involved; the
 // paper's distributed structure is the suffix tree, not the sequences).
 // Suffix-tree buckets are assigned to worker ranks; each worker builds its
-// subtrees locally and generates "promising pairs" — pairs of sequences
-// sharing a maximal exact match of length ≥ ψ — in decreasing
-// match-length order. The master maintains the global clustering state,
+// subtrees locally (from each bucket's suffix array, internal/esa) and
+// generates "promising pairs" — pairs of sequences sharing a maximal
+// exact match of length ≥ ψ — in decreasing match-length order. The
+// master maintains the global clustering state,
 // filters incoming pairs (duplicate elimination plus, for CCD, the
 // transitive-closure test that skips pairs already in one cluster), and
 // dynamically assigns the surviving alignment workload back to workers.
@@ -51,49 +52,13 @@ func DefaultCostParams() CostParams {
 	}
 }
 
-// IndexKind selects the maximal-match index implementation.
-type IndexKind int
-
-const (
-	// IndexGST uses the generalized suffix tree (the paper's structure).
-	IndexGST IndexKind = iota
-	// IndexESA uses the enhanced suffix array (internal/esa), which
-	// produces the identical pair set with a flatter memory profile.
-	IndexESA
-	// IndexSparse uses the streamed sparse k-mer × sequence multiply
-	// (internal/spgemm): the identical candidate pair set at default
-	// thresholds, holding only one bucket's CSR block in memory at a
-	// time instead of every subtree of the rank's assignment.
-	IndexSparse
-)
-
-func (k IndexKind) String() string {
-	switch k {
-	case IndexESA:
-		return "esa"
-	case IndexSparse:
-		return "sparse"
-	}
-	return "gst"
-}
-
 // Config controls both phases.
 type Config struct {
 	// Psi is ψ, the minimum maximal-match length for a promising pair
 	// (default 8).
 	Psi int
-	// Index selects the maximal-match index (default IndexGST).
-	Index IndexKind
 	// PrefixLen is the suffix-tree bucketing granularity (default 2).
 	PrefixLen int
-	// SparseBlockNNZ bounds the postings gathered into one accumulator
-	// block of the IndexSparse multiply (default 4096). Block size only
-	// affects batching and memory, never the emitted pair set.
-	SparseBlockNNZ int
-	// SparseMaxRowOcc caps the distinct sequences one ψ-mer row of the
-	// IndexSparse matrix may touch (low-complexity blowup control).
-	// 0 (the default) disables the cap, preserving backend equivalence.
-	SparseMaxRowOcc int
 	// BatchPairs is how many promising pairs a worker ships to the
 	// master per round (default 4096).
 	BatchPairs int
@@ -174,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchPairs == 0 {
 		c.BatchPairs = 4096
-	}
-	if c.SparseBlockNNZ == 0 {
-		c.SparseBlockNNZ = 4096
 	}
 	if c.BatchTasks == 0 {
 		c.BatchTasks = 512

@@ -293,7 +293,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"queued":             len(s.subs),
 		"pending_batch":      s.pendingBatch.Load(),
 		"uptime_seconds":     time.Since(s.start).Seconds(),
-		"pair_backend":       s.cfg.Pipeline.Pairs.String(),
+		"pair_backend":       ledger.PairBackendESA,
 		"last_epoch_seconds": s.lastEpochSeconds(),
 	})
 }

@@ -173,7 +173,7 @@ func (s *Server) flush(batch []*submission) {
 	rec := ledger.Record{
 		Epoch:        epoch,
 		Fingerprint:  pcfg.Fingerprint(),
-		PairBackend:  pcfg.Pairs.String(),
+		PairBackend:  ledger.PairBackendESA,
 		Submissions:  len(accepted),
 		NewSequences: len(seqs),
 	}

@@ -207,7 +207,7 @@ func TestEpochEndpointsAndTraces(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch != 3 || st.UptimeSeconds <= 0 || st.PairBackend != "gst" || st.LastEpochSeconds <= 0 {
+	if st.Epoch != 3 || st.UptimeSeconds <= 0 || st.PairBackend != ledger.PairBackendESA || st.LastEpochSeconds <= 0 {
 		t.Errorf("status incomplete: %+v", st)
 	}
 

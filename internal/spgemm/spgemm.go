@@ -13,9 +13,15 @@
 // coordinates of a genuine shared ψ-mer occurrence, extended to its
 // maximal match, so the alignment cascade seeds on it unchanged.
 //
-// Memory is the point. The suffix-tree and suffix-array backends hold
+// Nothing in the pipeline calls this package: phases 1–3 index with
+// internal/esa, and the only caller left is the benchmark's per-layer
+// comparison (bench/staged.go). It is kept, with its own tests, as the
+// starting point for distributed candidate generation, which ROADMAP.md
+// parks until a corpus exhausts one rank's index budget.
+//
+// Memory is the point. The suffix-tree and suffix-array builders hold
 // every subtree of their bucket assignment alive for the whole phase;
-// this backend materializes one bucket's CSR block at a time (8 bytes
+// this package materializes one bucket's CSR block at a time (8 bytes
 // per posting plus 4 bytes per row boundary) and streams the product
 // through a bounded per-block accumulator, so peak index memory is the
 // largest single bucket rather than the sum of all of them.

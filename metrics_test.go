@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"profam"
+	"profam/internal/metrics"
 	"profam/internal/workload"
 )
 
@@ -77,6 +78,21 @@ func TestMetricsDeterministicAcrossThreads(t *testing.T) {
 			}
 			if _, ok := rep.Histograms["pipeline_component_size"]; !ok {
 				t.Error("component-size histogram missing")
+			}
+			// The index footprint, the raw-pair counter the enumerating
+			// ranks own, and the machine-derived heap probe (which the
+			// canonical form must strip).
+			if rep.GaugeValue("pace_index_bytes{phase=rr}") <= 0 {
+				t.Error("no pace_index_bytes exported for rr")
+			}
+			if raw := rep.CounterValue("pace_pairs_raw{phase=rr}"); raw != res.RR.PairsRaw || raw == 0 {
+				t.Errorf("rr raw-pair counter = %d, Stats say %d", raw, res.RR.PairsRaw)
+			}
+			if rep.GaugeValue(metrics.HeapPeakGauge) <= 0 {
+				t.Error("no pipeline_heap_peak_bytes probe recorded")
+			}
+			if rep.Canonical().GaugeValue(metrics.HeapPeakGauge) != 0 {
+				t.Error("canonical report kept the machine-derived heap gauge")
 			}
 			continue
 		}

@@ -643,26 +643,44 @@ func RunPipelineOn(c *mpi.Comm, set *seq.Set, cfg Config) (*Result, error) {
 	return runPipeline(c, set, cfg)
 }
 
-// RunSet is the entry point for in-module tools and benchmarks that
-// already hold a seq.Set: it runs the pipeline on p simulated ranks when
-// simulate is true, or on p concurrent ranks otherwise (p = 1 means
-// serial), returning the rank-0 result and the makespan in seconds
-// (virtual when simulated, wall-clock otherwise).
+// RunSet runs the pipeline over a set the caller already holds — the
+// one body behind every entry point, in-module tools and benchmarks: on
+// p simulated ranks when simulate is true, or on p concurrent ranks
+// otherwise (p = 1 means serial), returning the rank-0 result and the
+// makespan in seconds (virtual when simulated, wall-clock otherwise).
+//
+// ThreadsPerRank = 0 resolves here: to max(1, NumCPU/p) on the wall
+// clock, and to the paper's single-threaded nodes under simulation, so
+// the reproduced scaling curves stay host-independent unless the caller
+// explicitly opts into hybrid rank×thread modeling.
 func RunSet(set *seq.Set, p int, simulate bool, cfg Config) (*Result, float64, error) {
-	if simulate {
-		return simulateSet(set, p, cfg)
-	}
-	cfg = cfg.withAutoThreads(p)
 	var res *Result
 	var rerr error
-	var span float64
-	err := mpi.Run(p, func(c *mpi.Comm) {
+	body := func(c *mpi.Comm) {
 		r, e := runPipeline(c, set, cfg)
-		t := c.MaxFloat64(c.Time())
 		if c.Rank() == 0 {
-			res, rerr, span = r, e, t
+			res, rerr = r, e
 		}
-	})
+	}
+	var span float64
+	var err error
+	if simulate {
+		if cfg.ThreadsPerRank == 0 {
+			cfg.ThreadsPerRank = 1
+		}
+		span, err = mpi.RunSim(p, mpi.BlueGeneLike(), body)
+	} else {
+		cfg = cfg.withAutoThreads(p)
+		err = mpi.Run(p, func(c *mpi.Comm) {
+			body(c)
+			// The wall-clock makespan is the slowest rank's clock; RunSim
+			// reports the virtual one itself, without a collective that
+			// would be charged to it.
+			if t := c.MaxFloat64(c.Time()); c.Rank() == 0 {
+				span = t
+			}
+		})
+	}
 	if err != nil {
 		return nil, 0, err
 	}

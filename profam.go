@@ -32,7 +32,6 @@ import (
 	"profam/internal/align"
 	"profam/internal/bipartite"
 	"profam/internal/metrics"
-	"profam/internal/mpi"
 	"profam/internal/pace"
 	"profam/internal/pool"
 	"profam/internal/seq"
@@ -57,47 +56,6 @@ func (r Reduction) String() string {
 		return "global-similarity"
 	}
 	return "domain-based"
-}
-
-// PairBackend selects how phases 1 and 2 enumerate promising pairs.
-// All three backends yield byte-identical families; they differ in
-// build cost and peak index memory (see DESIGN.md §7e).
-type PairBackend int
-
-const (
-	// PairsGST indexes with the generalized suffix tree — the paper's
-	// structure and the default.
-	PairsGST PairBackend = iota
-	// PairsESA indexes with the enhanced suffix array: the same pair
-	// set from flat sorted arrays instead of pointered tree nodes.
-	PairsESA
-	// PairsSparse streams candidate pairs from a blocked sparse
-	// k-mer × sequence matrix multiply (A·Aᵀ), holding only one
-	// bucket's CSR block in memory at a time.
-	PairsSparse
-)
-
-func (b PairBackend) String() string {
-	switch b {
-	case PairsESA:
-		return "esa"
-	case PairsSparse:
-		return "sparse"
-	}
-	return "gst"
-}
-
-// ParsePairBackend maps the -pairs flag values onto the backend enum.
-func ParsePairBackend(s string) (PairBackend, error) {
-	switch s {
-	case "", "gst":
-		return PairsGST, nil
-	case "esa":
-		return PairsESA, nil
-	case "sparse":
-		return PairsSparse, nil
-	}
-	return PairsGST, fmt.Errorf("profam: unknown pair backend %q (want gst, esa or sparse)", s)
 }
 
 // Config holds every user-visible knob, with the paper's defaults.
@@ -173,14 +131,6 @@ type Config struct {
 	// budget. Results are byte-identical for every value; only execution
 	// time changes.
 	ThreadsPerRank int
-
-	// Pairs selects the promising-pair generation backend: PairsGST
-	// (the paper's generalized suffix tree), PairsESA (enhanced suffix
-	// array — same pair set, flatter memory profile) or PairsSparse
-	// (streamed sparse k-mer matrix multiply — same candidate set,
-	// peak index memory bounded by one bucket instead of the full
-	// assignment). Families are byte-identical across backends.
-	Pairs PairBackend
 
 	// TraceCapacity enables event-level tracing: each rank records up to
 	// this many protocol and communication events into a bounded ring
@@ -267,20 +217,17 @@ func (c Config) withDefaults() Config {
 }
 
 // epochFingerprint canonicalizes every knob that influences family
-// output, plus the pair backend. Incremental epochs refuse to extend
-// state built under a different fingerprint: the determinism contract
-// (incremental == byte-identical to cold) only holds when all epochs
-// agree on these. Execution-shape knobs (threads, batching) are
-// deliberately excluded — families are certified identical across them. The pair backend is family-identical too, but it is
-// included anyway: a service that drifts backends mid-stream would mix
-// per-backend metric series and memory behavior across epochs, so the
-// drift is rejected up front instead.
+// output. Incremental epochs refuse to extend state built under a
+// different fingerprint: the determinism contract (incremental ==
+// byte-identical to cold) only holds when all epochs agree on these.
+// Execution-shape knobs (threads, batching) are deliberately excluded —
+// families are certified identical across them.
 func (c Config) epochFingerprint() string {
 	d := c.withDefaults()
-	return fmt.Sprintf("psi=%d ci=%g cc=%g os=%g oc=%g es=%g red=%d w=%d s1=%d c1=%d s2=%d c2=%d tau=%g mc=%d mf=%d seed=%d pairs=%s shards=%d sb=%d sr=%d ss=%d",
+	return fmt.Sprintf("psi=%d ci=%g cc=%g os=%g oc=%g es=%g red=%d w=%d s1=%d c1=%d s2=%d c2=%d tau=%g mc=%d mf=%d seed=%d shards=%d sb=%d sr=%d ss=%d",
 		d.Psi, d.ContainIdentity, d.ContainCoverage, d.OverlapSimilarity, d.OverlapCoverage,
 		d.EdgeSimilarity, d.Reduction, d.W, d.S1, d.C1, d.S2, d.C2, d.Tau,
-		d.MinComponentSize, d.MinFamilySize, d.Seed, d.Pairs,
+		d.MinComponentSize, d.MinFamilySize, d.Seed,
 		d.Shards, d.ShardBands, d.ShardRows, d.ShardSeed)
 }
 
@@ -291,18 +238,8 @@ func (c Config) epochFingerprint() string {
 func (c Config) Fingerprint() string { return c.epochFingerprint() }
 
 func (c Config) paceConfig() pace.Config {
-	var idx pace.IndexKind
-	switch c.Pairs {
-	case PairsESA:
-		idx = pace.IndexESA
-	case PairsSparse:
-		idx = pace.IndexSparse
-	default:
-		idx = pace.IndexGST
-	}
 	return pace.Config{
 		Psi:        c.Psi,
-		Index:      idx,
 		BatchPairs: c.BatchPairs,
 		BatchTasks: c.BatchTasks,
 		Threads:    c.ThreadsPerRank,
@@ -485,7 +422,11 @@ func (r *Result) FamilyLabels() []int {
 
 // --- input helpers ------------------------------------------------------
 
+// setFromStrings builds the input set; nil names means seq0, seq1, ….
 func setFromStrings(names, seqs []string) (*seq.Set, error) {
+	if names == nil {
+		names = make([]string, len(seqs))
+	}
 	if len(names) != len(seqs) {
 		return nil, fmt.Errorf("profam: %d names but %d sequences", len(names), len(seqs))
 	}
@@ -503,18 +444,14 @@ func setFromStrings(names, seqs []string) (*seq.Set, error) {
 }
 
 // --- entry points ---------------------------------------------------------
+//
+// Each is an argument-shaping wrapper over RunSet (pipeline.go), the one
+// body that starts the ranks.
 
 // Run executes the whole pipeline serially on the given sequences.
 // names may be nil (sequences are then named seq0, seq1, …).
 func Run(names, seqs []string, cfg Config) (*Result, error) {
-	if names == nil {
-		names = make([]string, len(seqs))
-	}
-	set, err := setFromStrings(names, seqs)
-	if err != nil {
-		return nil, err
-	}
-	return runSet(set, cfg)
+	return RunParallel(1, names, seqs, cfg)
 }
 
 // RunFASTA executes the pipeline serially on FASTA input.
@@ -523,46 +460,20 @@ func RunFASTA(r io.Reader, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runSet(set, cfg)
-}
-
-func runSet(set *seq.Set, cfg Config) (*Result, error) {
-	cfg = cfg.withAutoThreads(1)
-	var res *Result
-	var rerr error
-	err := mpi.Run(1, func(c *mpi.Comm) {
-		res, rerr = runPipeline(c, set, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, rerr
+	res, _, err := RunSet(set, 1, false, cfg)
+	return res, err
 }
 
 // RunParallel executes the pipeline on p concurrent ranks (goroutines
 // exchanging in-memory messages). Results are identical to Run up to the
 // documented ordering effects of dynamic work distribution.
 func RunParallel(p int, names, seqs []string, cfg Config) (*Result, error) {
-	if names == nil {
-		names = make([]string, len(seqs))
-	}
 	set, err := setFromStrings(names, seqs)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withAutoThreads(p)
-	var res *Result
-	var rerr error
-	err = mpi.Run(p, func(c *mpi.Comm) {
-		r, e := runPipeline(c, set, cfg)
-		if c.Rank() == 0 {
-			res, rerr = r, e
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, rerr
+	res, _, err := RunSet(set, p, false, cfg)
+	return res, err
 }
 
 // RunSimulated executes the pipeline on p simulated ranks of a
@@ -570,35 +481,11 @@ func RunParallel(p int, names, seqs []string, cfg Config) (*Result, error) {
 // returns the result together with the virtual makespan in seconds. This
 // is the engine behind the scaling experiments.
 func RunSimulated(p int, names, seqs []string, cfg Config) (*Result, float64, error) {
-	if names == nil {
-		names = make([]string, len(seqs))
-	}
 	set, err := setFromStrings(names, seqs)
 	if err != nil {
 		return nil, 0, err
 	}
-	return simulateSet(set, p, cfg)
-}
-
-func simulateSet(set *seq.Set, p int, cfg Config) (*Result, float64, error) {
-	if cfg.ThreadsPerRank == 0 {
-		// Simulated ranks model the paper's single-threaded nodes unless
-		// the caller explicitly opts into hybrid rank×thread modeling;
-		// this keeps the reproduced scaling curves host-independent.
-		cfg.ThreadsPerRank = 1
-	}
-	var res *Result
-	var rerr error
-	makespan, err := mpi.RunSim(p, mpi.BlueGeneLike(), func(c *mpi.Comm) {
-		r, e := runPipeline(c, set, cfg)
-		if c.Rank() == 0 {
-			res, rerr = r, e
-		}
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, makespan, rerr
+	return RunSet(set, p, true, cfg)
 }
 
 // sortFamilies orders families largest-first with deterministic ties:

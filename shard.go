@@ -37,7 +37,7 @@ import (
 //     recall is exact — LSH banding only decides placement, never recall.
 //  3. Per-shard RR, then CCD (rank groups): group g = ranks ≡ g (mod G)
 //     serves shards ≡ g (mod G) sequentially, each shard an unchanged
-//     master–worker phase (any pair backend) over the shard's subset.
+//     master–worker phase over the shard's subset.
 //  4. Boundary merge (world comm): cross-shard candidates surviving a
 //     static filter against the per-shard verdicts are aligned in place
 //     on each owning rank; positive verdicts gather on rank 0, where RR
@@ -375,9 +375,8 @@ func boundaryCandidates(c *mpi.Comm, set *seq.Set, primary []int32, posts shardP
 		}
 		lo = hi
 	}
-	// Partition sort priced per posting at comparison width ψ (the sparse
-	// backend's calibration); enumeration per raw pair; seed extension per
-	// residue compared.
+	// Partition sort priced per posting at comparison width ψ; enumeration
+	// per raw pair; seed extension per residue compared.
 	c.Advance(float64(len(mine))*float64(psi)*costs.SecPerTreeChar +
 		float64(raw)*costs.SecPerPairGen + float64(scanChars)*costs.SecPerTreeChar)
 	reg.Counter("pace_shard_boundary_pairs").Add(int64(len(out)))
