@@ -292,45 +292,6 @@ func BenchmarkAlignCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkAlignKernels isolates the word-parallel kernel layer on the
-// batch-alignment pair corpus: the striped int16 local kernel against
-// its int32 scalar reference (same pairs, same scores), the bit-parallel
-// fit-edit-distance bound, and the full containment cascade with kernels
-// on vs the int32 scalar kernels.
-func BenchmarkAlignKernels(b *testing.B) {
-	set, _ := experiments.SetOfSize(120, 31)
-	pairs := experiments.BenchPairs(set, 2048)
-	seedPairs, err := experiments.BenchSeedPairs(set, 6, 2048)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("local-striped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignStripedKernel(set, pairs, 1)
-		}
-	})
-	b.Run("local-scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignLocalScalarKernel(set, pairs, 1)
-		}
-	})
-	b.Run("fit-bitparallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignBitParallelKernel(set, pairs, 1)
-		}
-	})
-	b.Run("cascade-auto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignCascadeKernelMode(set, seedPairs, 1, false)
-		}
-	})
-	b.Run("cascade-scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignCascadeKernelMode(set, seedPairs, 1, true)
-		}
-	})
-}
-
 // BenchmarkPipelineThreads runs the full wall-clock pipeline on two
 // in-process ranks while sweeping ThreadsPerRank, checking that the
 // family list is invariant and reporting the family count.

@@ -15,16 +15,14 @@ import (
 
 // stripAlignCost removes the DP-cost series that legitimately differ
 // between the cascade and the exact full-matrix arm: the cascade
-// computes fewer cells (pace_align_cells) and exports its own stage and
-// kernel counters (pace_cascade_*, pace_kernel_*). Everything else —
-// pair counts, verdicts, batch shapes, queue depths — must be
-// byte-identical.
+// computes fewer cells (pace_align_cells) and exports its own stage
+// counters (pace_cascade_*). Everything else — pair counts, verdicts,
+// batch shapes, queue depths — must be byte-identical.
 func stripAlignCost(rep *metrics.Report) {
 	drop := func(m map[string]int64) {
 		for k := range m {
 			if strings.HasPrefix(k, "pace_align_cells") ||
-				strings.HasPrefix(k, "pace_cascade_") ||
-				strings.HasPrefix(k, "pace_kernel_") {
+				strings.HasPrefix(k, "pace_cascade_") {
 				delete(m, k)
 			}
 		}
@@ -34,18 +32,6 @@ func stripAlignCost(rep *metrics.Report) {
 		drop(rep.Ranks[i].Counters)
 	}
 }
-
-// alignArm selects the alignment path of phases 1–3. The zero value is
-// production (seed-anchored cascade on the word-parallel kernels); the
-// reference arms exist only on the internal phase configs, so the tests
-// drive them there: pace RR + CCD, then bipartite.BuildBd per component.
-type alignArm struct{ exact, scalar bool }
-
-var (
-	armAuto   = alignArm{}
-	armScalar = alignArm{scalar: true}
-	armExact  = alignArm{exact: true}
-)
 
 // phaseOutputs is everything phases 1–3 hand to dense-subgraph
 // detection, rendered for byte comparison, plus the run's cost.
@@ -61,15 +47,17 @@ type phaseOutputs struct {
 }
 
 // runPhases executes RR, CCD and B_d construction on p simulated ranks
-// with the integration tests' thresholds under one alignment arm.
-func runPhases(t *testing.T, set *seq.Set, p, threads int, arm alignArm) phaseOutputs {
+// with the integration tests' thresholds, on the production cascade or —
+// with exact — the full-matrix reference arm. That arm exists only on
+// the internal phase configs, so the tests drive it there: pace RR + CCD,
+// then bipartite.BuildBd per component.
+func runPhases(t *testing.T, set *seq.Set, p, threads int, exact bool) phaseOutputs {
 	t.Helper()
 	var out phaseOutputs
 	span, err := mpi.RunSim(p, mpi.BlueGeneLike(), func(c *mpi.Comm) {
 		reg := metrics.New(c.Rank(), c.Time)
 		c.AttachMetrics(reg)
-		pcfg := pace.Config{Psi: 6, Threads: threads, Metrics: reg,
-			ExactAlign: arm.exact, ScalarKernels: arm.scalar}
+		pcfg := pace.Config{Psi: 6, Threads: threads, Metrics: reg, ExactAlign: exact}
 		keep, rr, err := pace.RedundancyRemoval(c, set, pcfg)
 		if err != nil {
 			panic(err)
@@ -86,7 +74,7 @@ func runPhases(t *testing.T, set *seq.Set, p, threads int, arm alignArm) phaseOu
 		out.cells = rr.Cells + cc.Cells
 		comps := pace.ComponentsBySize(comp, 3)
 		out.components = fmt.Sprint(comps)
-		bcfg := bipartite.Config{Psi: 6, ExactAlign: arm.exact, ScalarKernels: arm.scalar}
+		bcfg := bipartite.Config{Psi: 6, ExactAlign: exact}
 		var edges strings.Builder
 		for _, members := range comps {
 			g, st, err := bipartite.BuildBd(set, members, bcfg)
@@ -139,20 +127,25 @@ func servicePinned(p int) bool { return p <= 2 }
 
 // TestCascadeDeterminism: with the cascade on (production) and off (the
 // full-matrix arm), phases 1–3 must produce byte-identical keep masks,
-// components and B_d edges at 1, 2 and 4 simulated ranks, and — where the
-// service order is pinned — byte-identical canonical metrics modulo the
-// DP-cost series above. This is the cascade's contract: it only changes
-// how much of each DP matrix is computed, never a verdict.
+// components and B_d edges at 1, 2 and 4 simulated ranks and 1 and 4
+// threads per rank, and — where the service order is pinned —
+// byte-identical canonical metrics modulo the DP-cost series above. This
+// is the cascade's contract: it only changes how much of each DP matrix
+// is computed, never a verdict.
 func TestCascadeDeterminism(t *testing.T) {
 	set, _ := integrationSet()
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("ranks=%d", p), func(t *testing.T) {
-			cascade := runPhases(t, set, p, 1, armAuto)
-			exact := runPhases(t, set, p, 1, armExact)
-			requireSameVerdicts(t, cascade, exact, "cascade", "exact")
-			if servicePinned(p) && cascade.metrics != exact.metrics {
-				t.Errorf("canonical metrics differ between cascade and exact:\ncascade:\n%s\nexact:\n%s",
-					cascade.metrics, exact.metrics)
+			for _, threads := range []int{1, 4} {
+				t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+					cascade := runPhases(t, set, p, threads, false)
+					exact := runPhases(t, set, p, threads, true)
+					requireSameVerdicts(t, cascade, exact, "cascade", "exact")
+					if servicePinned(p) && cascade.metrics != exact.metrics {
+						t.Errorf("canonical metrics differ between cascade and exact:\ncascade:\n%s\nexact:\n%s",
+							cascade.metrics, exact.metrics)
+					}
+				})
 			}
 		})
 	}
@@ -163,8 +156,8 @@ func TestCascadeDeterminism(t *testing.T) {
 // virtual makespan.
 func TestCascadeCellsReduction(t *testing.T) {
 	set, _ := integrationSet()
-	cascade := runPhases(t, set, 1, 1, armAuto)
-	exact := runPhases(t, set, 1, 1, armExact)
+	cascade := runPhases(t, set, 1, 1, false)
+	exact := runPhases(t, set, 1, 1, true)
 	if cascade.cells == 0 || exact.cells == 0 {
 		t.Fatalf("no cells recorded: cascade=%d exact=%d", cascade.cells, exact.cells)
 	}
@@ -176,32 +169,5 @@ func TestCascadeCellsReduction(t *testing.T) {
 	}
 	if cascade.makespan >= exact.makespan {
 		t.Errorf("virtual makespan did not improve: cascade %.4fs vs exact %.4fs", cascade.makespan, exact.makespan)
-	}
-}
-
-// TestKernelDeterminism: the word-parallel kernels (production) must
-// produce byte-identical keep masks, components and B_d edges to the
-// int32 scalar kernels and to the full-matrix arm, across rank counts
-// and thread counts, and identical canonical metrics to the scalar
-// kernels where the service order is pinned. This is the kernel layer's
-// contract: the bit-parallel and striped stages only take certified
-// shortcuts inside the cascade, so nothing downstream can tell which
-// kernel ran.
-func TestKernelDeterminism(t *testing.T) {
-	set, _ := integrationSet()
-	for _, p := range []int{1, 2, 4} {
-		for _, threads := range []int{1, 4} {
-			t.Run(fmt.Sprintf("ranks=%d/threads=%d", p, threads), func(t *testing.T) {
-				auto := runPhases(t, set, p, threads, armAuto)
-				scalar := runPhases(t, set, p, threads, armScalar)
-				exact := runPhases(t, set, p, threads, armExact)
-				requireSameVerdicts(t, auto, scalar, "auto kernels", "scalar")
-				requireSameVerdicts(t, auto, exact, "auto kernels", "exact")
-				if servicePinned(p) && auto.metrics != scalar.metrics {
-					t.Errorf("canonical metrics differ between auto and scalar kernels:\nauto:\n%s\nscalar:\n%s",
-						auto.metrics, scalar.metrics)
-				}
-			})
-		}
 	}
 }

@@ -54,14 +54,6 @@ type fileFormat struct {
 	// TraceOverheadRatio is traced/untraced ns/op on the threads=1
 	// pipeline kernel minus one — the fractional cost of event tracing.
 	TraceOverheadRatio float64 `json:"trace_overhead_ratio,omitempty"`
-	// KernelSpeedup is scalar/striped ns/op on the local-score pair batch
-	// (AlignLocalScalar vs AlignStriped at threads=1) — the striped int16
-	// kernel's isolated win over the int32 scalar DP. CascadeKernelSpeedup
-	// is the same ratio on the full containment cascade (AlignCascadeScalar
-	// vs AlignCascade at threads=1), where the bit-parallel reject bound
-	// and profile reuse also contribute.
-	KernelSpeedup        float64 `json:"kernel_speedup,omitempty"`
-	CascadeKernelSpeedup float64 `json:"cascade_kernel_speedup,omitempty"`
 	// SimShardSpeedup is the deterministic virtual-makespan ratio
 	// single-master/sharded on the 64-rank master-bound corpus
 	// (experiments.ShardCorpus at 8 shards) — the multi-master win LSH
@@ -186,31 +178,6 @@ func main() {
 			}
 		})
 	}
-	// Kernel micro-benchmarks at one thread: the word-parallel kernels
-	// against the int32 scalar reference on the same pair batches,
-	// isolating the per-kernel win from the thread ladder. The cascade
-	// pair keeps the production mix visible (bit-parallel reject bound +
-	// striped rescore + profile reuse vs the scalar kernels).
-	record("AlignStriped/threads=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignStripedKernel(alignSet, pairs, 1)
-		}
-	})
-	record("AlignLocalScalar/threads=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignLocalScalarKernel(alignSet, pairs, 1)
-		}
-	})
-	record("AlignBitParallel/threads=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignBitParallelKernel(alignSet, pairs, 1)
-		}
-	})
-	record("AlignCascadeScalar/threads=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			experiments.AlignCascadeKernelMode(alignSet, seedPairs, 1, true)
-		}
-	})
 	// PipelineSharded mirrors PipelineThreads at 4 ranks, single-master
 	// vs 4 LSH shards, keeping the real-time cost of the sharded path
 	// (signature phase, split collectives, boundary merge) visible in
@@ -353,18 +320,6 @@ func main() {
 		Benchmarks:              results,
 		AllocsPerOp:             allocs,
 		BytesPerOp:              allocBytes,
-	}
-	if striped, ok := results["AlignStriped/threads=1"]; ok && striped > 0 {
-		if scalar, ok := results["AlignLocalScalar/threads=1"]; ok {
-			payload.KernelSpeedup = scalar / striped
-			log.Printf("striped kernel speedup over scalar local DP: %.2fx", payload.KernelSpeedup)
-		}
-	}
-	if auto, ok := results["AlignCascade/threads=1"]; ok && auto > 0 {
-		if scalar, ok := results["AlignCascadeScalar/threads=1"]; ok {
-			payload.CascadeKernelSpeedup = scalar / auto
-			log.Printf("cascade kernel speedup over the scalar kernels: %.2fx", payload.CascadeKernelSpeedup)
-		}
 	}
 	// Multi-master sharding win: deterministic 64-rank virtual-time
 	// makespans, single-master vs 8 LSH shards, on the master-bound

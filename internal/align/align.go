@@ -123,52 +123,24 @@ const (
 // trace byte layout: bits 0-1 predecessor of M, 2-3 of X, 4-5 of Y.
 func packTrace(pm, px, py uint8) byte { return pm | px<<2 | py<<4 }
 
-// KernelMode selects which alignment kernels the cascade may use.
-type KernelMode uint8
-
-const (
-	// KernelAuto (the zero value) enables the word-parallel kernels:
-	// bit-parallel certified rejects and striped int16 scoring with
-	// scalar fallback on saturation. Verdicts are identical to
-	// KernelScalar — only the work per verdict differs.
-	KernelAuto KernelMode = iota
-	// KernelScalar restricts the cascade to the int32 scalar kernels.
-	KernelScalar
-)
-
 // Aligner computes alignments, reusing internal scratch buffers across
 // calls. It is not safe for concurrent use; create one per goroutine.
 type Aligner struct {
 	sc *Scoring
-
-	// Kernels selects the kernel layer the cascade stages may use.
-	// The zero value enables the word-parallel kernels.
-	Kernels KernelMode
 
 	// two rolling rows of scores per state
 	m0, m1, x0, x1, y0, y1 []int32
 	trace                  []byte // (lenA+1) * (lenB+1); allocated lazily by Align only
 	stride                 int
 
-	// word-parallel kernel scratch: the bit-vector vertical deltas, the
-	// striped int16 column state, and the profile built when a caller
-	// supplies none.
-	pv, mv        []uint64
-	m16, x16, y16 []int16
-	prof          Profile
-
 	// cached max(0, largest substitution score), for cascade bounds
 	maxSub    int32
 	maxSubSet bool
 
-	// Stats counts DP cells computed across the Aligner's lifetime; the
+	// Cells counts DP cells computed across the Aligner's lifetime; the
 	// pipeline uses it as the machine-independent work measure that the
-	// virtual-time scheduler charges for. CellsBitvec and CellsStriped
-	// are the subsets of Cells computed by the bit-parallel kernel (one
-	// cell per 64-row word advanced) and the striped int16 kernels.
-	Cells        int64
-	CellsBitvec  int64
-	CellsStriped int64
+	// virtual-time scheduler charges for.
+	Cells int64
 }
 
 // NewAligner returns an Aligner using the given scoring scheme
@@ -474,84 +446,6 @@ func (al *Aligner) LocalScore(a, b []byte) int32 {
 				best = hv
 			}
 		}
-	}
-	return best
-}
-
-// FitScore computes only the score of Align(a, b, Fit) — all of a
-// aligned against a substring of b — in O(m) memory, with no trace
-// allocation. It mirrors the Fit recurrence of Align exactly (fresh
-// starts at i==1, the gap-only column 0, best over the M and X states of
-// the last row), so FitScore(a,b) == Align(a,b,Fit).Score always.
-func (al *Aligner) FitScore(a, b []byte) int32 {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return 0
-	}
-	al.growRows(m)
-	al.Cells += int64(n) * int64(m)
-	open, ext := al.sc.GapOpen, al.sc.GapExtend
-
-	mPrev, mCur := al.m0, al.m1
-	xPrev, xCur := al.x0, al.x1
-	yPrev, yCur := al.y0, al.y1
-	for j := 0; j <= m; j++ {
-		mPrev[j], xPrev[j], yPrev[j] = negInf, negInf, negInf
-	}
-	best := negInf
-	for i := 1; i <= n; i++ {
-		row := al.sc.Sub[a[i-1]-'A']
-		mCur[0], yCur[0] = negInf, negInf
-		if i == 1 {
-			xCur[0] = -open
-		} else {
-			xCur[0] = xPrev[0] - ext
-		}
-		fresh := i == 1
-		for j := 1; j <= m; j++ {
-			bm := mPrev[j-1]
-			if xPrev[j-1] > bm {
-				bm = xPrev[j-1]
-			}
-			if yPrev[j-1] > bm {
-				bm = yPrev[j-1]
-			}
-			if fresh && 0 >= bm {
-				bm = 0
-			}
-			mCur[j] = bm + int32(row[b[j-1]-'A'])
-
-			bx := mPrev[j] - open
-			if v := xPrev[j] - ext; v > bx {
-				bx = v
-			}
-			if v := yPrev[j] - open; v > bx {
-				bx = v
-			}
-			if fresh && -open > bx {
-				bx = -open
-			}
-			xCur[j] = bx
-
-			by := mCur[j-1] - open
-			if v := yCur[j-1] - ext; v > by {
-				by = v
-			}
-			yCur[j] = by
-		}
-		if i == n {
-			for j := 0; j <= m; j++ {
-				if mCur[j] > best {
-					best = mCur[j]
-				}
-				if xCur[j] > best {
-					best = xCur[j]
-				}
-			}
-		}
-		mPrev, mCur = mCur, mPrev
-		xPrev, xCur = xCur, xPrev
-		yPrev, yCur = yCur, yPrev
 	}
 	return best
 }

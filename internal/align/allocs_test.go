@@ -3,6 +3,7 @@ package align
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -77,19 +78,11 @@ func TestScoreKernelsLazyTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a, b := randomResidues(rng, 150), randomResidues(rng, 170)
 	al.LocalScore(a, b)
-	al.FitScore(a, b)
 	al.LocalScoreBanded(a, b, 8)
 	al.LocalScoreBandedAnchored(a, b, 5, 8)
-	al.FitScoreCertified(a, b, SeedMatch{PosA: 3, PosB: 3, Len: 10})
 	al.fitMatchesPossible(a, b, -10, 30, 140)
-	al.FitEditDistance(a, b)
-	al.LocalScoreStriped(a, b)
-	al.FitScoreStriped(a, b)
 	if cap(al.trace) != 0 {
 		t.Errorf("score-only kernels allocated the trace matrix (cap %d), want lazy allocation", cap(al.trace))
-	}
-	if n := testing.AllocsPerRun(50, func() { al.FitScore(a, b) }); n > 0 {
-		t.Errorf("warm FitScore allocates %.1f objects per call, want 0", n)
 	}
 	al.Align(a, b, Local)
 	if cap(al.trace) == 0 {
@@ -97,37 +90,33 @@ func TestScoreKernelsLazyTrace(t *testing.T) {
 	}
 }
 
-// TestCascadeWarmAllocs: the cascade's certified kernels — including the
-// FitScoreCertified band-doubling path, which runs fitScoreBand several
-// times per pair, and every word-parallel kernel with its scratch
-// profile — must be allocation-free once the aligner's buffers are warm.
-// This is what makes profile reuse across a worker batch pay: the only
-// per-pair memory traffic is the DP itself.
+// TestCascadeWarmAllocs: the cascade's certified reject stages — the
+// banded max-matches DP and the anchored banded local score — must be
+// allocation-free once the aligner's buffers are warm, so a stream of
+// rejected pairs costs only the DP itself.
 func TestCascadeWarmAllocs(t *testing.T) {
 	al := NewAligner(Blosum62(11, 1))
 	rng := rand.New(rand.NewSource(99))
-	// len(b) ≫ len(a): the initial band does not cover the matrix, so
-	// FitScoreCertified exercises the doubling loop, not the
-	// full-coverage shortcut.
-	a, b := randomResidues(rng, 150), randomResidues(rng, 400)
+	// b holds a reversed plus a random tail: containment passes the
+	// composition prefilter and is rejected by the banded stage.
+	a := randomResidues(rng, 150)
+	b := append(bytes.Clone(a), randomResidues(rng, 30)...)
+	slices.Reverse(b[:len(a)])
 	seed := SeedMatch{PosA: 3, PosB: 3, Len: 10}
+	cp := DefaultContainParams()
+	if _, st := al.ContainedCascade(a, b, cp, seed); st != StageBanded {
+		t.Fatalf("test setup: containment decided at %v, want banded", st)
+	}
 	warm := map[string]func(){
-		"FitScoreCertified": func() { al.FitScoreCertified(a, b, seed) },
-		"FitEditDistance":   func() { al.FitEditDistance(a, b) },
-		"LocalScoreStriped": func() { al.LocalScoreStriped(a, b) },
-		"FitScoreStriped":   func() { al.FitScoreStriped(a, b) },
+		"fitMatchesPossible":       func() { al.fitMatchesPossible(a, b, -7, 37, 143) },
+		"LocalScoreBandedAnchored": func() { al.LocalScoreBandedAnchored(a, b, seed.Diag(), cascadeLocalBand) },
+		"ContainedCascade":         func() { al.ContainedCascade(a, b, cp, seed) },
 	}
 	for name, fn := range warm {
 		fn() // warm the scratch buffers
 		if n := testing.AllocsPerRun(50, fn); n > 0 {
 			t.Errorf("warm %s allocates %.1f objects per call, want 0", name, n)
 		}
-	}
-
-	var p Profile
-	p.Build(al.Scoring(), a)
-	if n := testing.AllocsPerRun(50, func() { p.Build(al.Scoring(), a) }); n > 0 {
-		t.Errorf("warm Profile.Build allocates %.1f objects per call, want 0", n)
 	}
 }
 

@@ -59,15 +59,6 @@ const (
 	StageBanded
 	// StageFull means the cascade fell through to the exact full DP.
 	StageFull
-	// StageBitvec is a bit-parallel certified reject: the exact fit
-	// edit distance exceeds the Definition-1 identity ceiling
-	// (bitparallel.go). Numbered after StageFull so the wire encoding
-	// of the pre-kernel stages is unchanged.
-	StageBitvec
-	// StageStriped is a striped-int16 certified reject: a true local
-	// alignment score exceeds the Definition-2 forced-gap ceiling
-	// (striped.go).
-	StageStriped
 )
 
 func (s Stage) String() string {
@@ -78,26 +69,8 @@ func (s Stage) String() string {
 		return "banded"
 	case StageFull:
 		return "full"
-	case StageBitvec:
-		return "bitvec"
-	case StageStriped:
-		return "striped"
 	}
 	return "none"
-}
-
-// Kernel names the kernel that computed a stage's deciding bound, for
-// the pace_kernel_* observability counters: the bit-parallel and
-// striped stages are decided by their namesake kernels, everything else
-// by the int32 scalar kernels.
-func (s Stage) Kernel() string {
-	switch s {
-	case StageBitvec:
-		return "bitvec"
-	case StageStriped:
-		return "striped"
-	}
-	return "int32"
 }
 
 // minGapCost lower-bounds the affine penalty of any alignment containing
@@ -153,39 +126,6 @@ func matchUpperBound(a, b []byte) int {
 	return int(n)
 }
 
-// fitScoreUpperBound is a zero-DP upper bound on the fit score: an M
-// column consuming residue r of a scores at most r's best substitution
-// against any letter present in b (clamped at 0), each row of a is
-// consumed by at most one M column, and every gap column only
-// subtracts. So Σ_i max over b of Sub[a_i][·], clamped per row at 0,
-// dominates every fit alignment's score.
-func (al *Aligner) fitScoreUpperBound(a, b []byte) int32 {
-	var present [26]bool
-	for _, c := range b {
-		present[c-'A'] = true
-	}
-	var tab [26]int32
-	var have [26]bool
-	var u int32
-	for _, c := range a {
-		r := c - 'A'
-		if !have[r] {
-			have[r] = true
-			best := int32(0)
-			for q := 0; q < 26; q++ {
-				if present[q] {
-					if v := int32(al.sc.Sub[r][q]); v > best {
-						best = v
-					}
-				}
-			}
-			tab[r] = best
-		}
-		u += tab[r]
-	}
-	return u
-}
-
 // seedRunScore is a zero-DP local-score lower bound: the best-scoring
 // contiguous sub-run of the seed's diagonal (Kadane). Any such run is
 // itself a valid gapless local alignment, so its score never exceeds the
@@ -213,167 +153,6 @@ func (al *Aligner) seedRunScore(a, b []byte, seed SeedMatch) int32 {
 		}
 	}
 	return best
-}
-
-// fitScoreBand computes the best fit-alignment score over paths whose
-// every cell lies on a diagonal d = j−i within [dlo, dhi]; cells outside
-// the band are unreachable. It mirrors the Fit recurrence of Align
-// exactly, so with full coverage (dlo ≤ −n, dhi ≥ m) it equals FitScore.
-// When no in-band path exists the result is an impossibly low negative.
-func (al *Aligner) fitScoreBand(a, b []byte, dlo, dhi int) int32 {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return 0
-	}
-	al.growRows(m)
-	open, ext := al.sc.GapOpen, al.sc.GapExtend
-	mPrev, mCur := al.m0, al.m1
-	xPrev, xCur := al.x0, al.x1
-	yPrev, yCur := al.y0, al.y1
-	// Both row sets start unreachable: the band advances one column per
-	// row, so a cell first entering the band reads its out-of-band
-	// neighbours as the initialization value, which must be -inf.
-	for j := 0; j <= m; j++ {
-		mPrev[j], xPrev[j], yPrev[j] = negInf, negInf, negInf
-		mCur[j], xCur[j], yCur[j] = negInf, negInf, negInf
-	}
-	best := negInf
-	for i := 1; i <= n; i++ {
-		// Column-0 border: cell (i, 0) lies on diagonal −i.
-		if dlo <= -i && -i <= dhi {
-			mCur[0], yCur[0] = negInf, negInf
-			if i == 1 {
-				xCur[0] = -open
-			} else {
-				xCur[0] = xPrev[0] - ext
-			}
-		} else {
-			mCur[0], xCur[0], yCur[0] = negInf, negInf, negInf
-		}
-		lo, hi := i+dlo, i+dhi
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > m {
-			hi = m
-		}
-		if lo <= hi {
-			al.Cells += int64(hi - lo + 1)
-			row := al.sc.Sub[a[i-1]-'A']
-			fresh := i == 1
-			// Same-row carries start at the in-band (or border) value of
-			// column lo−1: the border slot when lo == 1, unreachable
-			// otherwise.
-			mLeft, yRun := negInf, negInf
-			if lo == 1 {
-				mLeft, yRun = mCur[0], yCur[0]
-			}
-			for j := lo; j <= hi; j++ {
-				bm := mPrev[j-1]
-				if xPrev[j-1] > bm {
-					bm = xPrev[j-1]
-				}
-				if yPrev[j-1] > bm {
-					bm = yPrev[j-1]
-				}
-				if fresh && 0 >= bm {
-					bm = 0
-				}
-				mv := bm + int32(row[b[j-1]-'A'])
-
-				bx := mPrev[j] - open
-				if v := xPrev[j] - ext; v > bx {
-					bx = v
-				}
-				if v := yPrev[j] - open; v > bx {
-					bx = v
-				}
-				if fresh && -open > bx {
-					bx = -open
-				}
-
-				by := mLeft - open
-				if v := yRun - ext; v > by {
-					by = v
-				}
-
-				mCur[j], xCur[j], yCur[j] = mv, bx, by
-				mLeft, yRun = mv, by
-			}
-			if i == n {
-				for j := lo; j <= hi; j++ {
-					if mCur[j] > best {
-						best = mCur[j]
-					}
-					if xCur[j] > best {
-						best = xCur[j]
-					}
-				}
-			}
-		}
-		if i == n {
-			if mCur[0] > best {
-				best = mCur[0]
-			}
-			if xCur[0] > best {
-				best = xCur[0]
-			}
-		}
-		mPrev, mCur = mCur, mPrev
-		xPrev, xCur = xCur, xPrev
-		yPrev, yCur = yCur, yPrev
-	}
-	return best
-}
-
-// FitScoreCertified returns Align(a, b, Fit).Score — provably, not
-// heuristically — by running the seed-anchored banded fit DP with an
-// adaptive band. A band of slack g always contains every fit path with
-// at most g gap columns (a fit path starts on diagonal d ≥ 0 and ends on
-// d ≤ m−n, and each gap column moves it one diagonal), so a path outside
-// the band pays more than minGapCost(g+1) in gap penalties and scores at
-// most fitScoreUpperBound − minGapCost(g+1). Once the banded score
-// reaches that ceiling, no outside path can beat it and the banded score
-// is certified equal to the full DP; otherwise the band doubles, at the
-// latest terminating on full-matrix coverage.
-func (al *Aligner) FitScoreCertified(a, b []byte, seed SeedMatch) int32 {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return 0
-	}
-	d0 := seed.Diag()
-	if d0 < -n {
-		d0 = -n
-	}
-	if d0 > m {
-		d0 = m
-	}
-	u := al.fitScoreUpperBound(a, b)
-	for g := 16; ; g *= 2 {
-		dlo := -g
-		if d0-g < dlo {
-			dlo = d0 - g
-		}
-		dhi := (m - n) + g
-		if d0+g > dhi {
-			dhi = d0 + g
-		}
-		if dlo <= -n && dhi >= m {
-			// Full coverage: exact by construction. The striped int16
-			// kernel computes the same score at half the memory traffic
-			// whenever its certified window applies.
-			if al.Kernels == KernelAuto {
-				if s, ok := al.FitScoreStriped(a, b); ok {
-					return s
-				}
-			}
-			return al.fitScoreBand(a, b, -n, m)
-		}
-		s := al.fitScoreBand(a, b, dlo, dhi)
-		if int64(s) >= int64(u)-int64(al.minGapCost(g+1)) {
-			return s
-		}
-	}
 }
 
 // fitMatchesPossible reports whether any monotone fit path confined to
@@ -463,14 +242,6 @@ func (al *Aligner) fitMatchesPossible(a, b []byte, dlo, dhi, req int) bool {
 // Definition-1 band is pinned by the fit geometry itself (lengths and
 // the identity threshold), which is tighter than any seed anchor.
 func (al *Aligner) ContainedCascade(a, b []byte, p ContainParams, seed SeedMatch) (bool, Stage) {
-	return al.ContainedCascadeProf(a, b, p, seed, nil)
-}
-
-// ContainedCascadeProf is ContainedCascade with an optional prebuilt
-// profile of a (see Profile.Build; pool.ProfileSet shares profiles
-// across a batch). A nil profile is built on demand into the aligner's
-// scratch, so the two forms are interchangeable.
-func (al *Aligner) ContainedCascadeProf(a, b []byte, p ContainParams, seed SeedMatch, pa *Profile) (bool, Stage) {
 	_ = seed
 	n, m := len(a), len(b)
 	if n > m || n == 0 || m == 0 {
@@ -486,22 +257,6 @@ func (al *Aligner) ContainedCascadeProf(a, b []byte, p ContainParams, seed SeedM
 	if req > 0 {
 		if matchUpperBound(a, b) < req {
 			return false, StagePrefilter
-		}
-		// Bit-parallel stage: the exact fit edit distance at ~m·n/64
-		// word operations, against the identity ceiling derived in
-		// bitparallel.go. Runs before the banded DP because it is an
-		// order of magnitude cheaper than even a narrow band.
-		if al.Kernels == KernelAuto {
-			if emax := fitEditThreshold(n, p.MinIdentity-thresholdSlack); emax >= 0 {
-				prof := pa
-				if prof == nil {
-					al.prof.buildBits(al.sc, a)
-					prof = &al.prof
-				}
-				if al.FitEditDistanceProf(prof, b) > emax {
-					return false, StageBitvec
-				}
-			}
 		}
 		// Matches ≥ req also pins the geometry: at most imax = n − req
 		// gap-in-B columns, and a fit path starts on diagonal ≥ 0 and
@@ -543,12 +298,6 @@ const cascadeLocalBand = 8
 // the reject. The seed anchors the banded local score and the seed-run
 // score floor; arbitrary (even wrong) seeds only weaken the bounds.
 func (al *Aligner) OverlapsCascade(a, b []byte, p OverlapParams, seed SeedMatch) (bool, Stage) {
-	return al.OverlapsCascadeProf(a, b, p, seed, nil)
-}
-
-// OverlapsCascadeProf is OverlapsCascade with an optional prebuilt
-// profile of a (nil: built on demand into the aligner's scratch).
-func (al *Aligner) OverlapsCascadeProf(a, b []byte, p OverlapParams, seed SeedMatch, pa *Profile) (bool, Stage) {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return false, StagePrefilter // Overlaps sees zero columns
@@ -579,20 +328,6 @@ func (al *Aligner) OverlapsCascadeProf(a, b []byte, p OverlapParams, seed SeedMa
 			}
 			if int64(al.LocalScoreBandedAnchored(a, b, seed.Diag(), cascadeLocalBand)) > ub {
 				return false, StageBanded
-			}
-			// Striped stage: the full local score in int16 state. The
-			// kernel's score is a true local-alignment score — exact
-			// when ok, a saturated lower bound otherwise — so exceeding
-			// ub certifies the reject either way.
-			if al.Kernels == KernelAuto {
-				prof := pa
-				if prof == nil {
-					al.prof.buildCols(al.sc, a)
-					prof = &al.prof
-				}
-				if s, _ := al.LocalScoreStripedProf(prof, b); int64(s) > ub {
-					return false, StageStriped
-				}
 			}
 		}
 	}

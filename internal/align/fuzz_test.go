@@ -12,8 +12,8 @@ func fuzzResidues(s string) []byte {
 	return out
 }
 
-// FuzzAlignCascade cross-checks every score-only/banded/certified kernel
-// and both cascade predicates against the exact full-matrix reference on
+// FuzzAlignCascade cross-checks the anchored banded kernel and both
+// cascade predicates against the exact full-matrix reference on
 // arbitrary residue strings and arbitrary (possibly bogus) seeds.
 func FuzzAlignCascade(f *testing.F) {
 	f.Add("ACDEFGHIK", "ACDEFGWIK", 0, 0, 5)
@@ -29,14 +29,6 @@ func FuzzAlignCascade(f *testing.F) {
 		seed := SeedMatch{PosA: pa % 512, PosB: pb % 512, Len: ln % 512}
 		al := NewAligner(Blosum62(11, 1))
 		exact := NewAligner(Blosum62(11, 1))
-
-		fitFull := exact.Align(a, b, Fit).Score
-		if got := al.FitScore(a, b); got != fitFull {
-			t.Fatalf("FitScore=%d, Align(Fit).Score=%d", got, fitFull)
-		}
-		if got := al.FitScoreCertified(a, b, seed); got != fitFull {
-			t.Fatalf("FitScoreCertified=%d with seed %+v, want %d", got, seed, fitFull)
-		}
 
 		localFull := exact.LocalScore(a, b)
 		wide := len(a) + len(b) + abs(seed.Diag()) + 1
@@ -59,55 +51,6 @@ func FuzzAlignCascade(f *testing.F) {
 		gotO, _ := al.OverlapsCascade(a, b, op, seed)
 		if wantO != gotO {
 			t.Fatalf("OverlapsCascade=%v, exact=%v", gotO, wantO)
-		}
-	})
-}
-
-// FuzzKernelEquivalence cross-checks the word-parallel kernels against
-// their exact int32 references on arbitrary residue strings, including a
-// hot scoring scale chosen to force int16 saturation so the fallthrough
-// contract is exercised: a saturated local score must stay a valid lower
-// bound, and a refused fit kernel must never have returned at all.
-func FuzzKernelEquivalence(f *testing.F) {
-	f.Add("ACDEFGHIK", "ACDEFGWIK", false)
-	f.Add("MKWVTFISLLFLFSSAYS", "KWVTFISLL", true)
-	f.Add("", "WWWW", false)
-	f.Add("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", "AAAA", true)
-	f.Add("WHKNMEFRWCYHH", "TTTTWHKNMEFRWCYHH", false)
-	f.Fuzz(func(t *testing.T, as, bs string, hot bool) {
-		if len(as) > 256 || len(bs) > 256 {
-			t.Skip()
-		}
-		a, b := fuzzResidues(as), fuzzResidues(bs)
-
-		// Bit-parallel semi-global edit distance vs the scalar reference.
-		al := NewAligner(nil)
-		if got, want := al.FitEditDistance(a, b), refFitEditDistance(a, b); got != want {
-			t.Fatalf("FitEditDistance=%d, reference=%d", got, want)
-		}
-
-		sc := Blosum62(11, 1)
-		if hot {
-			// 1000 per match keeps a 33-residue run inside int16 but a
-			// 34th saturates, forcing the fallthrough path.
-			sc = Identity(1000, -2, 11, 1)
-		}
-		al = NewAligner(sc)
-		exact := NewAligner(sc)
-
-		localFull := exact.LocalScore(a, b)
-		if s, ok := al.LocalScoreStriped(a, b); ok {
-			if s != localFull {
-				t.Fatalf("LocalScoreStriped=%d claims exact, LocalScore=%d", s, localFull)
-			}
-		} else if int64(s) > int64(localFull) {
-			t.Fatalf("saturated LocalScoreStriped=%d exceeds LocalScore=%d", s, localFull)
-		}
-
-		if s, ok := al.FitScoreStriped(a, b); ok {
-			if want := exact.FitScore(a, b); s != want {
-				t.Fatalf("FitScoreStriped=%d claims exact, FitScore=%d", s, want)
-			}
 		}
 	})
 }

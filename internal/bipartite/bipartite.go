@@ -22,7 +22,6 @@ import (
 
 	"profam/internal/align"
 	"profam/internal/esa"
-	"profam/internal/pool"
 	"profam/internal/seq"
 	"profam/internal/suffixtree"
 )
@@ -99,10 +98,6 @@ type Config struct {
 	// alignments, running every candidate pair through the full-matrix
 	// Overlaps predicate. Edges are identical either way.
 	ExactAlign bool
-	// ScalarKernels keeps the cascade on the int32 scalar kernels,
-	// disabling the word-parallel stages and the per-component profile
-	// reuse. Edges are identical either way.
-	ScalarKernels bool
 }
 
 func (c Config) withDefaults() Config {
@@ -159,17 +154,6 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 		return nil, BuildStats{}, err
 	}
 	al := align.NewAligner(cfg.Scoring)
-	if cfg.ScalarKernels {
-		al.Kernels = align.KernelScalar
-	}
-	// A component aligns each member against many partners, so the
-	// word-parallel kernels' query profiles are shared across the whole
-	// edge-discovery sweep instead of rebuilt per pair.
-	var profs *pool.ProfileSet
-	if !cfg.ScalarKernels && !cfg.ExactAlign {
-		profs = pool.NewProfileCache(cfg.Scoring).NewSet()
-		defer profs.Release()
-	}
 	seen := map[int64]bool{}
 	var st BuildStats
 	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {
@@ -185,11 +169,7 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 			ok, _ = al.Overlaps(a, b, cfg.Edge)
 		} else {
 			seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-			var prof *align.Profile
-			if profs != nil {
-				prof = profs.Get(p.SeqA, a)
-			}
-			ok, _ = al.OverlapsCascadeProf(a, b, cfg.Edge, seed, prof)
+			ok, _ = al.OverlapsCascade(a, b, cfg.Edge, seed)
 		}
 		if ok {
 			g.Adj[p.SeqA] = append(g.Adj[p.SeqA], p.SeqB)

@@ -105,14 +105,7 @@ func PipelineConfig() profam.Config {
 func paceConfigOf(cfg profam.Config) pace.Config {
 	// Reuse the pipeline's parameter mapping through a tiny shim: the
 	// fields below are what the pace phases consume.
-	//
-	// The simulated scaling studies pin the scalar alignment kernels:
-	// the cost model's SecPerCell is calibrated to scalar DP cells, and
-	// the word-parallel kernels count 64-cell machine words as their
-	// Cells unit, so letting them in would misprice the modeled
-	// alignment work (and the paper's Table II shape rests on the
-	// paper's own per-pair DP workload, not on our kernel layer).
-	return pace.Config{Psi: cfg.Psi, ScalarKernels: true}
+	return pace.Config{Psi: cfg.Psi}
 }
 
 // --- Table I ------------------------------------------------------------

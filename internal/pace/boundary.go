@@ -20,17 +20,17 @@ import (
 // contained side as in the master–worker phase.
 func AlignContainPairs(c *mpi.Comm, set *seq.Set, tasks []PairItem, cfg Config, phase string) []AlignOutcome {
 	cfg = cfg.withDefaults()
-	return alignStriped(c, set, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, tasks, cfg, phase)
+	return alignAssigned(c, set, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, tasks, cfg, phase)
 }
 
 // AlignOverlapPairs runs the component-overlap predicate (Definition 2)
 // over tasks on the calling rank; OK outcomes are union edges.
 func AlignOverlapPairs(c *mpi.Comm, set *seq.Set, tasks []PairItem, cfg Config, phase string) []AlignOutcome {
 	cfg = cfg.withDefaults()
-	return alignStriped(c, set, ccWorker{params: cfg.Overlap, exact: cfg.ExactAlign}, tasks, cfg, phase)
+	return alignAssigned(c, set, ccWorker{params: cfg.Overlap, exact: cfg.ExactAlign}, tasks, cfg, phase)
 }
 
-func alignStriped(c *mpi.Comm, set *seq.Set, wl workerLogic, tasks []PairItem, cfg Config, phase string) []AlignOutcome {
+func alignAssigned(c *mpi.Comm, set *seq.Set, wl workerLogic, tasks []PairItem, cfg Config, phase string) []AlignOutcome {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New(c.Rank(), c.Time)
 	}
@@ -38,9 +38,8 @@ func alignStriped(c *mpi.Comm, set *seq.Set, wl workerLogic, tasks []PairItem, c
 		return nil
 	}
 	threads := max(1, cfg.Threads)
-	cache, profs := workerCaches(cfg)
 	obs := poolObserver(cfg.Metrics, phase, "align")
-	out, cells := alignBatch(cache, profs, threads, set, wl, tasks, nil, obs)
+	out, cells := alignBatch(pool.NewAlignerCache(cfg.Scoring), threads, set, wl, tasks, nil, obs)
 	c.Advance(float64(pool.CeilDiv(cells, threads)) * cfg.Costs.SecPerCell)
 	l := func(n string) string { return metrics.Name(n, "phase", phase) }
 	cfg.Metrics.Counter(l("pace_pairs_aligned")).Add(int64(len(out)))

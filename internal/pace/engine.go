@@ -38,15 +38,9 @@ type phaseCounters struct {
 	// staged outcome) so an ExactAlign run never grows them.
 	cascadeStage     map[align.Stage]*metrics.Counter
 	cascadeFullCells *metrics.Counter
-	// kernelPairs[k] counts cascade-decided pairs whose deciding stage
-	// ran on kernel k (bitvec/striped/int32); kernelCells[k] splits the
-	// DP cells the same way. Lazily created like cascadeStage, so a
-	// ScalarKernels run never grows bitvec/striped series.
-	kernelPairs map[string]*metrics.Counter
-	kernelCells map[string]*metrics.Counter
-	reg         *metrics.Registry
-	phase       string
-	base        Stats
+	reg              *metrics.Registry
+	phase            string
+	base             Stats
 }
 
 // rawPairsName names the raw-pair counter, which the master reads and
@@ -71,8 +65,6 @@ func newPhaseCounters(reg *metrics.Registry, phase string) phaseCounters {
 		queueDepth:   reg.Gauge(l("pace_queue_depth")),
 		quota:        reg.Gauge(l("pace_batch_quota")),
 		cascadeStage: make(map[align.Stage]*metrics.Counter),
-		kernelPairs:  make(map[string]*metrics.Counter),
-		kernelCells:  make(map[string]*metrics.Counter),
 		reg:          reg,
 		phase:        phase,
 	}
@@ -93,34 +85,6 @@ func (pc *phaseCounters) countStage(stage align.Stage, fullCells int64) {
 		pc.cascadeFullCells = pc.reg.Counter(metrics.Name("pace_cascade_cells_full", "phase", pc.phase))
 	}
 	pc.cascadeFullCells.Add(fullCells)
-}
-
-// countKernels attributes one cascade-decided pair and its DP cells to
-// the kernels that did the work: the pair goes to the deciding stage's
-// kernel, the cells split by which kernel computed them.
-func (pc *phaseCounters) countKernels(r AlignOutcome) {
-	k := align.Stage(r.Stage).Kernel()
-	c := pc.kernelPairs[k]
-	if c == nil {
-		c = pc.reg.Counter(metrics.Name("pace_kernel_pairs", "phase", pc.phase, "kernel", k))
-		pc.kernelPairs[k] = c
-	}
-	c.Inc()
-	pc.addKernelCells("bitvec", r.CellsBitvec)
-	pc.addKernelCells("striped", r.CellsStriped)
-	pc.addKernelCells("int32", r.Cells-r.CellsBitvec-r.CellsStriped)
-}
-
-func (pc *phaseCounters) addKernelCells(k string, v int64) {
-	if v == 0 {
-		return
-	}
-	c := pc.kernelCells[k]
-	if c == nil {
-		c = pc.reg.Counter(metrics.Name("pace_kernel_cells", "phase", pc.phase, "kernel", k))
-		pc.kernelCells[k] = c
-	}
-	c.Add(v)
 }
 
 // read returns the counters' current absolute values.
@@ -323,7 +287,6 @@ func (ms *masterState) absorbResults(results []AlignOutcome) {
 		}
 		if r.Stage != 0 {
 			ms.ctr.countStage(align.Stage(r.Stage), r.FullCells)
-			ms.ctr.countKernels(r)
 		}
 		ms.logic.absorb(r)
 	}
@@ -504,53 +467,26 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 // so the result order — and everything the master derives from it — is
 // identical for every thread count. Each chunk checks an aligner out of
 // the cache, recycling DP row and trace buffers across chunks and
-// rounds; a non-nil profile cache opens a batch-scoped ProfileSet so the
-// word-parallel kernels build each sequence's query profile once per
-// batch instead of once per pair. The summed DP cells are returned so
-// the caller can charge the virtual clock ceil(cells/threads), the
-// perfect-speedup model.
-func alignBatch(cache *pool.AlignerCache, profs *pool.ProfileCache, threads int, set *seq.Set, wl workerLogic, tasks []PairItem, out []AlignOutcome, obs pool.Observer) ([]AlignOutcome, int64) {
+// rounds. The summed DP cells are returned so the caller can charge the
+// virtual clock ceil(cells/threads), the perfect-speedup model.
+func alignBatch(cache *pool.AlignerCache, threads int, set *seq.Set, wl workerLogic, tasks []PairItem, out []AlignOutcome, obs pool.Observer) ([]AlignOutcome, int64) {
 	if cap(out) < len(tasks) {
 		out = make([]AlignOutcome, len(tasks))
 	} else {
 		out = out[:len(tasks)]
 	}
-	var ps *pool.ProfileSet
-	if profs != nil {
-		ps = profs.NewSet()
-	}
 	pool.RunChunkedObserved(threads, len(tasks), obs, func(lo, hi int) {
 		al := cache.Get()
 		for i := lo; i < hi; i++ {
-			out[i] = wl.alignPair(al, ps, set, tasks[i])
+			out[i] = wl.alignPair(al, set, tasks[i])
 		}
 		cache.Put(al)
 	})
-	if ps != nil {
-		ps.Release()
-	}
 	var cells int64
 	for i := range out {
 		cells += out[i].Cells
 	}
 	return out, cells
-}
-
-// workerCaches builds the per-worker aligner and profile caches from the
-// phase config: aligners carry the configured kernel mode, and the
-// profile cache exists only when the word-parallel kernels will consume
-// profiles (it would be dead weight under ScalarKernels or ExactAlign).
-func workerCaches(cfg Config) (*pool.AlignerCache, *pool.ProfileCache) {
-	mode := align.KernelAuto
-	if cfg.ScalarKernels {
-		mode = align.KernelScalar
-	}
-	cache := pool.NewAlignerCacheKernels(cfg.Scoring, mode)
-	var profs *pool.ProfileCache
-	if !cfg.ScalarKernels && !cfg.ExactAlign {
-		profs = pool.NewProfileCache(cfg.Scoring)
-	}
-	return cache, profs
 }
 
 // runWorker drives the double-buffered worker loop on ranks 1..p-1. The
@@ -575,7 +511,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg C
 	defer sp.End()
 	tr := cfg.Trace
 	threads := max(1, cfg.Threads)
-	cache, profs := workerCaches(cfg)
+	cache := pool.NewAlignerCache(cfg.Scoring)
 	obs := poolObserver(cfg.Metrics, phase, "align")
 	exhausted := false
 	sent, recvd := 0, 0
@@ -615,7 +551,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg C
 			return
 		}
 		t0 := tr.Now()
-		results, cells := alignBatch(cache, profs, threads, set, wl, msg.Tasks, nil, obs)
+		results, cells := alignBatch(cache, threads, set, wl, msg.Tasks, nil, obs)
 		c.Advance(float64(pool.CeilDiv(cells, threads)) * cfg.Costs.SecPerCell)
 		tr.Span(trace.CatWorker, phase+"/align", t0, tr.Now(),
 			"tasks", int64(len(msg.Tasks)), "cells", cells)
@@ -632,9 +568,6 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg C
 // in decreasing match-length order with the same filtering policy.
 func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *pairSource, cfg Config) {
 	al := align.NewAligner(cfg.Scoring)
-	if cfg.ScalarKernels {
-		al.Kernels = align.KernelScalar
-	}
 	tr := cfg.Trace
 	phase := ms.ctr.phase
 	var round int64
@@ -655,7 +588,7 @@ func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *
 		// reference semantics the parallel rounds approximate.
 		for ms.pending.Len() > 0 {
 			for _, t := range ms.popTasks(1) {
-				out := wl.alignPair(al, nil, set, t)
+				out := wl.alignPair(al, set, t)
 				c.Advance(float64(out.Cells) * cfg.Costs.SecPerCell)
 				ms.absorbResults([]AlignOutcome{out})
 			}

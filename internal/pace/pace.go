@@ -26,7 +26,6 @@ import (
 	"profam/internal/align"
 	"profam/internal/metrics"
 	"profam/internal/mpi"
-	"profam/internal/pool"
 	"profam/internal/seq"
 	"profam/internal/trace"
 	"profam/internal/unionfind"
@@ -104,13 +103,6 @@ type Config struct {
 	// are identical either way (the cascade only takes provably-safe
 	// shortcuts); this is the reference arm of the determinism tests.
 	ExactAlign bool
-	// ScalarKernels disables the word-parallel alignment kernels (the
-	// bit-parallel and striped-int16 cascade stages and the batch-level
-	// profile reuse), keeping the cascade on the int32 scalar kernels
-	// only. Verdicts are identical either way; this is the reference arm
-	// for the kernel determinism tests, and what the simtime scaling
-	// experiments pin (their cost model prices scalar DP cells).
-	ScalarKernels bool
 	// Metrics receives every phase counter, histogram and span; it is
 	// the single accumulation path behind Stats (which is a read-out of
 	// the registry taken at phase end). Each rank passes its own
@@ -214,11 +206,6 @@ type AlignOutcome struct {
 	// FullCells is what the exact full-matrix predicate would have cost,
 	// so the master can report the cells the cascade eliminated.
 	FullCells int64
-	// CellsBitvec and CellsStriped split Cells by the kernel that
-	// computed them (the remainder ran on the int32 scalar kernels), so
-	// the master can export per-kernel cell counters.
-	CellsBitvec  int64
-	CellsStriped int64
 }
 
 // WorkerMsg is the worker→master payload: the next pair batch and the
@@ -313,12 +300,9 @@ type masterLogic interface {
 	absorb(r AlignOutcome)
 }
 
-// workerLogic computes the phase predicate for one assigned pair. ps
-// shares query profiles for the word-parallel kernels across the pairs
-// of one batch; nil runs the kernels on scratch profiles (or, with
-// scalar kernels, not at all).
+// workerLogic computes the phase predicate for one assigned pair.
 type workerLogic interface {
-	alignPair(al *align.Aligner, ps *pool.ProfileSet, set *seq.Set, p PairItem) AlignOutcome
+	alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOutcome
 }
 
 // --- redundancy removal -------------------------------------------------
@@ -357,9 +341,9 @@ type rrWorker struct {
 	exact  bool
 }
 
-func (w rrWorker) alignPair(al *align.Aligner, ps *pool.ProfileSet, set *seq.Set, p PairItem) AlignOutcome {
+func (w rrWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOutcome {
 	a, b := set.Get(int(p.A)), set.Get(int(p.B))
-	before, beforeBv, beforeSt := al.Cells, al.CellsBitvec, al.CellsStriped
+	before := al.Cells
 	out := AlignOutcome{A: p.A, B: p.B,
 		FullCells: int64(len(a.Res)) * int64(len(b.Res))}
 	if w.exact {
@@ -367,26 +351,10 @@ func (w rrWorker) alignPair(al *align.Aligner, ps *pool.ProfileSet, set *seq.Set
 		out.OK, out.Which = ok, int8(which)
 	} else {
 		seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-		// Replicate EitherContainedCascade's shorter-into-longer
-		// orientation here so the shared profile can be fetched for the
-		// query (shorter) side — the side the word-parallel kernels
-		// profile.
-		q, t, qid := p.A, p.B, 0
-		if len(a.Res) > len(b.Res) {
-			q, t, qid = p.B, p.A, 1
-			seed = seed.Swapped()
-		}
-		var prof *align.Profile
-		qres, tres := set.Get(int(q)).Res, set.Get(int(t)).Res
-		if ps != nil {
-			prof = ps.Get(q, qres)
-		}
-		ok, stage := al.ContainedCascadeProf(qres, tres, w.params, seed, prof)
-		out.OK, out.Which, out.Stage = ok, int8(qid), int8(stage)
+		ok, which, stage := al.EitherContainedCascade(a.Res, b.Res, w.params, seed)
+		out.OK, out.Which, out.Stage = ok, int8(which), int8(stage)
 	}
 	out.Cells = al.Cells - before
-	out.CellsBitvec = al.CellsBitvec - beforeBv
-	out.CellsStriped = al.CellsStriped - beforeSt
 	return out
 }
 
@@ -415,24 +383,18 @@ type ccWorker struct {
 	exact  bool
 }
 
-func (w ccWorker) alignPair(al *align.Aligner, ps *pool.ProfileSet, set *seq.Set, p PairItem) AlignOutcome {
+func (w ccWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOutcome {
 	a, b := set.Get(int(p.A)), set.Get(int(p.B))
-	before, beforeBv, beforeSt := al.Cells, al.CellsBitvec, al.CellsStriped
+	before := al.Cells
 	out := AlignOutcome{A: p.A, B: p.B,
 		FullCells: int64(len(a.Res)) * int64(len(b.Res))}
 	if w.exact {
 		out.OK, _ = al.Overlaps(a.Res, b.Res, w.params)
 	} else {
 		seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-		var prof *align.Profile
-		if ps != nil {
-			prof = ps.Get(p.A, a.Res)
-		}
-		ok, stage := al.OverlapsCascadeProf(a.Res, b.Res, w.params, seed, prof)
+		ok, stage := al.OverlapsCascade(a.Res, b.Res, w.params, seed)
 		out.OK, out.Stage = ok, int8(stage)
 	}
 	out.Cells = al.Cells - before
-	out.CellsBitvec = al.CellsBitvec - beforeBv
-	out.CellsStriped = al.CellsStriped - beforeSt
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"profam/internal/align"
 	"profam/internal/mpi"
 )
 
@@ -114,6 +115,14 @@ func (r *wireReader) pairs() ([]PairItem, error) {
 	return out, nil
 }
 
+// Per-result flag bits: the verdict and the RR contained side. Any other
+// bit set marks a frame from a different layout, which the decoder
+// rejects rather than misreading the fields that follow.
+const (
+	resultOK    byte = 1
+	resultWhich byte = 2
+)
+
 // WireKind implements mpi.BinaryPayload.
 func (m WorkerMsg) WireKind() byte { return wireKindWorkerMsg }
 
@@ -133,23 +142,15 @@ func (m WorkerMsg) AppendBinary(buf []byte) []byte {
 		prevA, prevB = r.A, r.B
 		var f byte
 		if r.OK {
-			f = 1
+			f = resultOK
 		}
-		f |= byte(r.Which) << 1
-		// Bit 2 marks a per-kernel cell split; the two counts ride along
-		// only then, so outcomes decided on the scalar kernels pay no
-		// bytes for them.
-		if r.CellsBitvec != 0 || r.CellsStriped != 0 {
-			f |= 4
+		if r.Which != 0 {
+			f |= resultWhich
 		}
 		buf = append(buf, f)
 		buf = appendZig(buf, int64(r.Stage))
 		buf = binary.AppendUvarint(buf, uint64(r.Cells))
 		buf = binary.AppendUvarint(buf, uint64(r.FullCells))
-		if f&4 != 0 {
-			buf = binary.AppendUvarint(buf, uint64(r.CellsBitvec))
-			buf = binary.AppendUvarint(buf, uint64(r.CellsStriped))
-		}
 	}
 	return buf
 }
@@ -187,9 +188,15 @@ func decodeWorkerMsg(body []byte) (any, error) {
 			if err != nil {
 				return nil, err
 			}
+			if f&^(resultOK|resultWhich) != 0 {
+				return nil, fmt.Errorf("pace: result flag byte %#02x sets unknown bits", f)
+			}
 			stage, err := r.zig()
 			if err != nil {
 				return nil, err
+			}
+			if stage < int64(align.StageNone) || stage > int64(align.StageFull) {
+				return nil, fmt.Errorf("pace: result stage %d is not a cascade stage", stage)
 			}
 			cells, err := r.uvarint()
 			if err != nil {
@@ -199,20 +206,10 @@ func decodeWorkerMsg(body []byte) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			var bv, st uint64
-			if f&4 != 0 {
-				if bv, err = r.uvarint(); err != nil {
-					return nil, err
-				}
-				if st, err = r.uvarint(); err != nil {
-					return nil, err
-				}
-			}
 			m.Results[i] = AlignOutcome{
 				A: prevA, B: prevB,
-				OK: f&1 != 0, Which: int8((f >> 1) & 1), Stage: int8(stage),
+				OK: f&resultOK != 0, Which: int8(f&resultWhich) >> 1, Stage: int8(stage),
 				Cells: int64(cells), FullCells: int64(full),
-				CellsBitvec: int64(bv), CellsStriped: int64(st),
 			}
 		}
 	}

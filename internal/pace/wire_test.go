@@ -2,11 +2,13 @@ package pace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"profam/internal/align"
 	"profam/internal/mpi"
 )
 
@@ -21,17 +23,11 @@ func randomWorkerMsg(rng *rand.Rand) WorkerMsg {
 		})
 	}
 	for i, n := 0, rng.Intn(40); i < n; i++ {
-		r := AlignOutcome{
+		m.Results = append(m.Results, AlignOutcome{
 			A: rng.Int31n(1 << 20), B: rng.Int31n(1 << 20),
-			OK: rng.Intn(2) == 0, Which: int8(rng.Intn(2)), Stage: int8(rng.Intn(6)),
+			OK: rng.Intn(2) == 0, Which: int8(rng.Intn(2)), Stage: int8(rng.Intn(4)),
 			Cells: rng.Int63n(1 << 30), FullCells: rng.Int63n(1 << 30),
-		}
-		if rng.Intn(2) == 0 {
-			// Kernel cell splits ride an optional frame extension.
-			r.CellsBitvec = rng.Int63n(1 << 24)
-			r.CellsStriped = rng.Int63n(1 << 24)
-		}
-		m.Results = append(m.Results, r)
+		})
 	}
 	return m
 }
@@ -87,6 +83,44 @@ func TestWireCorruptCountRejected(t *testing.T) {
 	}
 }
 
+// resultFrame is a WorkerMsg frame carrying one outcome with the given
+// raw flag byte and stage, for the decoder's layout checks.
+func resultFrame(flag byte, stage int64) []byte {
+	buf := []byte{0}            // message flags
+	buf = appendPairs(buf, nil) // no pairs
+	buf = binary.AppendUvarint(buf, 1)
+	buf = appendZig(buf, 1)
+	buf = appendZig(buf, 2)
+	buf = append(buf, flag)
+	buf = appendZig(buf, stage)
+	buf = binary.AppendUvarint(buf, 10)
+	return binary.AppendUvarint(buf, 20)
+}
+
+// TestWireMalformedResultRejected: an outcome whose flag byte sets a bit
+// besides OK/Which, or whose stage is not a cascade stage, comes from a
+// different frame layout; decoding it would misread the fields after it.
+func TestWireMalformedResultRejected(t *testing.T) {
+	got, err := decodeWorkerMsg(resultFrame(resultOK|resultWhich, int64(align.StageFull)))
+	if err != nil {
+		t.Fatalf("well-formed frame rejected: %v", err)
+	}
+	want := AlignOutcome{A: 1, B: 2, OK: true, Which: 1, Stage: int8(align.StageFull), Cells: 10, FullCells: 20}
+	if r := got.(WorkerMsg).Results; len(r) != 1 || r[0] != want {
+		t.Fatalf("decoded %+v, want [%+v]", r, want)
+	}
+	for _, f := range []byte{0x04, 0x08, 0x80} {
+		if _, err := decodeWorkerMsg(resultFrame(f|resultOK, int64(align.StageFull))); err == nil {
+			t.Errorf("flag byte %#02x accepted", f|resultOK)
+		}
+	}
+	for _, st := range []int64{-1, int64(align.StageFull) + 1, int64(align.StageFull) + 2} {
+		if _, err := decodeWorkerMsg(resultFrame(resultOK, st)); err == nil {
+			t.Errorf("stage %d accepted", st)
+		}
+	}
+}
+
 // realisticWorkerMsg models what the phases actually ship: pair streams
 // from the match-length-ordered generator are near-monotone in (A, B)
 // with small offsets, and result batches come back in task order. This
@@ -105,20 +139,11 @@ func realisticWorkerMsg(rng *rand.Rand, batch int) WorkerMsg {
 	a = int32(rng.Intn(50))
 	for i := 0; i < batch; i++ {
 		a += int32(rng.Intn(3))
-		r := AlignOutcome{
+		m.Results = append(m.Results, AlignOutcome{
 			A: a, B: a + 1 + int32(rng.Intn(60)),
-			OK: rng.Intn(3) > 0, Which: int8(rng.Intn(2)), Stage: int8(1 + rng.Intn(5)),
+			OK: rng.Intn(3) > 0, Which: int8(rng.Intn(2)), Stage: int8(1 + rng.Intn(3)),
 			Cells: int64(rng.Intn(20000)), FullCells: int64(10000 + rng.Intn(90000)),
-		}
-		// With the word-parallel kernels on, most cascade rejects charge
-		// some bitvec or striped cells.
-		switch r.Stage {
-		case int8(4):
-			r.CellsBitvec = r.Cells
-		case int8(5):
-			r.CellsStriped = r.Cells
-		}
-		m.Results = append(m.Results, r)
+		})
 	}
 	return m
 }
@@ -219,6 +244,8 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(corruptCountFrame())
 	f.Add(MasterMsg{Tasks: w.Pairs, Done: true}.AppendBinary(nil))
+	f.Add(resultFrame(0x08, int64(align.StageFull)))
+	f.Add(resultFrame(resultOK, int64(align.StageFull)+2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, dec := range map[string]func([]byte) (any, error){

@@ -17,22 +17,10 @@ type AlignerCache struct {
 }
 
 // NewAlignerCache returns a cache producing aligners with the given
-// scoring scheme (align.DefaultScoring() if nil) and the default
-// (auto) kernel selection.
+// scoring scheme (align.DefaultScoring() if nil).
 func NewAlignerCache(sc *align.Scoring) *AlignerCache {
-	return NewAlignerCacheKernels(sc, align.KernelAuto)
-}
-
-// NewAlignerCacheKernels is NewAlignerCache with an explicit kernel
-// mode: every aligner the cache produces carries it, so a worker that
-// was configured with scalar kernels never sees a word-parallel stage.
-func NewAlignerCacheKernels(sc *align.Scoring, mode align.KernelMode) *AlignerCache {
 	c := &AlignerCache{}
-	c.p.New = func() any {
-		al := align.NewAligner(sc)
-		al.Kernels = mode
-		return al
-	}
+	c.p.New = func() any { return align.NewAligner(sc) }
 	return c
 }
 

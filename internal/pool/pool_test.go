@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -88,38 +87,4 @@ func TestAlignerCacheReuse(t *testing.T) {
 	if got.Scoring() == nil {
 		t.Fatal("cached aligner lost its scoring scheme")
 	}
-}
-
-func TestProfileSetSharesAndRecycles(t *testing.T) {
-	cache := NewProfileCache(nil)
-	set := cache.NewSet()
-	a := []byte("ACDEFGHIKLMNPQRSTVWY")
-	p1 := set.Get(7, a)
-	if p1.Len() != len(a) {
-		t.Fatalf("profile length %d, want %d", p1.Len(), len(a))
-	}
-	if p2 := set.Get(7, a); p2 != p1 {
-		t.Error("second Get for the same ID built a new profile")
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if p := set.Get(7, a); p != p1 {
-				t.Error("concurrent Get returned a different profile")
-			}
-			set.Get(9, []byte("WWWW"))
-		}()
-	}
-	wg.Wait()
-	set.Release()
-
-	// A new set must rebuild (profiles are per-batch), but may reuse the
-	// recycled backing buffers.
-	set2 := cache.NewSet()
-	if p := set2.Get(7, []byte("AAA")); p.Len() != 3 {
-		t.Fatalf("recycled profile length %d, want 3", p.Len())
-	}
-	set2.Release()
 }
