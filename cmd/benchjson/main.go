@@ -39,7 +39,6 @@ import (
 
 	"profam"
 	"profam/internal/experiments"
-	"profam/internal/mpi"
 )
 
 // fileFormat is the BENCH_results.json schema.
@@ -50,20 +49,8 @@ type fileFormat struct {
 	GoMaxProcs int    `json:"go_maxprocs"`
 	// CellsEliminatedRatio is full-matrix DP cells / cascade DP cells on
 	// the AlignCascade kernel's pair batch (work checksum, not timing).
-	CellsEliminatedRatio float64 `json:"cells_eliminated_ratio,omitempty"`
-	// TraceOverheadRatio is traced/untraced ns/op on the threads=1
-	// pipeline kernel minus one — the fractional cost of event tracing.
-	TraceOverheadRatio float64 `json:"trace_overhead_ratio,omitempty"`
-	// SimShardSpeedup is the deterministic virtual-makespan ratio
-	// single-master/sharded on the 64-rank master-bound corpus
-	// (experiments.ShardCorpus at 8 shards) — the multi-master win LSH
-	// sharding exists to deliver. The run fails if it is ≤ 1.
-	SimShardSpeedup float64 `json:"sim_shard_speedup,omitempty"`
-	// ServiceObsOverheadRatio is instrumented/bare ns/op on the profamd
-	// status handler — the per-request cost of the HTTP telemetry
-	// middleware, gated at -obs-tolerance in -compare mode.
-	ServiceObsOverheadRatio float64            `json:"service_obs_overhead_ratio,omitempty"`
-	Benchmarks              map[string]float64 `json:"benchmarks_ns_per_op"`
+	CellsEliminatedRatio float64            `json:"cells_eliminated_ratio,omitempty"`
+	Benchmarks           map[string]float64 `json:"benchmarks_ns_per_op"`
 	// AllocsPerOp and BytesPerOp are the heap objects and bytes one
 	// iteration of each kernel allocates (recorded, not gated).
 	AllocsPerOp map[string]int64 `json:"benchmarks_allocs_per_op,omitempty"`
@@ -78,8 +65,6 @@ func main() {
 	benchtime := flag.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	compare := flag.String("compare", "", "baseline JSON file to gate against; exits 1 on any regression beyond -tolerance")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional slowdown per kernel in -compare mode")
-	traceTol := flag.Float64("trace-tolerance", 0.05, "allowed fractional tracing overhead on the threads=1 pipeline kernel in -compare mode")
-	obsTol := flag.Float64("obs-tolerance", 0.05, "allowed fractional HTTP-telemetry overhead on the service status handler in -compare mode")
 	timeout := flag.Duration("timeout", 15*time.Minute, "abort the whole run after this long")
 	flag.Parse()
 
@@ -178,23 +163,6 @@ func main() {
 			}
 		})
 	}
-	// PipelineSharded mirrors PipelineThreads at 4 ranks, single-master
-	// vs 4 LSH shards, keeping the real-time cost of the sharded path
-	// (signature phase, split collectives, boundary merge) visible in
-	// the trajectory.
-	for _, sh := range []int{1, 4} {
-		sh := sh
-		record(fmt.Sprintf("PipelineSharded/shards=%d", sh), func(b *testing.B) {
-			cfg := experiments.PipelineConfig()
-			cfg.ThreadsPerRank = 1
-			cfg.Shards = sh
-			for i := 0; i < b.N; i++ {
-				if _, _, err := profam.RunSet(pipeSet, 4, false, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 	// The pair-generation kernel isolates the candidate-pair index +
 	// enumeration hot path (no alignment, no transport) over the pipeline
 	// kernels' corpus and ψ.
@@ -223,7 +191,7 @@ func main() {
 		}
 	})
 	// PipelineTraced mirrors PipelineThreads/threads=1 with event tracing
-	// on; its ratio against the untraced kernel is the tracing overhead.
+	// on.
 	record("PipelineTraced/threads=1", func(b *testing.B) {
 		cfg := experiments.PipelineConfig()
 		cfg.ThreadsPerRank = 1
@@ -234,29 +202,24 @@ func main() {
 			}
 		}
 	})
-	// The service handler pair: identical status requests through the
-	// instrumented and bare handler paths of one live server. Their ratio
-	// is the per-request price of the telemetry middleware.
-	obsSet, _ := experiments.SetOfSize(60, 19)
-	instrH, bareH, obsShutdown, err := experiments.ObsHandlers(obsSet)
+	// The service kernel: status requests through the instrumented
+	// handler of one live server.
+	statusSet, _ := experiments.SetOfSize(60, 19)
+	statusH, statusShutdown, err := experiments.StatusHandler(statusSet)
 	if err != nil {
 		log.Fatal(err)
 	}
-	statusBench := func(h http.Handler) func(b *testing.B) {
-		return func(b *testing.B) {
-			req := httptest.NewRequest(http.MethodGet, "/v1/status", nil)
-			for i := 0; i < b.N; i++ {
-				rr := httptest.NewRecorder()
-				h.ServeHTTP(rr, req)
-				if rr.Code != http.StatusOK {
-					b.Fatalf("status = %d", rr.Code)
-				}
+	record("ServiceStatusInstrumented", func(b *testing.B) {
+		req := httptest.NewRequest(http.MethodGet, "/v1/status", nil)
+		for i := 0; i < b.N; i++ {
+			rr := httptest.NewRecorder()
+			statusH.ServeHTTP(rr, req)
+			if rr.Code != http.StatusOK {
+				b.Fatalf("status = %d", rr.Code)
 			}
 		}
-	}
-	record("ServiceStatusInstrumented", statusBench(instrH))
-	record("ServiceStatusBare", statusBench(bareH))
-	obsShutdown()
+	})
+	statusShutdown()
 
 	// The TCP kernels each grab a fresh port block per iteration so
 	// lingering TIME_WAIT sockets from the previous mesh can't collide.
@@ -298,46 +261,15 @@ func main() {
 		log.Fatalf("run aborted: %v (%d benchmarks completed)", err, len(results))
 	}
 
-	var traceOverhead float64
-	if plain, ok := results["PipelineThreads/threads=1"]; ok && plain > 0 {
-		if traced, ok := results["PipelineTraced/threads=1"]; ok {
-			traceOverhead = traced/plain - 1
-			log.Printf("tracing overhead on threads=1 pipeline: %+.1f%%", 100*traceOverhead)
-		}
-	}
-	var obsRatio float64
-	if bare, ok := results["ServiceStatusBare"]; ok && bare > 0 {
-		if instr, ok := results["ServiceStatusInstrumented"]; ok {
-			obsRatio = instr / bare
-			log.Printf("service telemetry overhead on status handler: %.3fx", obsRatio)
-		}
-	}
-
 	payload := fileFormat{
-		CellsEliminatedRatio:    cellsRatio,
-		TraceOverheadRatio:      traceOverhead,
-		ServiceObsOverheadRatio: obsRatio,
-		Benchmarks:              results,
-		AllocsPerOp:             allocs,
-		BytesPerOp:              allocBytes,
-	}
-	// Multi-master sharding win: deterministic 64-rank virtual-time
-	// makespans, single-master vs 8 LSH shards, on the master-bound
-	// corpus. No noise guard (pure simulation) and a hard gate: the
-	// sharded path's whole reason to exist is beating one master.
-	singleMk, shardedMk, shardSpeedup, err := experiments.ShardSpeedup(
-		experiments.ShardCorpus(), experiments.ShardConfig(), 64, 8, mpi.BlueGeneLike())
-	if err != nil {
-		log.Fatal(err)
-	}
-	payload.SimShardSpeedup = shardSpeedup
-	log.Printf("sim shard win (64 ranks, 8 shards): %.4fs -> %.4fs makespan, %.2fx", singleMk, shardedMk, shardSpeedup)
-	if shardSpeedup <= 1.0 {
-		log.Fatalf("sharded 64-rank makespan (%.4fs) not below single-master (%.4fs); speedup %.2f <= 1.0", shardedMk, singleMk, shardSpeedup)
+		CellsEliminatedRatio: cellsRatio,
+		Benchmarks:           results,
+		AllocsPerOp:          allocs,
+		BytesPerOp:           allocBytes,
 	}
 
 	if *compare != "" {
-		os.Exit(compareBaseline(*compare, payload, *tolerance, *traceTol, *obsTol, noise, explicitOut(), *out))
+		os.Exit(compareBaseline(*compare, payload, *tolerance, noise, explicitOut(), *out))
 	}
 
 	writeResults(*out, payload)
@@ -378,12 +310,9 @@ func writeResults(path string, payload fileFormat) {
 
 // compareBaseline checks the fresh results against the baseline file and
 // returns the process exit code: 0 when every shared kernel is within
-// tolerance (or the host is too noisy to judge), 1 on regression. The
-// tracing-overhead gate needs no baseline — traced and untraced kernels
-// ran back to back in this same invocation — but it keeps its own noise
-// guard since traceTol is typically much tighter than tolerance.
-func compareBaseline(path string, payload fileFormat, tolerance, traceTol, obsTol, noise float64, writeOut bool, outPath string) int {
-	results, traceOverhead := payload.Benchmarks, payload.TraceOverheadRatio
+// tolerance (or the host is too noisy to judge), 1 on regression.
+func compareBaseline(path string, payload fileFormat, tolerance, noise float64, writeOut bool, outPath string) int {
+	results := payload.Benchmarks
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		log.Print(err)
@@ -412,29 +341,6 @@ func compareBaseline(path string, payload fileFormat, tolerance, traceTol, obsTo
 			regressed++
 		}
 		log.Printf("%-40s %12.0f -> %12.0f ns/op  (%+.1f%%)  %s", name, old, now, 100*ratio, status)
-	}
-	switch {
-	case noise > traceTol/2:
-		log.Printf("host too noisy (%.1f%% spread) to judge the %.0f%% tracing-overhead gate; skipping it", 100*noise, 100*traceTol)
-	case traceOverhead > traceTol:
-		log.Printf("tracing overhead %+.1f%% exceeds %.0f%% budget: REGRESSED", 100*traceOverhead, 100*traceTol)
-		regressed++
-	default:
-		log.Printf("tracing overhead %+.1f%% within %.0f%% budget", 100*traceOverhead, 100*traceTol)
-	}
-	// The service-telemetry gate mirrors the tracing gate: both handler
-	// paths ran back to back in this invocation, so no baseline is
-	// consulted, only the noise guard.
-	switch {
-	case payload.ServiceObsOverheadRatio == 0:
-		log.Print("service telemetry overhead unavailable; skipping its gate")
-	case noise > obsTol/2:
-		log.Printf("host too noisy (%.1f%% spread) to judge the %.2fx telemetry-overhead gate; skipping it", 100*noise, 1+obsTol)
-	case payload.ServiceObsOverheadRatio > 1+obsTol:
-		log.Printf("service telemetry overhead %.3fx exceeds %.2fx budget: REGRESSED", payload.ServiceObsOverheadRatio, 1+obsTol)
-		regressed++
-	default:
-		log.Printf("service telemetry overhead %.3fx within %.2fx budget", payload.ServiceObsOverheadRatio, 1+obsTol)
 	}
 	if writeOut {
 		writeResults(outPath, payload)

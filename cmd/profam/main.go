@@ -130,8 +130,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Int64Var(&cfg.Seed, "seed", 0, "shingle permutation seed (0 = default)")
 	fs.IntVar(&cfg.ThreadsPerRank, "threads", 0,
 		"goroutines per rank for alignment/index/component work (0 = auto: max(1, NumCPU/p); simulated runs default to 1)")
-	fs.IntVar(&cfg.Shards, "shards", 1,
-		"LSH similarity shards: split the ranks into this many rank groups, each running its own master over one shard of the corpus, with a cross-shard boundary pass merging families (1 = single master)")
 
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -184,7 +184,7 @@ func TestFlagSet(t *testing.T) {
 		c1 c2 contain-coverage contain-identity edge-similarity in json
 		log-json log-level metrics-out min-component min-family out
 		overlap-coverage overlap-similarity p pprof-addr progress psi
-		reduction report s1 s2 seed shards sim tau threads trace-cap
+		reduction report s1 s2 seed sim tau threads trace-cap
 		trace-out truth w`)
 	var stdout, usage bytes.Buffer
 	if err := run([]string{"-h"}, &stdout, &usage); err != nil {

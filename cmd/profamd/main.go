@@ -86,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	fs.IntVar(&cfg.MinComponentSize, "min-component", 5, "minimum connected component size")
 	fs.IntVar(&cfg.MinFamilySize, "min-family", 5, "minimum dense subgraph size")
 	fs.IntVar(&cfg.ThreadsPerRank, "threads", 0, "goroutines per rank (0 = auto)")
-	fs.IntVar(&cfg.Shards, "shards", 1, "LSH similarity shards per epoch: split the ranks into this many rank groups, each running its own master, with a cross-shard boundary merge (1 = single master; sharded epochs always recluster from scratch)")
 	reduction := fs.String("reduction", "global", "bipartite reduction: global (B_d) or domain (B_m)")
 
 	if err := fs.Parse(args); err != nil {

@@ -10,12 +10,10 @@ import (
 	"profam/internal/server"
 )
 
-// ObsHandlers boots a resident service over a small committed corpus
-// and returns its instrumented and bare (middleware-free) HTTP handlers
-// plus a shutdown func. The benchjson observability-overhead benchmark
-// drives identical requests through both and pins the ratio — the whole
-// telemetry layer must stay within a few percent of the raw handler.
-func ObsHandlers(set *seq.Set) (instrumented, bare http.Handler, shutdown func(), err error) {
+// StatusHandler boots a resident service over a small committed
+// corpus and returns its HTTP handler plus a shutdown func, for
+// benchjson's status-request kernel.
+func StatusHandler(set *seq.Set) (h http.Handler, shutdown func(), err error) {
 	s := server.New(server.Config{
 		BatchWait: 5 * time.Millisecond,
 		// The pipeline config stays default: the benchmark only measures
@@ -32,12 +30,12 @@ func ObsHandlers(set *seq.Set) (instrumented, bare http.Handler, shutdown func()
 		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer scancel()
 		_ = s.Shutdown(sctx)
-		return nil, nil, nil, fmt.Errorf("seeding service corpus: %w", err)
+		return nil, nil, fmt.Errorf("seeding service corpus: %w", err)
 	}
 	shutdown = func() {
 		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer scancel()
 		_ = s.Shutdown(sctx)
 	}
-	return s.Handler(), s.BareHandler(), shutdown, nil
+	return s.Handler(), shutdown, nil
 }

@@ -2,16 +2,14 @@ package experiments
 
 import (
 	"profam"
-	"profam/internal/mpi"
 	"profam/internal/seq"
 	"profam/internal/workload"
 )
 
-// ShardCorpus is the input for the sharding-win experiment: many short,
-// highly redundant sequences, so pair filtering and verdict traffic
-// serialize on the single master while the per-pair DP stays cheap —
-// the regime LSH sharding exists to fix. Fixed-seed, so the simulated
-// makespans are exactly reproducible.
+// ShardCorpus is the master-bound input: many short, highly redundant
+// sequences, so pair filtering and verdict traffic serialize on the
+// single master while the per-pair DP stays cheap. Fixed-seed, so the
+// simulated makespans are exactly reproducible.
 func ShardCorpus() *seq.Set {
 	set, _ := workload.Generate(workload.Params{
 		Families: 120, MeanFamilySize: 70, MeanLength: 32,
@@ -27,28 +25,4 @@ func ShardCorpus() *seq.Set {
 func ShardConfig() profam.Config {
 	return profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3,
 		BatchPairs: 128, BatchTasks: 32, ThreadsPerRank: 16}
-}
-
-// ShardSpeedup runs the pipeline on the virtual-time simulator at p
-// ranks twice — single-master and sharded — and returns both makespans
-// plus their ratio. Deterministic: same inputs always produce the same
-// numbers.
-func ShardSpeedup(set *seq.Set, cfg profam.Config, p, shards int, cm mpi.CostModel) (single, sharded, speedup float64, err error) {
-	profam.RegisterWireTypes()
-	run := func(s int) (float64, error) {
-		c := cfg
-		c.Shards = s
-		return mpi.RunSim(p, cm, func(comm *mpi.Comm) {
-			if _, e := profam.RunPipelineOn(comm, set, c); e != nil {
-				panic(e)
-			}
-		})
-	}
-	if single, err = run(1); err != nil {
-		return 0, 0, 0, err
-	}
-	if sharded, err = run(shards); err != nil {
-		return 0, 0, 0, err
-	}
-	return single, sharded, single / sharded, nil
 }

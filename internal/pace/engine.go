@@ -703,25 +703,13 @@ func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, er
 // cross the epoch boundary (see DESIGN.md §9). The returned keep mask
 // covers the whole set on all ranks.
 func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, prior []bool, newFrom int, cfg Config) ([]bool, Stats, error) {
-	return redundancyRemoval(c, set, prior, newFrom, cfg, "rr")
-}
-
-// RedundancyRemovalPhase is RedundancyRemoval under a caller-chosen phase
-// label: every counter and span the phase emits carries the label instead
-// of "rr", which is how sharded runs keep per-shard series ("rr@s3")
-// apart in one registry and attribute stragglers to shards in the trace.
-func RedundancyRemovalPhase(c *mpi.Comm, set *seq.Set, cfg Config, phase string) ([]bool, Stats, error) {
-	return redundancyRemoval(c, set, nil, 0, cfg, phase)
-}
-
-func redundancyRemoval(c *mpi.Comm, set *seq.Set, prior []bool, newFrom int, cfg Config, phase string) ([]bool, Stats, error) {
 	cfg = cfg.withDefaults()
 	cfg.NewFrom = newFrom
 	ml := &rrMaster{redundant: make([]bool, set.Len())}
 	if prior != nil {
 		copy(ml.redundant, prior)
 	}
-	st, err := runPhase(c, set, ml, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, cfg, phase)
+	st, err := runPhase(c, set, ml, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, cfg, "rr")
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -757,17 +745,6 @@ func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]
 // over the kept subset (nil on other ranks) so the caller can commit it
 // as the next epoch's prior.
 func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, Stats, error) {
-	return connectedComponents(c, set, keep, prior, newFrom, cfg, "ccd")
-}
-
-// ConnectedComponentsPhase is ConnectedComponents under a caller-chosen
-// phase label (see RedundancyRemovalPhase), returning the rank-0
-// union–find alongside the labels like ConnectedComponentsFrom.
-func ConnectedComponentsPhase(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config, phase string) ([]int32, *unionfind.UF, Stats, error) {
-	return connectedComponents(c, set, keep, nil, 0, cfg, phase)
-}
-
-func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfind.UF, newFrom int, cfg Config, phase string) ([]int32, *unionfind.UF, Stats, error) {
 	cfg = cfg.withDefaults()
 	// Build the kept-subset view identically on every rank.
 	var ids []int
@@ -796,7 +773,7 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfin
 		uf.Extend(sub.Len())
 	}
 	ml := &ccMaster{uf: uf, disableFilter: cfg.DisableClosureFilter}
-	st, err := runPhase(c, sub, ml, ccWorker{params: cfg.Overlap, exact: cfg.ExactAlign}, cfg, phase)
+	st, err := runPhase(c, sub, ml, ccWorker{params: cfg.Overlap, exact: cfg.ExactAlign}, cfg, "ccd")
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}

@@ -2,8 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -42,24 +42,9 @@ func (e *httpError) Error() string { return e.msg }
 //	GET  /readyz                    readiness (503 once shutdown begins)
 //	GET  /metrics                   Prometheus text exposition
 func (s *Server) Handler() http.Handler {
-	return s.handler(true)
-}
-
-// BareHandler is Handler without the telemetry middleware. It exists
-// for the benchjson observability-overhead benchmark, which compares
-// the instrumented and bare handler paths to pin
-// service_obs_overhead_ratio.
-func (s *Server) BareHandler() http.Handler {
-	return s.handler(false)
-}
-
-func (s *Server) handler(instrumented bool) http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern, route string, h http.HandlerFunc) {
-		if instrumented {
-			h = s.instrument(route, h)
-		}
-		mux.HandleFunc(pattern, h)
+		mux.HandleFunc(pattern, s.instrument(route, h))
 	}
 	handle("POST /v1/sequences", "ingest", s.handleIngest)
 	handle("GET /v1/families", "families", s.handleFamilies)
@@ -111,8 +96,7 @@ func (sw *statusWriter) WriteHeader(code int) {
 // The histogram and the 200-code counter are resolved once at wrap
 // time and other codes are cached after their first request, so the
 // steady-state per-request cost is two clock reads and two atomic
-// bumps — no name formatting or registry lock on the hot path. That
-// is what keeps service_obs_overhead_ratio under its benchjson gate.
+// bumps — no name formatting or registry lock on the hot path.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	lat := s.reg.Histogram(metrics.Name("server_http_latency_us", "route", route))
 	counterFor := func(code int) *metrics.Counter {
@@ -166,13 +150,28 @@ type ingestRequest struct {
 	} `json:"sequences"`
 }
 
+// maxIngestBytes caps one ingest body of either content type. A body
+// past it is refused whole with 413, never committed truncated.
+var maxIngestBytes int64 = 1 << 30
+
+// bodyErr maps an ingest decode error to its HTTP error: 413 when the
+// body overran maxIngestBytes, 400 otherwise.
+func bodyErr(what string, err error) *httpError {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+	}
+	return &httpError{http.StatusBadRequest, "bad " + what + ": " + err.Error()}
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var names, seqs []string
+	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
 		var req ingestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "bad JSON: " + err.Error()})
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			writeErr(w, bodyErr("JSON", err))
 			return
 		}
 		for _, sq := range req.Sequences {
@@ -181,9 +180,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		// Anything else is treated as FASTA.
-		set, err := seq.ReadFASTA(io.LimitReader(r.Body, 1<<30))
+		set, err := seq.ReadFASTA(body)
 		if err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "bad FASTA: " + err.Error()})
+			writeErr(w, bodyErr("FASTA", err))
 			return
 		}
 		for _, sq := range set.Seqs {

@@ -215,6 +215,41 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedBody checks that a body past maxIngestBytes
+// is refused whole with 413 under both content types: no truncated
+// final record may commit as a shorter sequence.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	defer func(n int64) { maxIngestBytes = n }(maxIngestBytes)
+	maxIngestBytes = 64
+	_, ts := newTestServer(t, Config{BatchWait: 10 * time.Millisecond})
+
+	res := strings.Repeat("MKVLWAALLG", 5)
+	fasta := ">a\n" + res + "\n>b\n" + res + "\n"
+	if code, out := post(t, ts.URL+"/v1/sequences", "application/x-fasta", strings.NewReader(fasta)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized FASTA = %d (%v), want 413", code, out)
+	}
+	js := `{"sequences":[{"name":"c","residues":"` + res + `"}]}`
+	if code, out := post(t, ts.URL+"/v1/sequences", "application/json", strings.NewReader(js)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized JSON = %d (%v), want 413", code, out)
+	}
+	if code, out := post(t, ts.URL+"/v1/sequences", "application/x-fasta", strings.NewReader(">d\n"+res+"\n")); code != http.StatusOK {
+		t.Fatalf("in-limit FASTA = %d (%v), want 200", code, out)
+	}
+	code, body := get(t, ts.URL+"/v1/status")
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	var st struct {
+		Sequences int `json:"sequences"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Sequences != 1 {
+		t.Errorf("corpus has %d sequences, want only the in-limit one", st.Sequences)
+	}
+}
+
 // serverHammer is the shared body of the race-hammer tests: writers
 // ingest while readers pound every query endpoint.
 func serverHammer(t *testing.T, writers, queriesPerReader int) {

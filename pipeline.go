@@ -51,7 +51,6 @@ func RegisterWireTypes() {
 	mpi.RegisterType(trace.RankTrace{})
 	mpi.RegisterType(trace.Timeline{})
 	mpi.RegisterType(false) // abort-decision broadcast
-	registerShardWireTypes()
 }
 
 // famEntry is one family-cache record: the exact member list of a
@@ -202,15 +201,6 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		return nil, nil, err
 	}
 
-	if cfg.Shards > 1 {
-		// Sharded epochs run cold over the union corpus (DESIGN.md §7f):
-		// the shard partition is recomputed from scratch each epoch and is
-		// not a refinement of the prior epoch's, so incremental RR/CCD
-		// state does not transfer. Dropping prior here makes every later
-		// stage (family cache, epoch accounting) see a cold run, which is
-		// exactly the determinism contract the ledger certifies.
-		prior = nil
-	}
 	var priorRedundant []bool
 	newFrom := 0
 	if prior != nil {
@@ -220,110 +210,79 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 
 	// Phases 1+2. The start instant carries the corpus shape so an
 	// epoch's timeline is self-describing (both counts are rank-identical,
-	// so the canonical trace stays thread-invariant). With Shards > 1 both
-	// phases run as per-shard sub-problems in rank groups plus a
-	// cross-shard boundary pass (shard.go); otherwise a single master
-	// drives each phase over the whole corpus.
+	// so the canonical trace stays thread-invariant).
 	tracer.Instant(trace.CatPipeline, "phase:start", "corpus", int64(set.Len()), "new", int64(set.Len()-newFrom))
-	var keep []bool
-	var comp []int32
-	var ccUF *unionfind.UF
-	var rrStats, ccStats pace.Stats
-	if cfg.Shards > 1 {
-		keep, comp, ccUF, rrStats, ccStats, err = runShardedPhases(c, set, cfg, pcfg, reg, tracer, log)
-		if err != nil {
-			return nil, nil, err
+
+	// Phase 1: redundancy removal.
+	tracer.Instant(trace.CatPipeline, "phase:rr", "", 0, "", 0)
+	rrSpan := reg.StartSpan("rr")
+	keep, rrStats, err := pace.RedundancyRemovalFrom(c, set, priorRedundant, newFrom, pcfg)
+	rrSpan.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	probeHeapPeak(c, reg)
+	res.Keep = keep
+	res.RR = fromPace(rrStats)
+	for _, k := range keep {
+		if k {
+			res.NumNonRedundant++
 		}
-		probeHeapPeak(c, reg)
-		res.Keep = keep
-		res.RR = fromPace(rrStats)
-		for _, k := range keep {
-			if k {
-				res.NumNonRedundant++
+	}
+	if c.Rank() == 0 {
+		log.Info("redundancy removal done",
+			"kept", res.NumNonRedundant, "of", res.NumInput,
+			"aligned", rrStats.PairsAligned, "t", c.Time())
+	}
+
+	if err = checkAbort(); err != nil {
+		return nil, nil, err
+	}
+
+	// Incremental CCD is sound only while every previously-kept
+	// sequence stays kept: union–find can merge but never split. If a
+	// new arrival demoted an old sequence (contains it), fall back to a
+	// cold CCD for this epoch. The scan runs on every rank over the
+	// broadcast keep mask, so the fallback decision is collective for
+	// free.
+	ccPrior, ccNewFrom := (*unionfind.UF)(nil), 0
+	if prior != nil {
+		demoted := false
+		for i := 0; i < prior.newFrom; i++ {
+			if !prior.redundant[i] && !keep[i] {
+				demoted = true
+				break
 			}
 		}
-		res.CCD = fromPace(ccStats)
-		res.Components = pace.ComponentsBySize(comp, cfg.MinComponentSize)
-		if c.Rank() == 0 {
-			log.Info("sharded phases 1+2 done",
-				"kept", res.NumNonRedundant, "of", res.NumInput,
-				"components", len(res.Components), "t", c.Time())
-		}
-		if err = checkAbort(); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		// Phase 1: redundancy removal.
-		tracer.Instant(trace.CatPipeline, "phase:rr", "", 0, "", 0)
-		rrSpan := reg.StartSpan("rr")
-		keep, rrStats, err = pace.RedundancyRemovalFrom(c, set, priorRedundant, newFrom, pcfg)
-		rrSpan.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		probeHeapPeak(c, reg)
-		res.Keep = keep
-		res.RR = fromPace(rrStats)
-		for _, k := range keep {
-			if k {
-				res.NumNonRedundant++
+		if demoted {
+			if c.Rank() == 0 {
+				reg.Counter("pipeline_epoch_demotions").Add(1)
+				log.Info("prior sequence demoted by new arrival; cold CCD rebuild", "t", c.Time())
 			}
+		} else {
+			ccPrior, ccNewFrom = prior.uf, prior.newFrom
 		}
-		if c.Rank() == 0 {
-			log.Info("redundancy removal done",
-				"kept", res.NumNonRedundant, "of", res.NumInput,
-				"aligned", rrStats.PairsAligned, "t", c.Time())
-		}
+	}
 
-		if err = checkAbort(); err != nil {
-			return nil, nil, err
-		}
+	// Phase 2: connected components over the non-redundant set.
+	tracer.Instant(trace.CatPipeline, "phase:ccd", "", 0, "", 0)
+	ccdSpan := reg.StartSpan("ccd")
+	comp, ccUF, ccStats, err := pace.ConnectedComponentsFrom(c, set, keep, ccPrior, ccNewFrom, pcfg)
+	ccdSpan.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	probeHeapPeak(c, reg)
+	res.CCD = fromPace(ccStats)
+	res.Components = pace.ComponentsBySize(comp, cfg.MinComponentSize)
+	if c.Rank() == 0 {
+		log.Info("connected components done",
+			"components", len(res.Components),
+			"aligned", ccStats.PairsAligned, "t", c.Time())
+	}
 
-		// Incremental CCD is sound only while every previously-kept
-		// sequence stays kept: union–find can merge but never split. If a
-		// new arrival demoted an old sequence (contains it), fall back to a
-		// cold CCD for this epoch. The scan runs on every rank over the
-		// broadcast keep mask, so the fallback decision is collective for
-		// free.
-		ccPrior, ccNewFrom := (*unionfind.UF)(nil), 0
-		if prior != nil {
-			demoted := false
-			for i := 0; i < prior.newFrom; i++ {
-				if !prior.redundant[i] && !keep[i] {
-					demoted = true
-					break
-				}
-			}
-			if demoted {
-				if c.Rank() == 0 {
-					reg.Counter("pipeline_epoch_demotions").Add(1)
-					log.Info("prior sequence demoted by new arrival; cold CCD rebuild", "t", c.Time())
-				}
-			} else {
-				ccPrior, ccNewFrom = prior.uf, prior.newFrom
-			}
-		}
-
-		// Phase 2: connected components over the non-redundant set.
-		tracer.Instant(trace.CatPipeline, "phase:ccd", "", 0, "", 0)
-		ccdSpan := reg.StartSpan("ccd")
-		comp, ccUF, ccStats, err = pace.ConnectedComponentsFrom(c, set, keep, ccPrior, ccNewFrom, pcfg)
-		ccdSpan.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		probeHeapPeak(c, reg)
-		res.CCD = fromPace(ccStats)
-		res.Components = pace.ComponentsBySize(comp, cfg.MinComponentSize)
-		if c.Rank() == 0 {
-			log.Info("connected components done",
-				"components", len(res.Components),
-				"aligned", ccStats.PairsAligned, "t", c.Time())
-		}
-
-		if err = checkAbort(); err != nil {
-			return nil, nil, err
-		}
+	if err = checkAbort(); err != nil {
+		return nil, nil, err
 	}
 
 	// Family cache: a component whose membership is unchanged from the

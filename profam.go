@@ -98,25 +98,6 @@ type Config struct {
 	// Seed drives the min-wise permutation family (default fixed).
 	Seed int64
 
-	// Shards > 1 enables LSH similarity sharding: a MinHash signature
-	// phase assigns every sequence a primary shard, the communicator is
-	// split into rank groups that each run their own master–worker RR and
-	// CCD over one shard's sequences (N masters concurrently instead of
-	// one), and a masterless boundary pass aligns cross-shard promising
-	// pairs before the verdicts are merged globally (see DESIGN.md §7f).
-	// 1 (and 0, the default) is the single-master pipeline, unchanged.
-	Shards int
-	// ShardBands and ShardRows shape the LSH banding of the signature
-	// phase: ShardBands·ShardRows MinHash rows, folded into ShardBands
-	// band buckets. Sequences colliding in any band cluster together
-	// (transitively), and whole clusters are placed largest-first onto
-	// the least-loaded shard (defaults 8 and 2).
-	ShardBands, ShardRows int
-	// ShardSeed seeds the splitmix64-derived permutation family behind
-	// shard assignment (minhash.NewFamilyFixed — fingerprint-stable by
-	// construction, independent of math/rand; default 20081117).
-	ShardSeed int64
-
 	// BatchPairs/BatchTasks tune the master–worker exchange granularity.
 	BatchPairs, BatchTasks int
 
@@ -201,18 +182,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 20081117
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.ShardBands == 0 {
-		c.ShardBands = 8
-	}
-	if c.ShardRows == 0 {
-		c.ShardRows = 2
-	}
-	if c.ShardSeed == 0 {
-		c.ShardSeed = 20081117
-	}
 	return c
 }
 
@@ -224,11 +193,10 @@ func (c Config) withDefaults() Config {
 // families are certified identical across them.
 func (c Config) epochFingerprint() string {
 	d := c.withDefaults()
-	return fmt.Sprintf("psi=%d ci=%g cc=%g os=%g oc=%g es=%g red=%d w=%d s1=%d c1=%d s2=%d c2=%d tau=%g mc=%d mf=%d seed=%d shards=%d sb=%d sr=%d ss=%d",
+	return fmt.Sprintf("psi=%d ci=%g cc=%g os=%g oc=%g es=%g red=%d w=%d s1=%d c1=%d s2=%d c2=%d tau=%g mc=%d mf=%d seed=%d",
 		d.Psi, d.ContainIdentity, d.ContainCoverage, d.OverlapSimilarity, d.OverlapCoverage,
 		d.EdgeSimilarity, d.Reduction, d.W, d.S1, d.C1, d.S2, d.C2, d.Tau,
-		d.MinComponentSize, d.MinFamilySize, d.Seed,
-		d.Shards, d.ShardBands, d.ShardRows, d.ShardSeed)
+		d.MinComponentSize, d.MinFamilySize, d.Seed)
 }
 
 // Fingerprint exposes the epoch fingerprint for provenance records: two
