@@ -47,10 +47,10 @@ type phaseOutputs struct {
 }
 
 // runPhases executes RR, CCD and B_d construction on p simulated ranks
-// with the integration tests' thresholds, on the production cascade or —
-// with exact — the full-matrix reference arm. That arm exists only on
-// the internal phase configs, so the tests drive it there: pace RR + CCD,
-// then bipartite.BuildBd per component.
+// with the integration tests' thresholds, with RR on the production
+// containment cascade or — with exact — the full-matrix reference arm.
+// That arm exists only on the internal pace config, so the tests drive
+// the phases there: pace RR + CCD, then bipartite.BuildBd per component.
 func runPhases(t *testing.T, set *seq.Set, p, threads int, exact bool) phaseOutputs {
 	t.Helper()
 	var out phaseOutputs
@@ -74,7 +74,7 @@ func runPhases(t *testing.T, set *seq.Set, p, threads int, exact bool) phaseOutp
 		out.cells = rr.Cells + cc.Cells
 		comps := pace.ComponentsBySize(comp, 3)
 		out.components = fmt.Sprint(comps)
-		bcfg := bipartite.Config{Psi: 6, ExactAlign: exact}
+		bcfg := bipartite.Config{Psi: 6}
 		var edges strings.Builder
 		for _, members := range comps {
 			g, st, err := bipartite.BuildBd(set, members, bcfg)

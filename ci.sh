@@ -8,6 +8,9 @@
 #                       (skipped automatically when the host is too noisy)
 #   ./ci.sh lint        staticcheck + govulncheck (skipped with a notice
 #                       when the binaries are not installed)
+#   ./ci.sh fuzz        coverage-guided fuzzing: every Fuzz* target in the
+#                       module runs for 10 s (plain `go test` only replays
+#                       their seed corpora)
 #   ./ci.sh e2e         service gate: boot profamd, ingest a datagen corpus
 #                       over HTTP in waves, diff the served families
 #                       against a cold profam run on the union corpus, and
@@ -41,6 +44,20 @@ if [ "${1:-}" = "lint" ]; then
 	fi
 	[ "$status" -eq 0 ] && echo "ci.sh: lint passed"
 	exit "$status"
+fi
+
+if [ "${1:-}" = "fuzz" ]; then
+	# -fuzzminimizetime keeps a new interesting input from spending the
+	# default minute in the minimiser.
+	for pkg in $(go list ./...); do
+		for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
+			echo "== fuzz $pkg $target =="
+			go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s \
+				-fuzzminimizetime 2s "$pkg"
+		done
+	done
+	echo "ci.sh: fuzz passed"
+	exit 0
 fi
 
 if [ "${1:-}" = "e2e" ]; then

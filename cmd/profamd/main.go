@@ -46,6 +46,12 @@ import (
 	"profam/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a connection that never finishes them cannot hold
+// a socket and a goroutine forever. Bodies and responses stay unbounded:
+// POST /v1/sequences legitimately blocks until its epoch publishes.
+var readHeaderTimeout = 10 * time.Second
+
 func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -143,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 			return err
 		}
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logger.Info("profamd serving", "addr", ln.Addr().String(),

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -37,19 +39,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		}, io.Discard, io.Discard, sig)
 	}()
 
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
-			addr = string(b)
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatal("daemon never wrote its address file")
-	}
-	base := "http://" + addr
+	base := "http://" + waitAddr(t, addrFile)
 
 	resp, err := http.Get(base + "/readyz")
 	if err != nil {
@@ -133,6 +123,60 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(string(tb), "traceEvents") {
 		t.Errorf("persisted trace is not Chrome JSON: %s", summarize(tb))
+	}
+}
+
+// waitAddr polls the daemon's -addr-file until it holds the bound
+// listen address.
+func waitAddr(t *testing.T, addrFile string) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
+			return string(b)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("daemon never wrote its address file")
+	return ""
+}
+
+// TestDaemonHeaderTimeout: a client that sends half a request line and
+// then stalls must be disconnected once the header timeout expires,
+// instead of holding its socket open indefinitely.
+func TestDaemonHeaderTimeout(t *testing.T) {
+	saved := readHeaderTimeout
+	readHeaderTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = saved })
+
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	sig := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-log-level", "error"},
+			io.Discard, io.Discard, sig)
+	}()
+	defer func() {
+		sig <- syscall.SIGTERM
+		if err := <-done; err != nil {
+			t.Errorf("daemon exited with error: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", waitAddr(t, addrFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/sta"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("server kept a stalled partial request open for 2s")
+		}
 	}
 }
 

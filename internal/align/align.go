@@ -133,10 +133,6 @@ type Aligner struct {
 	trace                  []byte // (lenA+1) * (lenB+1); allocated lazily by Align only
 	stride                 int
 
-	// cached max(0, largest substitution score), for cascade bounds
-	maxSub    int32
-	maxSubSet bool
-
 	// Cells counts DP cells computed across the Aligner's lifetime; the
 	// pipeline uses it as the machine-independent work measure that the
 	// virtual-time scheduler charges for.

@@ -90,10 +90,10 @@ func TestScoreKernelsLazyTrace(t *testing.T) {
 	}
 }
 
-// TestCascadeWarmAllocs: the cascade's certified reject stages — the
-// banded max-matches DP and the anchored banded local score — must be
-// allocation-free once the aligner's buffers are warm, so a stream of
-// rejected pairs costs only the DP itself.
+// TestCascadeWarmAllocs: the containment cascade and its certified
+// banded max-matches stage must be allocation-free once the aligner's
+// buffers are warm, so a stream of rejected pairs costs only the DP
+// itself.
 func TestCascadeWarmAllocs(t *testing.T) {
 	al := NewAligner(Blosum62(11, 1))
 	rng := rand.New(rand.NewSource(99))
@@ -108,9 +108,8 @@ func TestCascadeWarmAllocs(t *testing.T) {
 		t.Fatalf("test setup: containment decided at %v, want banded", st)
 	}
 	warm := map[string]func(){
-		"fitMatchesPossible":       func() { al.fitMatchesPossible(a, b, -7, 37, 143) },
-		"LocalScoreBandedAnchored": func() { al.LocalScoreBandedAnchored(a, b, seed.Diag(), cascadeLocalBand) },
-		"ContainedCascade":         func() { al.ContainedCascade(a, b, cp, seed) },
+		"fitMatchesPossible": func() { al.fitMatchesPossible(a, b, -7, 37, 143) },
+		"ContainedCascade":   func() { al.ContainedCascade(a, b, cp, seed) },
 	}
 	for name, fn := range warm {
 		fn() // warm the scratch buffers

@@ -2,25 +2,24 @@ package align
 
 import "math"
 
-// This file implements the seed-anchored alignment cascade: cheap,
-// *provable* accept/reject stages that run before the full O(n·m)
-// dynamic program. Every decision a cascade stage makes is certified —
+// This file implements the containment cascade: cheap, *provable*
+// reject stages that run before the full O(n·m) fit alignment of
+// Definition 1. Every decision a cascade stage makes is certified —
 // backed by a bound that holds for all alignments, not a heuristic — so
-// the cascade predicates return exactly the same verdicts as the exact
-// predicates in predicates.go, byte for byte, while computing a small
-// fraction of the DP cells on typical promising-pair workloads.
+// ContainedCascade returns exactly Contained's verdict, byte for byte,
+// while computing a small fraction of the DP cells on typical
+// promising-pair workloads.
 //
 // The stages, in order of increasing cost:
 //
-//  1. Prefilters (zero DP cells): residue-composition match bounds,
-//     length-ratio bounds, forced-gap score ceilings against a seed-run
-//     score floor.
+//  1. Prefilter (zero DP cells): the residue-composition match bound.
 //  2. Banded DP (O(band·n) cells): a max-matches DP over the diagonal
-//     band that any accepting Definition-1 alignment provably occupies,
-//     or a seed-anchored banded local score exceeding the accepting
-//     ceiling for Definition 2.
+//     band that any accepting Definition-1 alignment provably occupies.
 //  3. The unchanged exact DP from predicates.go, for every pair the
 //     first two stages cannot decide — in particular every positive.
+//
+// Definition 2 has no cascade: no stage ever decided an overlap verdict
+// on any corpus the repository measures, so Overlaps runs directly.
 //
 // thresholdSlack absorbs the float rounding of the predicates' ratio
 // comparisons when thresholds are turned into integer bounds. It only
@@ -32,10 +31,10 @@ const thresholdSlack = 1e-9
 // SeedMatch is the maximal exact match that made a sequence pair
 // "promising": a[PosA : PosA+Len] equals b[PosB : PosB+Len], and the
 // match extends in neither direction. The pair-generation phase (suffix
-// tree or ESA) carries it down to the aligner so cascade kernels can
-// anchor their band on the seed diagonal. The zero SeedMatch is valid —
-// it merely provides no anchor, and every kernel stays correct (just
-// potentially slower) under arbitrary, even bogus, seed coordinates.
+// tree or ESA) carries it down to the aligner so kernels such as
+// LocalScoreBandedAnchored can anchor their band on the seed diagonal.
+// The zero SeedMatch is valid — it merely provides no anchor, and every
+// kernel stays correct under arbitrary, even bogus, seed coordinates.
 type SeedMatch struct {
 	PosA, PosB int
 	Len        int
@@ -73,37 +72,6 @@ func (s Stage) String() string {
 	return "none"
 }
 
-// minGapCost lower-bounds the affine penalty of any alignment containing
-// k gap columns, however they split into runs: a single run is cheapest
-// when opening costs at least extending, otherwise k runs of one.
-func (al *Aligner) minGapCost(k int) int32 {
-	if k <= 0 {
-		return 0
-	}
-	open, ext := al.sc.GapOpen, al.sc.GapExtend
-	if open >= ext {
-		return open + int32(k-1)*ext
-	}
-	return int32(k) * open
-}
-
-// maxSubScore returns max(0, the largest substitution score in the
-// matrix), cached per aligner.
-func (al *Aligner) maxSubScore() int32 {
-	if !al.maxSubSet {
-		best := int32(0)
-		for i := 0; i < 26; i++ {
-			for j := 0; j < 26; j++ {
-				if v := int32(al.sc.Sub[i][j]); v > best {
-					best = v
-				}
-			}
-		}
-		al.maxSub, al.maxSubSet = best, true
-	}
-	return al.maxSub
-}
-
 // matchUpperBound is the residue-composition bound on match columns: an
 // alignment cannot match more copies of a letter than both sequences
 // hold, whatever the path, so Matches ≤ Σ_c min(count_a(c), count_b(c)).
@@ -124,35 +92,6 @@ func matchUpperBound(a, b []byte) int {
 		}
 	}
 	return int(n)
-}
-
-// seedRunScore is a zero-DP local-score lower bound: the best-scoring
-// contiguous sub-run of the seed's diagonal (Kadane). Any such run is
-// itself a valid gapless local alignment, so its score never exceeds the
-// optimal LocalScore. An out-of-range seed is clamped and, at worst,
-// yields 0 — the empty local alignment, always available.
-func (al *Aligner) seedRunScore(a, b []byte, seed SeedMatch) int32 {
-	pa, pb, l := seed.PosA, seed.PosB, seed.Len
-	if pa < 0 || pb < 0 {
-		return 0
-	}
-	if rest := len(a) - pa; l > rest {
-		l = rest
-	}
-	if rest := len(b) - pb; l > rest {
-		l = rest
-	}
-	var best, run int32
-	for k := 0; k < l; k++ {
-		run += int32(al.sc.Sub[a[pa+k]-'A'][b[pb+k]-'A'])
-		if run < 0 {
-			run = 0
-		}
-		if run > best {
-			best = run
-		}
-	}
-	return best
 }
 
 // fitMatchesPossible reports whether any monotone fit path confined to
@@ -289,48 +228,11 @@ func (al *Aligner) EitherContainedCascade(a, b []byte, p ContainParams, seed See
 	return ok, 1, st
 }
 
-// cascadeLocalBand is the half-width of the seed-anchored banded local
-// score used as a lower bound in OverlapsCascade's banded stage.
-const cascadeLocalBand = 8
-
-// OverlapsCascade computes Overlaps(a, b, p)'s verdict through the
-// cascade, identically to Overlaps but cheaper when a stage can prove
-// the reject. The seed anchors the banded local score and the seed-run
-// score floor; arbitrary (even wrong) seeds only weaken the bounds.
+// OverlapsCascade is Overlaps with a Stage result. It exists for the
+// benchmark harness's align probe, which counts full-DP verdicts.
+// Definition 2 has no cheap stages: every pair runs the exact local
+// alignment, so the stage is always StageFull and the seed is ignored.
 func (al *Aligner) OverlapsCascade(a, b []byte, p OverlapParams, seed SeedMatch) (bool, Stage) {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return false, StagePrefilter // Overlaps sees zero columns
-	}
-	short, long := n, m
-	if short > long {
-		short, long = long, short
-	}
-	minSim := p.MinSimilarity - thresholdSlack
-	minCov := p.MinLongCoverage - thresholdSlack
-	// Positives ≤ short (each positive column consumes one residue of
-	// each sequence), while accepting needs Positives ≥ MinSimilarity ·
-	// Cols ≥ MinSimilarity · span ≥ MinSimilarity · MinLongCoverage · long.
-	if minSim > 0 && minCov > 0 && float64(short) < minSim*minCov*float64(long) {
-		return false, StagePrefilter
-	}
-	// Forced-gap ceiling: spanning w ≥ ⌈minCov·long⌉ columns of the
-	// longer sequence with at most `short` substitution columns forces
-	// ≥ w−short gap columns, so every accepting alignment scores at most
-	// ub. Any valid local alignment scoring above ub — the seed run for
-	// free, the anchored banded score for O(band·n) — proves the optimal
-	// local alignment is not an accepting one: a certified reject.
-	if minCov > 0 {
-		if w := int(math.Ceil(minCov * float64(long))); w > short {
-			ub := int64(short)*int64(al.maxSubScore()) - int64(al.minGapCost(w-short))
-			if int64(al.seedRunScore(a, b, seed)) > ub {
-				return false, StagePrefilter
-			}
-			if int64(al.LocalScoreBandedAnchored(a, b, seed.Diag(), cascadeLocalBand)) > ub {
-				return false, StageBanded
-			}
-		}
-	}
 	ok, _ := al.Overlaps(a, b, p)
 	return ok, StageFull
 }

@@ -94,10 +94,6 @@ type Config struct {
 	Edge align.OverlapParams
 	// W is the word length for B_m (default 10, per the paper's w ≈ 10).
 	W int
-	// ExactAlign disables the seed-anchored cascade for B_d edge
-	// alignments, running every candidate pair through the full-matrix
-	// Overlaps predicate. Edges are identical either way.
-	ExactAlign bool
 }
 
 func (c Config) withDefaults() Config {
@@ -164,14 +160,7 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 		seen[key] = true
 		st.PairsAligned++
 		a, b := sub.Get(int(p.SeqA)).Res, sub.Get(int(p.SeqB)).Res
-		var ok bool
-		if cfg.ExactAlign {
-			ok, _ = al.Overlaps(a, b, cfg.Edge)
-		} else {
-			seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-			ok, _ = al.OverlapsCascade(a, b, cfg.Edge, seed)
-		}
-		if ok {
+		if ok, _ := al.Overlaps(a, b, cfg.Edge); ok {
 			g.Adj[p.SeqA] = append(g.Adj[p.SeqA], p.SeqB)
 			g.Adj[p.SeqB] = append(g.Adj[p.SeqB], p.SeqA)
 		}

@@ -22,7 +22,10 @@
 // records are kept, the partial tail is discarded (and reported via
 // Recovered), and the file is truncated back to the last good byte so
 // subsequent appends produce a valid log again. Every append is
-// fsynced; at one record per epoch the cost is noise.
+// fsynced; at one record per epoch the cost is noise. Because appends
+// are line-at-a-time, only the last line can be torn: a bad line with
+// more records after it is corruption, not a crash, and Open refuses
+// the file rather than truncate committed history.
 package ledger
 
 import (
@@ -119,11 +122,12 @@ type Ledger struct {
 func NewMemory() *Ledger { return &Ledger{} }
 
 // Open loads (or creates) the ledger at path, replaying every complete
-// record into memory. A truncated trailing line — the signature of a
-// crash mid-append — is tolerated: complete records are kept and the
-// file is truncated back to the end of the last good line so the next
-// Append continues a valid log. An empty path returns a memory-only
-// ledger.
+// record into memory. A truncated or unparsable final line — the
+// signature of a crash mid-append — is tolerated: complete records are
+// kept and the file is truncated back to the end of the last good line
+// so the next Append continues a valid log. A bad line followed by any
+// further non-empty line is an error, and the file is left untouched.
+// An empty path returns a memory-only ledger.
 func Open(path string) (*Ledger, error) {
 	if path == "" {
 		return NewMemory(), nil
@@ -134,22 +138,26 @@ func Open(path string) (*Ledger, error) {
 	}
 	l := &Ledger{path: path, f: f}
 	good := int64(0)
+	bad := 0 // line number of the first unparsable line, 0 if none
 	r := bufio.NewReader(f)
-	for {
+	for lineNo := 1; ; lineNo++ {
 		line, err := r.ReadBytes('\n')
 		complete := err == nil
 		if len(bytes.TrimSpace(line)) > 0 {
+			if bad > 0 {
+				// Only the final line can be torn; content after a bad
+				// line means the bad line is corruption, not a crash.
+				f.Close()
+				return nil, fmt.Errorf("ledger: %s: line %d is corrupt but line %d follows it; refusing to truncate committed records", path, bad, lineNo)
+			}
 			var rec Record
 			if complete && json.Unmarshal(line, &rec) == nil {
 				l.recs = append(l.recs, rec)
 				good += int64(len(line))
 			} else {
-				// Partial or corrupt tail: drop it. Anything after a bad
-				// line is unreachable state from the same torn write.
-				l.recovered = true
-				break
+				bad = lineNo // a torn tail if nothing follows it
 			}
-		} else if complete {
+		} else if complete && bad == 0 {
 			good += int64(len(line))
 		}
 		if err != nil {
@@ -160,6 +168,7 @@ func Open(path string) (*Ledger, error) {
 			break
 		}
 	}
+	l.recovered = bad > 0
 	if l.recovered {
 		if err := f.Truncate(good); err != nil {
 			f.Close()
@@ -173,8 +182,8 @@ func Open(path string) (*Ledger, error) {
 	return l, nil
 }
 
-// Recovered reports whether Open found (and discarded) a truncated
-// trailing line.
+// Recovered reports whether Open found (and discarded) a truncated or
+// unparsable trailing line.
 func (l *Ledger) Recovered() bool {
 	if l == nil {
 		return false

@@ -183,6 +183,93 @@ func TestCorruptMidFileDropsTail(t *testing.T) {
 	}
 }
 
+// TestCorruptLineBeforeRecordsIsAnError: appends are line-at-a-time, so
+// only the final line can be torn. A garbage line with a complete record
+// after it is corruption: Open must refuse the file and leave every byte
+// of it in place instead of truncating the later record away.
+func TestCorruptLineBeforeRecordsIsAnError(t *testing.T) {
+	rec1, _ := json.Marshal(sampleRecord(1))
+	rec2, _ := json.Marshal(sampleRecord(2))
+	raw := append(append(append(rec1, '\n'), "{not json\n"...), append(rec2, '\n')...)
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(path)
+	if err == nil {
+		l.Close()
+		t.Fatalf("Open accepted a mid-file corrupt line: len=%d recovered=%v", l.Len(), l.Recovered())
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, raw) {
+		t.Errorf("Open rewrote the file on error:\n got %q\nwant %q", got, raw)
+	}
+}
+
+// FuzzLedgerOpen replays arbitrary file contents. Open must never panic;
+// on error the file must be untouched; on success the file must be a
+// prefix of the input holding records that re-encode stably, and one
+// Append must survive a reopen.
+func FuzzLedgerOpen(f *testing.F) {
+	old, err := os.ReadFile("testdata/ledger_pr15.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
+	f.Add(old[:len(old)-len(old)/4]) // torn tail
+	second := bytes.IndexByte(old, '\n') + 1
+	f.Add(append(append(bytes.Clone(old[:second]), "{not json\n"...), old[second:]...)) // mid-file corruption
+	f.Add([]byte{})
+	f.Add([]byte("null\n \n{}"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		path := filepath.Join(t.TempDir(), "ledger.jsonl")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(path)
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(got, in) {
+				t.Fatalf("Open failed (%v) and changed the file:\n got %q\nwant %q", err, got, in)
+			}
+			return
+		}
+		if !bytes.HasPrefix(in, got) {
+			t.Fatalf("file after Open is not a prefix of the input:\n got %q\n  in %q", got, in)
+		}
+		for i, rec := range l.Records() {
+			enc, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			var back Record
+			if err := json.Unmarshal(enc, &back); err != nil {
+				t.Fatalf("record %d does not decode: %v", i, err)
+			}
+			if again, _ := json.Marshal(back); !bytes.Equal(again, enc) {
+				t.Fatalf("record %d does not round-trip:\n%s\n%s", i, enc, again)
+			}
+		}
+		n := l.Len()
+		if err := l.Append(sampleRecord(n + 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopen after Append: %v", err)
+		}
+		defer l2.Close()
+		if l2.Len() != n+1 {
+			t.Fatalf("reopen after Append: %d records, want %d", l2.Len(), n+1)
+		}
+	})
+}
+
 func TestMemoryOnlyLedger(t *testing.T) {
 	l, err := Open("")
 	if err != nil {

@@ -27,18 +27,3 @@ func ExampleRunSim() {
 	// Output:
 	// makespan: 7s
 }
-
-// ExampleComm_AllreduceInt64 sums each rank's contribution everywhere.
-func ExampleComm_AllreduceInt64() {
-	_, err := mpi.RunSim(4, mpi.CostModel{}, func(c *mpi.Comm) {
-		total := c.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 { return a + b })
-		if c.Rank() == 0 {
-			fmt.Printf("sum of ranks: %d\n", total)
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	// Output:
-	// sum of ranks: 6
-}

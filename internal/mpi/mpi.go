@@ -285,36 +285,6 @@ func (c *Comm) Gather(root int, data any) []any {
 	return nil
 }
 
-// AllGather collects each rank's data on every rank, indexed by rank
-// (Gather followed by a broadcast of the assembled slice).
-func (c *Comm) AllGather(data any) []any {
-	all := c.Gather(0, data)
-	out := c.Bcast(0, all)
-	if out == nil {
-		return nil
-	}
-	return out.([]any)
-}
-
-// Scatter distributes parts[i] from root to rank i and returns this
-// rank's part. Only root's parts argument is consulted; it must have
-// exactly Size elements.
-func (c *Comm) Scatter(root int, parts []any) any {
-	tag := c.nextCollTag()
-	if c.Rank() == root {
-		if len(parts) != c.Size() {
-			panic(fmt.Sprintf("mpi: Scatter needs %d parts, got %d", c.Size(), len(parts)))
-		}
-		for i := 0; i < c.Size(); i++ {
-			if i != root {
-				c.send(i, tag, parts[i])
-			}
-		}
-		return parts[root]
-	}
-	return c.recv(root, tag).Data
-}
-
 // ReduceInt64 folds every rank's value with op at root (op must be
 // associative and commutative); other ranks receive 0.
 func (c *Comm) ReduceInt64(root int, v int64, op func(a, b int64) int64) int64 {
@@ -330,35 +300,19 @@ func (c *Comm) ReduceInt64(root int, v int64, op func(a, b int64) int64) int64 {
 	return 0
 }
 
-// AllreduceInt64 is ReduceInt64 followed by a broadcast of the result.
-func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) int64 {
-	r := c.ReduceInt64(0, v, op)
-	return c.Bcast(0, r).(int64)
-}
-
-// ReduceFloat64 folds every rank's value with op at root; other ranks
-// receive 0.
-func (c *Comm) ReduceFloat64(root int, v float64, op func(a, b float64) float64) float64 {
-	tag := c.nextCollTag()
-	if c.Rank() == root {
-		acc := v
-		for i := 1; i < c.Size(); i++ {
-			acc = op(acc, c.recv(Any, tag).Data.(float64))
-		}
-		return acc
-	}
-	c.send(root, tag, v)
-	return 0
-}
-
 // MaxFloat64 is a convenience Allreduce-max, used to compute a job's
-// makespan (the maximum per-rank finish time).
+// makespan (the maximum per-rank finish time): rank 0 folds every rank's
+// value, then broadcasts the maximum.
 func (c *Comm) MaxFloat64(v float64) float64 {
-	r := c.ReduceFloat64(0, v, func(a, b float64) float64 {
-		if a > b {
-			return a
+	tag := c.nextCollTag()
+	if c.Rank() == 0 {
+		for i := 1; i < c.Size(); i++ {
+			if x := c.recv(Any, tag).Data.(float64); x > v {
+				v = x
+			}
 		}
-		return b
-	})
-	return c.Bcast(0, r).(float64)
+	} else {
+		c.send(0, tag, v)
+	}
+	return c.Bcast(0, v).(float64)
 }

@@ -73,7 +73,7 @@ func TestCollectives(t *testing.T) {
 				} else if all != nil {
 					panic("non-root gather should be nil")
 				}
-				sum := c.AllreduceInt64(int64(c.Rank()+1), func(a, b int64) int64 { return a + b })
+				sum := c.Bcast(0, c.ReduceInt64(0, int64(c.Rank()+1), func(a, b int64) int64 { return a + b })).(int64)
 				want := int64(p * (p + 1) / 2)
 				if sum != want {
 					panic(fmt.Sprintf("allreduce = %d, want %d", sum, want))
@@ -110,52 +110,6 @@ func TestSendToSelf(t *testing.T) {
 	RegisterType("")
 	if err := RunTCP(2, nextPorts(), check); err != nil {
 		t.Fatalf("tcp: %v", err)
-	}
-}
-
-func TestAllGatherAndScatter(t *testing.T) {
-	for _, p := range []int{1, 3, 6} {
-		p := p
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			err := Run(p, func(c *Comm) {
-				all := c.AllGather(c.Rank() * 3)
-				if len(all) != p {
-					panic(fmt.Sprintf("allgather returned %d entries", len(all)))
-				}
-				for i, v := range all {
-					if v.(int) != i*3 {
-						panic(fmt.Sprintf("allgather[%d] = %v", i, v))
-					}
-				}
-				var parts []any
-				if c.Rank() == 0 {
-					for i := 0; i < p; i++ {
-						parts = append(parts, fmt.Sprintf("part-%d", i))
-					}
-				}
-				mine := c.Scatter(0, parts)
-				if mine.(string) != fmt.Sprintf("part-%d", c.Rank()) {
-					panic(fmt.Sprintf("scatter gave %v to rank %d", mine, c.Rank()))
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestScatterValidation(t *testing.T) {
-	err := Run(1, func(c *Comm) {
-		defer func() {
-			if recover() == nil {
-				panic("Scatter with wrong part count did not panic")
-			}
-		}()
-		c.Scatter(0, []any{1, 2, 3})
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -352,7 +306,7 @@ func TestSimMasterWorkerScaling(t *testing.T) {
 
 func TestSimCollectives(t *testing.T) {
 	_, err := RunSim(4, BlueGeneLike(), func(c *Comm) {
-		v := c.AllreduceInt64(1, func(a, b int64) int64 { return a + b })
+		v := c.Bcast(0, c.ReduceInt64(0, 1, func(a, b int64) int64 { return a + b })).(int64)
 		if v != 4 {
 			panic("allreduce under sim wrong")
 		}
@@ -360,23 +314,6 @@ func TestSimCollectives(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSimSweep(t *testing.T) {
-	ts, err := SimSweep([]int{2, 3, 5}, CostModel{}, func(c *Comm) {
-		c.Advance(1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 3 {
-		t.Fatalf("got %d results", len(ts))
-	}
-	for _, v := range ts {
-		if v != 1 {
-			t.Errorf("sweep makespan = %v, want 1", v)
-		}
 	}
 }
 
@@ -410,7 +347,7 @@ func TestTCPRingAndCollectives(t *testing.T) {
 		if m.Data.(string) != fmt.Sprintf("hello-%d", prev) {
 			panic(fmt.Sprintf("rank %d ring payload %v", c.Rank(), m))
 		}
-		sum := c.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 { return a + b })
+		sum := c.Bcast(0, c.ReduceInt64(0, int64(c.Rank()), func(a, b int64) int64 { return a + b })).(int64)
 		if sum != 3 {
 			panic(fmt.Sprintf("tcp allreduce = %d", sum))
 		}

@@ -314,18 +314,3 @@ func RunSim(p int, cm CostModel, f func(c *Comm)) (makespan float64, err error) 
 	}
 	return makespan, <-errs
 }
-
-// SimSweep runs f for each processor count in ps and returns the
-// makespans in order. It is the driver behind the paper's scaling
-// figures.
-func SimSweep(ps []int, cm CostModel, f func(c *Comm)) ([]float64, error) {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		t, err := RunSim(p, cm, f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
-}

@@ -30,12 +30,12 @@ type phaseCounters struct {
 	batchPairs                *metrics.Histogram // promising pairs per worker→master batch
 	queueDepth                *metrics.Gauge     // high-water mark of the master's pending heap
 	quota                     *metrics.Gauge     // high-water adaptive per-worker task quota
-	// cascadeStage[s] counts pairs decided by cascade stage s
-	// (prefilter/banded/full); cascadeFullCells accumulates what those
-	// pairs would have cost under the exact full-matrix predicates, so
-	// cells-eliminated = cascadeFullCells − pace_align_cells. The series
-	// only appear with the cascade enabled (created lazily on first
-	// staged outcome) so an ExactAlign run never grows them.
+	// cascadeStage[s] counts RR pairs decided by containment-cascade
+	// stage s (prefilter/banded/full); cascadeFullCells accumulates what
+	// those pairs would have cost under the exact full-matrix predicate,
+	// so cells-eliminated = cascadeFullCells − pace_align_cells. The
+	// series only appear with the cascade enabled (created lazily on
+	// first staged outcome), so CCD and an ExactAlign run never grow them.
 	cascadeStage     map[align.Stage]*metrics.Counter
 	cascadeFullCells *metrics.Counter
 	reg              *metrics.Registry
@@ -610,7 +610,17 @@ func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *
 // master's stats on rank 0 (zero Stats elsewhere; callers broadcast what
 // they need). Stats are a read-out of the phase's registry counters —
 // the registry is the one accumulation path.
-func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Config, phase string) (Stats, error) {
+//
+// newFrom > 0 is the representative-pair generation mode behind
+// incremental epochs: pair sources emit only promising pairs with at
+// least one sequence ID ≥ newFrom. IDs below newFrom are the previous
+// epoch's sequences — their pairwise outcomes are already folded into
+// the prior clustering state the caller seeds the master with
+// (RedundancyRemovalFrom / ConnectedComponentsFrom), so re-enumerating
+// them would only rediscover settled verdicts. The suppressed
+// enumeration is counted under pace_pairs_prior. 0 emits every pair —
+// the one-shot batch behavior.
+func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Config, phase string, newFrom int) (Stats, error) {
 	if cfg.Metrics == nil {
 		// Private registry so the counter-backed Stats still work for
 		// direct API callers that don't collect metrics.
@@ -633,7 +643,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 		if err != nil {
 			return Stats{}, err
 		}
-		src := newPairSource(trees, int32(cfg.NewFrom))
+		src := newPairSource(trees, int32(newFrom))
 		treeDone := c.Time()
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
 		runSerial(c, set, ms, wl, src, cfg)
@@ -661,7 +671,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 	if err != nil {
 		return Stats{}, err
 	}
-	src := newPairSource(trees, int32(cfg.NewFrom))
+	src := newPairSource(trees, int32(newFrom))
 	runWorker(c, set, wl, src, cfg, phase)
 	// The enumerating ranks own the raw-pair counter; the master's Stats
 	// read-out gets the total via the reduction below.
@@ -674,9 +684,9 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 
 func addInt64(a, b int64) int64 { return a + b }
 
-// countPriorPairs records how many promising pairs the NewFrom filter
+// countPriorPairs records how many promising pairs the newFrom filter
 // suppressed because both sides predate the current epoch. The counter is
-// created lazily so cold runs (NewFrom == 0) export an unchanged metric
+// created lazily so cold runs (newFrom == 0) export an unchanged metric
 // set.
 func countPriorPairs(cfg Config, phase string, src *pairSource) {
 	if src.prior > 0 {
@@ -704,12 +714,11 @@ func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, er
 // covers the whole set on all ranks.
 func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, prior []bool, newFrom int, cfg Config) ([]bool, Stats, error) {
 	cfg = cfg.withDefaults()
-	cfg.NewFrom = newFrom
 	ml := &rrMaster{redundant: make([]bool, set.Len())}
 	if prior != nil {
 		copy(ml.redundant, prior)
 	}
-	st, err := runPhase(c, set, ml, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, cfg, "rr")
+	st, err := runPhase(c, set, ml, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, cfg, "rr", newFrom)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -757,12 +766,11 @@ func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unio
 			}
 		}
 	}
-	sub, orig := set.Subset(ids)
 	// The pair filter operates in the subset's ID space: kept sequences
 	// are renumbered in ascending original order, so IDs < subNew are
 	// exactly the kept prior-epoch sequences. Computed on every rank so
-	// the collective phase sees identical configs.
-	cfg.NewFrom = subNew
+	// the collective phase sees identical arguments.
+	sub, orig := set.Subset(ids)
 
 	uf := unionfind.New(sub.Len())
 	if prior != nil {
@@ -773,7 +781,7 @@ func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unio
 		uf.Extend(sub.Len())
 	}
 	ml := &ccMaster{uf: uf, disableFilter: cfg.DisableClosureFilter}
-	st, err := runPhase(c, sub, ml, ccWorker{params: cfg.Overlap, exact: cfg.ExactAlign}, cfg, "ccd")
+	st, err := runPhase(c, sub, ml, ccWorker{params: cfg.Overlap}, cfg, "ccd", subNew)
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}

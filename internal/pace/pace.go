@@ -88,20 +88,11 @@ type Config struct {
 	// FIFO instead of decreasing match-length order; used by the
 	// ablation benchmarks.
 	RandomPairOrder bool
-	// NewFrom enables the representative-pair generation mode behind
-	// incremental epochs: when > 0, pair sources emit only promising
-	// pairs with at least one sequence ID ≥ NewFrom. IDs below NewFrom
-	// are the previous epoch's sequences — their pairwise outcomes are
-	// already folded into the prior clustering state the caller seeds
-	// the master with (RedundancyRemovalFrom / ConnectedComponentsFrom),
-	// so re-enumerating them would only rediscover settled verdicts. The
-	// suppressed enumeration is counted under pace_pairs_prior. 0 (the
-	// default) emits every pair — the one-shot batch behavior.
-	NewFrom int
-	// ExactAlign disables the seed-anchored alignment cascade and runs
-	// every assigned pair through the full-matrix predicates. Verdicts
+	// ExactAlign disables RR's containment cascade and runs every
+	// assigned pair through the full-matrix Contained predicate. Verdicts
 	// are identical either way (the cascade only takes provably-safe
 	// shortcuts); this is the reference arm of the determinism tests.
+	// CCD always runs the exact Overlaps predicate.
 	ExactAlign bool
 	// Metrics receives every phase counter, histogram and span; it is
 	// the single accumulation path behind Stats (which is a read-out of
@@ -186,8 +177,8 @@ func (s Stats) WorkReduction() float64 {
 
 // PairItem is one promising pair: sequence IDs plus the coordinates of
 // the maximal match that made it promising (the seed). OffA/OffB locate
-// the match start within each sequence; the cascade anchors its banded
-// kernels on the seed diagonal.
+// the match start within each sequence, and Len orders the master's
+// pending queue (longest match first).
 type PairItem struct {
 	A, B       int32
 	OffA, OffB int32
@@ -199,12 +190,14 @@ type AlignOutcome struct {
 	A, B  int32
 	OK    bool // predicate passed
 	Which int8 // RR only: 0 if A is the contained side, 1 if B
-	// Stage records which cascade stage decided the pair (0 when the
-	// exact path ran instead; see align.Stage).
+	// Stage records which containment-cascade stage decided an RR pair
+	// (0 when the exact path ran instead, and always 0 in CCD; see
+	// align.Stage).
 	Stage int8
 	Cells int64
-	// FullCells is what the exact full-matrix predicate would have cost,
-	// so the master can report the cells the cascade eliminated.
+	// FullCells is what the exact full-matrix predicate would have cost
+	// a staged pair, so the master can report the cells the cascade
+	// eliminated.
 	FullCells int64
 }
 
@@ -380,21 +373,13 @@ func (m *ccMaster) absorb(r AlignOutcome) {
 
 type ccWorker struct {
 	params align.OverlapParams
-	exact  bool
 }
 
 func (w ccWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOutcome {
 	a, b := set.Get(int(p.A)), set.Get(int(p.B))
 	before := al.Cells
-	out := AlignOutcome{A: p.A, B: p.B,
-		FullCells: int64(len(a.Res)) * int64(len(b.Res))}
-	if w.exact {
-		out.OK, _ = al.Overlaps(a.Res, b.Res, w.params)
-	} else {
-		seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-		ok, stage := al.OverlapsCascade(a.Res, b.Res, w.params, seed)
-		out.OK, out.Stage = ok, int8(stage)
-	}
+	out := AlignOutcome{A: p.A, B: p.B}
+	out.OK, _ = al.Overlaps(a.Res, b.Res, w.params)
 	out.Cells = al.Cells - before
 	return out
 }

@@ -10,9 +10,9 @@ import (
 
 // TestPairSeedsAreMaximalMatches drains the worker pair stream for both
 // index backends and asserts the seed coordinates carried on every
-// PairItem — the (OffA, OffB, Len) the cascade anchors its banded
-// kernels on — locate a genuine maximal match: the substrings are equal
-// and the match can extend in neither direction.
+// PairItem — the (OffA, OffB, Len) the worker hands the aligner as its
+// seed — locate a genuine maximal match: the substrings are equal and the
+// match can extend in neither direction.
 func TestPairSeedsAreMaximalMatches(t *testing.T) {
 	set, _ := famSet(t)
 	opt := suffixtree.Options{MinMatch: 6, PrefixLen: 2}

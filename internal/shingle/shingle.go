@@ -105,14 +105,13 @@ func Detect(g *bipartite.Graph, p Params) ([]DenseSubgraph, Stats) {
 	if g.NLeft == 0 {
 		return nil, st
 	}
-	tuples, ops := passOne(g, 0, g.NLeft, p)
+	tuples, ops := passOne(g, p)
 	st.WorkOps = ops
 	return reportFromShingles(g, p, tuples, st)
 }
 
 // shingleTuples is pass I's output, one <first-level shingle, left
-// vertex> pair per entry in ascending vertex order. It doubles as the
-// wire payload of one rank's share in DetectParallel.
+// vertex> pair per entry in ascending vertex order.
 type shingleTuples struct {
 	Hashes []uint64
 	Verts  []int32
@@ -133,14 +132,13 @@ func listKey(a []int32) uint64 {
 // span is a half-open range of tuple positions.
 type span struct{ lo, hi int32 }
 
-// passOne computes the (s1, c1)-shingle set of every left vertex in
-// [lo, hi): per vertex, the distinct shingle hashes in permutation
-// order. A shingle set is a pure function of the adjacency list, so
-// vertices sharing one (the members of a clique in B_d, the words of
+// passOne computes the (s1, c1)-shingle set of every left vertex: per
+// vertex, the distinct shingle hashes in permutation order. A shingle
+// set is a pure function of the adjacency list, so vertices sharing one (the members of a clique in B_d, the words of
 // one conserved domain in B_m) are shingled once: later vertices replay
 // the first one's tuples. It returns the tuples and the number of hash
 // evaluations performed.
-func passOne(g *bipartite.Graph, lo, hi int, p Params) (shingleTuples, int64) {
+func passOne(g *bipartite.Graph, p Params) (shingleTuples, int64) {
 	fam := minhash.NewFamily(p.C1, p.Seed)
 	var t shingleTuples
 	var ops int64
@@ -148,7 +146,7 @@ func passOne(g *bipartite.Graph, lo, hi int, p Params) (shingleTuples, int64) {
 	seen := make(map[uint64]struct{}, p.C1)
 	scratch := make([]uint64, p.S1)
 	var elems []uint64
-	for v := lo; v < hi; v++ {
+	for v := range g.NLeft {
 		adj := g.Adj[v]
 		if len(adj) == 0 {
 			continue
@@ -290,8 +288,7 @@ func passTwo(f firstLevel, p Params, st *Stats) []int32 {
 }
 
 // reportFromShingles runs pass II and the reporting stage over the
-// pass-I tuples, which must be in ascending vertex order. Shared by the
-// serial and parallel detectors.
+// pass-I tuples, which must be in ascending vertex order.
 func reportFromShingles(g *bipartite.Graph, p Params, t shingleTuples, st Stats) ([]DenseSubgraph, Stats) {
 	f := groupTuples(t)
 	n, id := f.len(), f.id

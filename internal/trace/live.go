@@ -6,74 +6,34 @@ import (
 	"sync"
 )
 
-// The live set mirrors metrics' live-registry mechanism: a running
-// pipeline registers each rank's tracer so external observers (the CLI's
-// progress ticker, the /metrics endpoint's flush path) can snapshot
-// in-flight state, and a bounded graveyard keeps the final snapshots of
-// failed runs so cmd/profam can still export a timeline when the
-// pipeline errors partway.
+// A bounded graveyard keeps the final per-rank traces of failed runs so
+// cmd/profam can still export a timeline when the pipeline errors
+// partway.
 
 var (
-	liveMu  sync.Mutex
-	live    = map[*Tracer]struct{}{}
-	failed  []RankTrace
-	maxDead = 64 // graveyard bound: one failed 32-rank job, with slack
+	failedMu sync.Mutex
+	failed   []RankTrace
+	maxDead  = 64 // graveyard bound: one failed 32-rank job, with slack
 )
-
-// RegisterLive adds a tracer to the process-wide live set. Nil tracers
-// are ignored.
-func RegisterLive(t *Tracer) {
-	if t == nil {
-		return
-	}
-	liveMu.Lock()
-	live[t] = struct{}{}
-	liveMu.Unlock()
-}
-
-// UnregisterLive removes a tracer from the live set.
-func UnregisterLive(t *Tracer) {
-	if t == nil {
-		return
-	}
-	liveMu.Lock()
-	delete(live, t)
-	liveMu.Unlock()
-}
-
-// LiveSnapshots snapshots every registered tracer.
-func LiveSnapshots() []RankTrace {
-	liveMu.Lock()
-	ts := make([]*Tracer, 0, len(live))
-	for t := range live {
-		ts = append(ts, t)
-	}
-	liveMu.Unlock()
-	out := make([]RankTrace, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, t.Snapshot())
-	}
-	return out
-}
 
 // StashFailed records the final per-rank traces of a failed run so they
 // can still be exported. The graveyard is bounded: older entries are
 // evicted first.
 func StashFailed(rts []RankTrace) {
-	liveMu.Lock()
+	failedMu.Lock()
 	failed = append(failed, rts...)
 	if len(failed) > maxDead {
 		failed = append([]RankTrace(nil), failed[len(failed)-maxDead:]...)
 	}
-	liveMu.Unlock()
+	failedMu.Unlock()
 }
 
 // TakeFailed drains and returns the failed-run graveyard.
 func TakeFailed() []RankTrace {
-	liveMu.Lock()
+	failedMu.Lock()
 	out := failed
 	failed = nil
-	liveMu.Unlock()
+	failedMu.Unlock()
 	return out
 }
 

@@ -224,17 +224,6 @@ func TestAnalyze(t *testing.T) {
 func TestLiveAndFailed(t *testing.T) {
 	tr := New(0, 8, nil, nil)
 	tr.Instant(CatMaster, "x", "", 0, "", 0)
-	RegisterLive(tr)
-	found := false
-	for _, rt := range LiveSnapshots() {
-		if rt.Rank == 0 && len(rt.Events) == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("live snapshot missing registered tracer")
-	}
-	UnregisterLive(tr)
 	StashFailed([]RankTrace{tr.Snapshot()})
 	got := TakeFailed()
 	if len(got) != 1 || len(got[0].Events) != 1 {

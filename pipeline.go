@@ -141,13 +141,13 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	}
 	log = log.With("rank", c.Rank())
 
-	// Register with the live sets so external observers (the CLI's
-	// /metrics endpoint and progress ticker) can watch the run in flight.
-	// On the way out — error and panic paths included — unregister, and
-	// stash the final snapshots of failed runs so callers can still flush
-	// an observability report when they get no Result.
+	// Register the registry with the live set so external observers (the
+	// CLI's /metrics endpoint and progress ticker) can watch the run in
+	// flight. On the way out — error and panic paths included —
+	// unregister, and stash the final metrics and trace snapshots of
+	// failed runs so callers can still flush an observability report when
+	// they get no Result.
 	metrics.RegisterLive(reg)
-	trace.RegisterLive(tracer)
 	stash := func() {
 		metrics.StashFailed([]metrics.Snapshot{reg.Snapshot()})
 		if tracer != nil {
@@ -156,7 +156,6 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	}
 	defer func() {
 		metrics.UnregisterLive(reg)
-		trace.UnregisterLive(tracer)
 		if p := recover(); p != nil {
 			// Transport failures surface as panics in rank code; keep that
 			// contract (the mpi harness converts them to errors) but save
