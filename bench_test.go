@@ -10,14 +10,21 @@ package profam_test
 
 import (
 	"fmt"
+	"sort"
+	"sync/atomic"
 	"testing"
 
 	"profam"
+	"profam/internal/align"
+	"profam/internal/esa"
 	"profam/internal/experiments"
 	"profam/internal/gos"
 	"profam/internal/mpi"
 	"profam/internal/pace"
+	"profam/internal/pool"
 	"profam/internal/quality"
+	"profam/internal/seq"
+	"profam/internal/suffixtree"
 	"profam/internal/workload"
 )
 
@@ -251,18 +258,124 @@ func BenchmarkEndToEnd(b *testing.B) {
 
 // --- hybrid rank×thread execution ----------------------------------------
 
+// threadCounts returns the deduplicated ascending benchmark ladder
+// {1, 2, 4, NumCPU} for threads-per-rank sweeps.
+func threadCounts() []int {
+	counts := []int{1, 2, 4, pool.DefaultThreads(1)}
+	sort.Ints(counts)
+	out := counts[:1]
+	for _, c := range counts[1:] {
+		if c != out[len(out)-1] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// benchPairs returns a deterministic all-vs-all pair list over the set,
+// truncated to maxPairs, for the batch-alignment benchmark.
+func benchPairs(set *seq.Set, maxPairs int) [][2]int {
+	var pairs [][2]int
+	n := set.Len()
+	for i := 0; i < n && len(pairs) < maxPairs; i++ {
+		for j := i + 1; j < n && len(pairs) < maxPairs; j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
+	}
+	return pairs
+}
+
+// alignBatchKernel is the worker-side hot path of the hybrid execution
+// model in isolation: align one task batch on a bounded goroutine pool,
+// each chunk with a recycled aligner. It returns the total DP cells (a
+// work checksum, identical for every thread count).
+func alignBatchKernel(set *seq.Set, pairs [][2]int, threads int) int64 {
+	cache := pool.NewAlignerCache(nil)
+	params := align.DefaultOverlapParams()
+	var cells atomic.Int64
+	pool.RunChunked(threads, len(pairs), func(lo, hi int) {
+		al := cache.Get()
+		before := al.Cells
+		for i := lo; i < hi; i++ {
+			a, b := set.Get(pairs[i][0]), set.Get(pairs[i][1])
+			al.Overlaps(a.Res, b.Res, params)
+		}
+		cells.Add(al.Cells - before)
+		cache.Put(al)
+	})
+	return cells.Load()
+}
+
+// seedPair is a promising pair together with its maximal-match seed —
+// the input shape the alignment cascade consumes.
+type seedPair struct {
+	A, B int
+	Seed align.SeedMatch
+}
+
+// benchSeedPairs enumerates deduplicated promising pairs (sharing a
+// maximal match of length ≥ psi) with their seed coordinates, truncated
+// to maxPairs, for the cascade benchmark.
+func benchSeedPairs(set *seq.Set, psi, maxPairs int) ([]seedPair, error) {
+	trees, err := esa.Build(set, suffixtree.Options{MinMatch: psi})
+	if err != nil {
+		return nil, err
+	}
+	seen := map[int64]bool{}
+	var out []seedPair
+	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {
+		key := int64(p.SeqA)<<32 | int64(uint32(p.SeqB))
+		if seen[key] {
+			return true
+		}
+		seen[key] = true
+		out = append(out, seedPair{A: int(p.SeqA), B: int(p.SeqB),
+			Seed: align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}})
+		return len(out) < maxPairs
+	})
+	return out, nil
+}
+
+// alignCascadeKernel runs the seed-anchored containment cascade (the
+// redundancy-removal predicate, the pipeline's dominant aligned-pair
+// volume and the stage where the certified rejects fire) over the pair
+// batch on a bounded goroutine pool, each chunk with a recycled aligner,
+// as the production worker path does. It returns (cells, fullCells): the
+// DP cells actually computed and what the exact full-matrix predicate
+// would have cost on the same pairs — fullCells/cells is the
+// cells-eliminated ratio.
+func alignCascadeKernel(set *seq.Set, pairs []seedPair, threads int) (int64, int64) {
+	cache := pool.NewAlignerCache(nil)
+	params := align.DefaultContainParams()
+	var cells, full atomic.Int64
+	pool.RunChunked(threads, len(pairs), func(lo, hi int) {
+		al := cache.Get()
+		before := al.Cells
+		var f int64
+		for i := lo; i < hi; i++ {
+			a, b := set.Get(pairs[i].A).Res, set.Get(pairs[i].B).Res
+			al.EitherContainedCascade(a, b, params, pairs[i].Seed)
+			f += int64(len(a)) * int64(len(b))
+		}
+		cells.Add(al.Cells - before)
+		full.Add(f)
+		cache.Put(al)
+	})
+	return cells.Load(), full.Load()
+}
+
 // BenchmarkAlignBatchParallel measures the worker-side batch-alignment
 // kernel (pooled goroutines + recycled aligners) at 1, 2, 4 and NumCPU
 // threads per rank. The cells metric is a work checksum: identical
 // across thread counts by construction.
 func BenchmarkAlignBatchParallel(b *testing.B) {
 	set, _ := experiments.SetOfSize(120, 31)
-	pairs := experiments.BenchPairs(set, 2048)
-	for _, th := range experiments.ThreadCounts() {
+	pairs := benchPairs(set, 2048)
+	for _, th := range threadCounts() {
 		b.Run(fmt.Sprintf("threads=%d", th), func(b *testing.B) {
 			var cells int64
 			for i := 0; i < b.N; i++ {
-				cells = experiments.AlignBatchKernel(set, pairs, th)
+				cells = alignBatchKernel(set, pairs, th)
 			}
 			b.ReportMetric(float64(cells), "cells")
 		})
@@ -276,15 +389,15 @@ func BenchmarkAlignBatchParallel(b *testing.B) {
 // identical across thread counts).
 func BenchmarkAlignCascade(b *testing.B) {
 	set, _ := experiments.SetOfSize(120, 31)
-	pairs, err := experiments.BenchSeedPairs(set, 6, 2048)
+	pairs, err := benchSeedPairs(set, 6, 2048)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, th := range experiments.ThreadCounts() {
+	for _, th := range threadCounts() {
 		b.Run(fmt.Sprintf("threads=%d", th), func(b *testing.B) {
 			var cells, full int64
 			for i := 0; i < b.N; i++ {
-				cells, full = experiments.AlignCascadeKernel(set, pairs, th)
+				cells, full = alignCascadeKernel(set, pairs, th)
 			}
 			b.ReportMetric(float64(cells), "cells")
 			b.ReportMetric(float64(full)/float64(cells), "cells_ratio")
@@ -298,7 +411,7 @@ func BenchmarkAlignCascade(b *testing.B) {
 func BenchmarkPipelineThreads(b *testing.B) {
 	set, _ := experiments.SetOfSize(300, 47)
 	var base string
-	for _, th := range experiments.ThreadCounts() {
+	for _, th := range threadCounts() {
 		b.Run(fmt.Sprintf("threads=%d", th), func(b *testing.B) {
 			cfg := experiments.PipelineConfig()
 			cfg.ThreadsPerRank = th

@@ -2,11 +2,7 @@
 # ci.sh — the repo's verification gate.
 #
 #   ./ci.sh             gofmt + vet + build + tests + race-detector pass
-#   ./ci.sh bench       additionally regenerate BENCH_results.json
-#   ./ci.sh benchcheck  bench-regression gate: compare against the checked-in
-#                       BENCH_results.json, failing on >20% kernel slowdown
-#                       (skipped automatically when the host is too noisy)
-#   ./ci.sh lint        staticcheck + govulncheck (skipped with a notice
+#   ./ci.sh lint       staticcheck + govulncheck (skipped with a notice
 #                       when the binaries are not installed)
 #   ./ci.sh fuzz        coverage-guided fuzzing: every Fuzz* target in the
 #                       module runs for 10 s (plain `go test` only replays
@@ -198,16 +194,5 @@ go test ./...
 
 echo "== go test -race =="
 go test -race ./...
-
-if [ "${1:-}" = "bench" ]; then
-	echo "== benchmarks -> BENCH_results.json =="
-	go run ./cmd/benchjson -out BENCH_results.json
-fi
-
-if [ "${1:-}" = "benchcheck" ]; then
-	echo "== bench regression gate vs BENCH_results.json =="
-	go run ./cmd/benchjson -compare BENCH_results.json -tolerance 0.20 \
-		-benchtime 200ms -timeout 10m
-fi
 
 echo "ci.sh: all checks passed"

@@ -86,8 +86,6 @@ type Config struct {
 	// Psi is the maximal-match filter length for B_d edge discovery
 	// (default 8).
 	Psi int
-	// Scoring for edge alignments (default BLOSUM62 11/1).
-	Scoring *align.Scoring
 	// Edge is the similarity cutoff defining graph edges (the paper's
 	// "user-specified similarity cutoff"; default = the CCD overlap
 	// definition, 30 % similarity over 80 % of the longer sequence).
@@ -99,9 +97,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Psi == 0 {
 		c.Psi = 8
-	}
-	if c.Scoring == nil {
-		c.Scoring = align.DefaultScoring()
 	}
 	if c.Edge == (align.OverlapParams{}) {
 		c.Edge = align.DefaultOverlapParams()
@@ -149,7 +144,7 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 	if err != nil {
 		return nil, BuildStats{}, err
 	}
-	al := align.NewAligner(cfg.Scoring)
+	al := align.NewAligner(align.DefaultScoring())
 	seen := map[int64]bool{}
 	var st BuildStats
 	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {

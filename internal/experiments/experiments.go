@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (Section V) at container scale. Each experiment is a
 // function returning printable results; cmd/benchtab is the CLI front end
-// and the repository-root benchmarks wrap them in testing.B.
+// and the repository-root benchmarks wrap them in testing.B. Kernel
+// micro-benchmarks are not experiments: their helpers live beside the Go
+// benchmarks that call them (bench_test.go).
 //
 // Scaling: the paper's 160 K / 22 K / 10–160 K CAMERA samples on 32–512
 // BlueGene/L nodes become synthetic data sets of ~125–2500 sequences on

@@ -208,7 +208,7 @@ func (s *pairSource) next(k int) ([]PairItem, bool) {
 func buildTrees(c *mpi.Comm, set *seq.Set, bucketIdx []int, buckets []suffixtree.Bucket, cfg Config, phase string) ([]*suffixtree.SubTree, error) {
 	sp := cfg.Metrics.StartSpan(phase + "/index")
 	defer sp.End()
-	opt := suffixtree.Options{MinMatch: cfg.Psi, PrefixLen: cfg.PrefixLen}
+	opt := suffixtree.Options{MinMatch: cfg.Psi}
 	threads := max(1, cfg.Threads)
 	trees := make([]*suffixtree.SubTree, len(bucketIdx))
 	errs := make([]error, len(bucketIdx))
@@ -223,7 +223,7 @@ func buildTrees(c *mpi.Comm, set *seq.Set, bucketIdx []int, buckets []suffixtree
 		weight += buckets[bucketIdx[i]].Weight
 		indexBytes += trees[i].Stats().ApproxBytes
 	}
-	c.Advance(float64(pool.CeilDiv(weight, threads)) * cfg.Costs.SecPerTreeChar)
+	c.Advance(float64(pool.CeilDiv(weight, threads)) * DefaultCostParams().SecPerTreeChar)
 	cfg.Metrics.Counter(metrics.Name("pace_index_chars", "phase", phase)).Add(weight)
 	cfg.Metrics.Gauge(metrics.Name("pace_index_bytes", "phase", phase)).SetMax(float64(indexBytes))
 	return trees, nil
@@ -421,7 +421,7 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 			ms.ctr.batchPairs.Observe(int64(len(msg.Pairs)))
 		}
 		nops := ms.ingestPairs(msg.Pairs)
-		c.Advance(float64(nops+len(msg.Results)) * ms.cfg.Costs.SecPerPairFilter)
+		c.Advance(float64(nops+len(msg.Results)) * DefaultCostParams().SecPerPairFilter)
 
 		if !done {
 			done = ms.pending.Len() == 0
@@ -511,7 +511,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg C
 	defer sp.End()
 	tr := cfg.Trace
 	threads := max(1, cfg.Threads)
-	cache := pool.NewAlignerCache(cfg.Scoring)
+	cache := pool.NewAlignerCache(align.DefaultScoring())
 	obs := poolObserver(cfg.Metrics, phase, "align")
 	exhausted := false
 	sent, recvd := 0, 0
@@ -519,7 +519,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg C
 		var pairs []PairItem
 		if !exhausted {
 			pairs, exhausted = src.next(cfg.BatchPairs)
-			c.Advance(float64(len(pairs)) * cfg.Costs.SecPerPairGen)
+			c.Advance(float64(len(pairs)) * DefaultCostParams().SecPerPairGen)
 			var ex int64
 			if exhausted {
 				ex = 1
@@ -552,7 +552,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg C
 		}
 		t0 := tr.Now()
 		results, cells := alignBatch(cache, threads, set, wl, msg.Tasks, nil, obs)
-		c.Advance(float64(pool.CeilDiv(cells, threads)) * cfg.Costs.SecPerCell)
+		c.Advance(float64(pool.CeilDiv(cells, threads)) * DefaultCostParams().SecPerCell)
 		tr.Span(trace.CatWorker, phase+"/align", t0, tr.Now(),
 			"tasks", int64(len(msg.Tasks)), "cells", cells)
 		// Ship the finished batch's outcomes with the next request. The
@@ -567,7 +567,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg C
 // runSerial executes a whole phase on a single rank: pairs are consumed
 // in decreasing match-length order with the same filtering policy.
 func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *pairSource, cfg Config) {
-	al := align.NewAligner(cfg.Scoring)
+	al := align.NewAligner(align.DefaultScoring())
 	tr := cfg.Trace
 	phase := ms.ctr.phase
 	var round int64
@@ -576,20 +576,20 @@ func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *
 		ms.ctr.rounds.Inc()
 		roundStart := tr.Now()
 		pairs, exhausted := src.next(cfg.BatchPairs)
-		c.Advance(float64(len(pairs)) * cfg.Costs.SecPerPairGen)
+		c.Advance(float64(len(pairs)) * DefaultCostParams().SecPerPairGen)
 		ms.ctr.generated.Add(int64(len(pairs)))
 		if len(pairs) > 0 {
 			ms.ctr.batchPairs.Observe(int64(len(pairs)))
 		}
 		nops := ms.ingestPairs(pairs)
-		c.Advance(float64(nops) * cfg.Costs.SecPerPairFilter)
+		c.Advance(float64(nops) * DefaultCostParams().SecPerPairFilter)
 		// One task at a time so each alignment outcome can eliminate
 		// later pending pairs via the closure filter — the serial
 		// reference semantics the parallel rounds approximate.
 		for ms.pending.Len() > 0 {
 			for _, t := range ms.popTasks(1) {
 				out := wl.alignPair(al, set, t)
-				c.Advance(float64(out.Cells) * cfg.Costs.SecPerCell)
+				c.Advance(float64(out.Cells) * DefaultCostParams().SecPerCell)
 				ms.absorbResults([]AlignOutcome{out})
 			}
 		}
@@ -627,7 +627,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 		cfg.Metrics = metrics.New(c.Rank(), c.Time)
 	}
 	start := c.Time()
-	buckets, err := suffixtree.Buckets(set, suffixtree.Options{MinMatch: cfg.Psi, PrefixLen: cfg.PrefixLen})
+	buckets, err := suffixtree.Buckets(set, suffixtree.Options{MinMatch: cfg.Psi})
 	if err != nil {
 		return Stats{}, err
 	}

@@ -56,8 +56,6 @@ type Config struct {
 	// Psi is ψ, the minimum maximal-match length for a promising pair
 	// (default 8).
 	Psi int
-	// PrefixLen is the suffix-tree bucketing granularity (default 2).
-	PrefixLen int
 	// BatchPairs is how many promising pairs a worker ships to the
 	// master per round (default 4096).
 	BatchPairs int
@@ -73,14 +71,10 @@ type Config struct {
 	// curves reproduce everywhere; the profam layer resolves its
 	// NumCPU-based auto default before handing the config down.
 	Threads int
-	// Scoring is the alignment scheme (default BLOSUM62 11/1).
-	Scoring *align.Scoring
 	// Contain holds the Definition 1 thresholds (default 95 %/95 %).
 	Contain align.ContainParams
 	// Overlap holds the Definition 2 thresholds (default 30 %/80 %).
 	Overlap align.OverlapParams
-	// Costs is the simtime work calibration.
-	Costs CostParams
 	// DisableClosureFilter turns off the transitive-closure pair
 	// elimination in CCD; used by the ablation benchmarks.
 	DisableClosureFilter bool
@@ -114,29 +108,17 @@ func (c Config) withDefaults() Config {
 	if c.Psi == 0 {
 		c.Psi = 8
 	}
-	if c.PrefixLen == 0 {
-		c.PrefixLen = 2
-		if c.PrefixLen > c.Psi {
-			c.PrefixLen = c.Psi
-		}
-	}
 	if c.BatchPairs == 0 {
 		c.BatchPairs = 4096
 	}
 	if c.BatchTasks == 0 {
 		c.BatchTasks = 512
 	}
-	if c.Scoring == nil {
-		c.Scoring = align.DefaultScoring()
-	}
 	if c.Contain == (align.ContainParams{}) {
 		c.Contain = align.DefaultContainParams()
 	}
 	if c.Overlap == (align.OverlapParams{}) {
 		c.Overlap = align.DefaultOverlapParams()
-	}
-	if c.Costs == (CostParams{}) {
-		c.Costs = DefaultCostParams()
 	}
 	if c.Log == nil {
 		c.Log = trace.NopLogger()

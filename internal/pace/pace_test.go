@@ -59,9 +59,9 @@ func runCCD(t *testing.T, set *seq.Set, keep []bool, cfg Config, p int) ([]int32
 // match >= psi AND satisfy Definition 2.
 func bruteComponents(set *seq.Set, keep []bool, cfg Config) []int32 {
 	cfg = cfg.withDefaults()
-	al := align.NewAligner(cfg.Scoring)
+	al := align.NewAligner(align.DefaultScoring())
 	uf := unionfind.New(set.Len())
-	trees, err := suffixtree.Build(set, suffixtree.Options{MinMatch: cfg.Psi, PrefixLen: cfg.PrefixLen})
+	trees, err := suffixtree.Build(set, suffixtree.Options{MinMatch: cfg.Psi})
 	if err != nil {
 		panic(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -144,10 +145,12 @@ func writeErr(w http.ResponseWriter, err error) {
 
 // ingestRequest is the JSON ingest body.
 type ingestRequest struct {
-	Sequences []struct {
-		Name     string `json:"name"`
-		Residues string `json:"residues"`
-	} `json:"sequences"`
+	Sequences []ingestSequence `json:"sequences"`
+}
+
+type ingestSequence struct {
+	Name     string `json:"name"`
+	Residues string `json:"residues"`
 }
 
 // maxIngestBytes caps one ingest body of either content type. A body
@@ -164,19 +167,39 @@ func bodyErr(what string, err error) *httpError {
 	return &httpError{http.StatusBadRequest, "bad " + what + ": " + err.Error()}
 }
 
+// decodeIngestJSON reads a JSON ingest body into sequence names and
+// residues. The body must hold exactly one JSON value: anything but
+// whitespace after it is refused, so a second concatenated object is
+// never silently dropped.
+func decodeIngestJSON(body io.Reader) (names, seqs []string, err error) {
+	dec := json.NewDecoder(body)
+	var req ingestRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, nil, err
+		}
+		return nil, nil, errors.New("trailing data after the JSON value")
+	}
+	for _, sq := range req.Sequences {
+		names = append(names, sq.Name)
+		seqs = append(seqs, sq.Residues)
+	}
+	return names, seqs, nil
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var names, seqs []string
 	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
-		var req ingestRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var err error
+		if names, seqs, err = decodeIngestJSON(body); err != nil {
 			writeErr(w, bodyErr("JSON", err))
 			return
-		}
-		for _, sq := range req.Sequences {
-			names = append(names, sq.Name)
-			seqs = append(seqs, sq.Residues)
 		}
 	} else {
 		// Anything else is treated as FASTA.

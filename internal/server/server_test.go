@@ -250,6 +250,38 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestServerRejectsTrailingJSON checks that a JSON body holding more
+// than one value is refused whole with 400 — the first object must not
+// commit while the second is dropped — and that trailing whitespace is
+// still accepted.
+func TestServerRejectsTrailingJSON(t *testing.T) {
+	_, ts := newTestServer(t, Config{BatchWait: 10 * time.Millisecond})
+
+	one := `{"sequences":[{"name":"a","residues":"MKVLWAALLGAGARQWEDD"}]}`
+	two := `{"sequences":[{"name":"b","residues":"GHIKNNPQRSTVWYACDEF"}]}`
+	for _, body := range []string{one + two, one + "\n" + two, one + " x"} {
+		if code, out := post(t, ts.URL+"/v1/sequences", "application/json", strings.NewReader(body)); code != http.StatusBadRequest {
+			t.Errorf("body %q = %d (%v), want 400", body, code, out)
+		}
+	}
+	if code, out := post(t, ts.URL+"/v1/sequences", "application/json", strings.NewReader(two+" \n\t\r\n")); code != http.StatusOK {
+		t.Fatalf("body with trailing whitespace = %d (%v), want 200", code, out)
+	}
+	code, body := get(t, ts.URL+"/v1/status")
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	var st struct {
+		Sequences int `json:"sequences"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Sequences != 1 {
+		t.Errorf("corpus has %d sequences, want only the whitespace-trailed one", st.Sequences)
+	}
+}
+
 // serverHammer is the shared body of the race-hammer tests: writers
 // ingest while readers pound every query endpoint.
 func serverHammer(t *testing.T, writers, queriesPerReader int) {

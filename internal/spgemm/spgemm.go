@@ -404,8 +404,8 @@ func (s *Source) Next(max int) ([]suffixtree.Pair, bool) {
 // IndexPeakBytes measures the backend's peak resident index footprint
 // over the given buckets without running the multiply: each CSR block
 // is built and discarded in turn, exactly as a streaming run would hold
-// them. It is the sparse side of the benchjson sparse_peak_bytes_ratio
-// scalar.
+// them. It equals the Stats().PeakBytes of a drained source, which
+// bench/ reports as spgemm.index_peak_bytes.
 func IndexPeakBytes(set *seq.Set, buckets []suffixtree.Bucket, opt Options) (int64, error) {
 	own := make([]int, len(buckets))
 	for i := range own {
