@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"profam/internal/bipartite"
 	"profam/internal/mpi"
 	"profam/internal/seq"
 	"profam/internal/unionfind"
@@ -25,7 +26,8 @@ var ErrConfigChanged = errors.New("profam: config differs from committed epoch s
 // EpochState is the committed clustering state after some number of
 // ingest epochs: the corpus so far plus everything the next epoch needs
 // to avoid reclustering it — redundancy verdicts, the kept-subset
-// union–find, and the per-component family cache. It is immutable once
+// union–find, the per-component family cache, and the overlap counts of
+// every aligned pair inside a component. It is immutable once
 // returned: RunEpoch never mutates its input state, so an aborted or
 // failed epoch leaves the committed state (and anything serving from it)
 // untouched. The zero of the type is not useful; start from
@@ -35,6 +37,7 @@ type EpochState struct {
 	redundant   []bool
 	uf          *unionfind.UF
 	famCache    map[uint64]famEntry
+	memo        bipartite.Memo
 	epoch       int
 	fingerprint string
 }
@@ -101,6 +104,7 @@ func RunEpoch(prior *EpochState, names, seqs []string, p int, cfg Config) (*Resu
 			redundant: prior.redundant,
 			uf:        prior.uf,
 			famCache:  prior.famCache,
+			memo:      prior.memo,
 		}
 	}
 
@@ -125,6 +129,7 @@ func RunEpoch(prior *EpochState, names, seqs []string, p int, cfg Config) (*Resu
 		redundant:   post.redundant,
 		uf:          post.uf,
 		famCache:    post.famCache,
+		memo:        post.memo,
 		epoch:       prior.epoch + 1,
 		fingerprint: fp,
 	}

@@ -48,7 +48,9 @@ func splitWaves(names, seqs []string, n int) [][2][]string {
 // TestIncrementalMatchesCold is the determinism contract behind profamd:
 // ingesting a corpus in waves of incremental epochs yields byte-identical
 // families to one cold run over the union, across rank and thread counts
-// and regardless of how many waves the corpus arrives in.
+// and regardless of how many waves the corpus arrives in. Every epoch's
+// B_d aligns only pairs with a member new to its component: the rest are
+// decided by counts committed in earlier epochs or by this epoch's CCD.
 func TestIncrementalMatchesCold(t *testing.T) {
 	corpora := []struct {
 		name  string
@@ -84,11 +86,14 @@ func TestIncrementalMatchesCold(t *testing.T) {
 
 					st := profam.NewEpochState()
 					var res *profam.Result
+					var prev [][]int
 					for wi, w := range splitWaves(names, seqs, tc.waves) {
 						res, st, err = profam.RunEpoch(st, w[0], w[1], p, cfg)
 						if err != nil {
 							t.Fatalf("wave %d: %v", wi, err)
 						}
+						requireOnlyNewPairsAligned(t, st.Set(), prev, res, 8)
+						prev = res.Components
 					}
 					if st.NumSequences() != set.Len() {
 						t.Fatalf("state holds %d sequences, want %d", st.NumSequences(), set.Len())
@@ -106,7 +111,8 @@ func TestIncrementalMatchesCold(t *testing.T) {
 // TestIncrementalDemotionFallback arrives fragments before the sequences
 // that contain them: the containing full-length sequences land in a later
 // wave and demote previously-kept fragments, forcing the cold-CCD
-// fallback path. The contract must hold regardless.
+// fallback path. The contract must hold regardless, and committed pair
+// counts stay valid across the demotion: they depend on residues alone.
 func TestIncrementalDemotionFallback(t *testing.T) {
 	set, truth := workload.Generate(workload.Params{
 		Families: 3, MeanFamilySize: 8, MeanLength: 100,
@@ -147,6 +153,7 @@ func TestIncrementalDemotionFallback(t *testing.T) {
 	st := profam.NewEpochState()
 	var res *profam.Result
 	var demotions int64
+	var prev [][]int
 	waves := [][2][]string{{rn[:nFrag], rs[:nFrag]}, {rn[nFrag:], rs[nFrag:]}}
 	for wi, w := range waves {
 		res, st, err = profam.RunEpoch(st, w[0], w[1], 1, profam.Config{})
@@ -154,6 +161,8 @@ func TestIncrementalDemotionFallback(t *testing.T) {
 			t.Fatalf("wave %d: %v", wi, err)
 		}
 		demotions += metricValue(res.Metrics, "pipeline_epoch_demotions")
+		requireOnlyNewPairsAligned(t, st.Set(), prev, res, 8)
+		prev = res.Components
 	}
 	got := familiesText(t, st.Set(), res)
 	if got != want {

@@ -12,9 +12,23 @@ func fuzzResidues(s string) []byte {
 	return out
 }
 
+// resultOverlaps is the Definition-2 verdict computed from the Result's
+// own fields, the way Overlaps read it before verdicts became counts.
+func resultOverlaps(r Result, la, lb int, p OverlapParams) bool {
+	if r.Cols == 0 {
+		return false
+	}
+	longLen, span := la, r.EndA-r.StartA
+	if lb > longLen {
+		longLen, span = lb, r.EndB-r.StartB
+	}
+	return r.Similarity() >= p.MinSimilarity && float64(span)/float64(longLen) >= p.MinLongCoverage
+}
+
 // FuzzAlignCascade cross-checks the anchored banded kernel and the
 // containment cascade against the exact full-matrix reference on
-// arbitrary residue strings and arbitrary (possibly bogus) seeds.
+// arbitrary residue strings and arbitrary (possibly bogus) seeds, and
+// the count-based overlap verdict against the Result-based one.
 func FuzzAlignCascade(f *testing.F) {
 	f.Add("ACDEFGHIK", "ACDEFGWIK", 0, 0, 5)
 	f.Add("MKWVTFISLLFLFSSAYS", "KWVTFISLL", 1, 0, 9)
@@ -44,6 +58,24 @@ func FuzzAlignCascade(f *testing.F) {
 		gotC, gotWhich, _ := al.EitherContainedCascade(a, b, cp, seed)
 		if wantC != gotC || wantWhich != gotWhich {
 			t.Fatalf("EitherContainedCascade=(%v,%d), exact=(%v,%d)", gotC, gotWhich, wantC, wantWhich)
+		}
+
+		// The default thresholds, an edge-like cutoff, and the loosest
+		// and tightest possible ones; an empty local alignment (Cols == 0)
+		// must be rejected by all of them.
+		r := exact.Align(a, b, Local)
+		counts := CountsOf(r, len(a), len(b))
+		for _, p := range []OverlapParams{
+			DefaultOverlapParams(), {MinSimilarity: 0.78, MinLongCoverage: 0.80},
+			{MinSimilarity: 0, MinLongCoverage: 0}, {MinSimilarity: 1, MinLongCoverage: 1},
+		} {
+			want := resultOverlaps(r, len(a), len(b), p)
+			if got := p.Accept(counts); got != want {
+				t.Fatalf("%+v: Accept(%+v)=%v, Result verdict=%v", p, counts, got, want)
+			}
+			if got, _ := al.Overlaps(a, b, p); got != want {
+				t.Fatalf("%+v: Overlaps=%v, Result verdict=%v", p, got, want)
+			}
 		}
 	})
 }

@@ -66,21 +66,45 @@ func (al *Aligner) EitherContained(a, b []byte, p ContainParams) (contained bool
 	return false, 1
 }
 
+// OverlapCounts are the exact integer ingredients of a Definition-2
+// verdict, read off one local alignment. They depend only on the two
+// residue strings, their order and the scoring, never on thresholds, so
+// counts computed once decide the verdict under any OverlapParams.
+type OverlapCounts struct {
+	Positives int32 // columns with a positive substitution score
+	Cols      int32 // alignment columns
+	Span      int32 // the alignment's extent on the longer sequence
+	LongLen   int32 // the longer sequence's length
+}
+
+// CountsOf extracts the overlap counts of r, the local alignment of a
+// sequence of length la against one of length lb. The span is measured
+// on the longer sequence's aligned range (a's on a tie).
+func CountsOf(r Result, la, lb int) OverlapCounts {
+	c := OverlapCounts{Positives: int32(r.Positives), Cols: int32(r.Cols),
+		Span: int32(r.EndA - r.StartA), LongLen: int32(la)}
+	if lb > la {
+		c.Span, c.LongLen = int32(r.EndB-r.StartB), int32(lb)
+	}
+	return c
+}
+
+// Accept reports whether counts pass Definition 2: similarity ≥
+// p.MinSimilarity over a span of at least p.MinLongCoverage of the
+// longer sequence. An empty alignment never passes.
+func (p OverlapParams) Accept(c OverlapCounts) bool {
+	if c.Cols == 0 {
+		return false
+	}
+	sim := float64(c.Positives) / float64(c.Cols)
+	cov := float64(c.Span) / float64(c.LongLen)
+	return sim >= p.MinSimilarity && cov >= p.MinLongCoverage
+}
+
 // Overlaps reports whether a and b overlap per Definition 2: a local
 // alignment with similarity ≥ p.MinSimilarity spanning at least
-// p.MinLongCoverage of the longer sequence. The span is measured on the
-// longer sequence's aligned range.
+// p.MinLongCoverage of the longer sequence.
 func (al *Aligner) Overlaps(a, b []byte, p OverlapParams) (bool, Result) {
 	r := al.Align(a, b, Local)
-	if r.Cols == 0 {
-		return false, r
-	}
-	longLen := len(a)
-	span := r.EndA - r.StartA
-	if len(b) > longLen {
-		longLen = len(b)
-		span = r.EndB - r.StartB
-	}
-	cov := float64(span) / float64(longLen)
-	return r.Similarity() >= p.MinSimilarity && cov >= p.MinLongCoverage, r
+	return p.Accept(CountsOf(r, len(a), len(b))), r
 }

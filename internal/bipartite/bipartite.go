@@ -12,8 +12,9 @@
 //
 // Edges for B_d are discovered with the same maximal-match filter the
 // clustering phases use (a modified PaCE pass without clustering, per the
-// paper): only pairs sharing a ≥ψ maximal match are aligned against the
-// edge similarity cutoff.
+// paper): only pairs sharing a ≥ψ maximal match are tested against the
+// edge similarity cutoff, and a pair whose overlap counts are already
+// known (from CCD, or an earlier epoch) is not aligned again.
 package bipartite
 
 import (
@@ -107,21 +108,40 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Memo maps a sequence pair, keyed by its IDs within the set with the
+// lower first, to the overlap counts of the local alignment of the lower
+// against the higher. Those counts are a function of the two residue
+// strings alone, so a memo entry is what B_d would compute for the pair
+// in any component and any epoch that holds both sequences.
+type Memo map[[2]int32]align.OverlapCounts
+
 // BuildStats records the work spent constructing a graph, for the
 // virtual-time accounting and metrics of the distributed pipeline.
-// PairsAligned and Cells are B_d quantities; Chars and Words are B_m
-// quantities (characters scanned for word extraction, shared words kept
-// as left vertices).
+// PairsAligned, PairsReused, Cells and Fresh are B_d quantities; Chars
+// and Words are B_m quantities (characters scanned for word extraction,
+// shared words kept as left vertices).
 type BuildStats struct {
-	PairsAligned int64
+	PairsAligned int64 // promising pairs aligned here
+	PairsReused  int64 // promising pairs decided from the memo, without DP
 	Cells        int64
 	Chars        int64
 	Words        int64
+	// Fresh holds the counts of every pair aligned here, for the caller
+	// to commit to its memo (nil when nothing was aligned).
+	Fresh Memo
 }
 
 // BuildBd constructs the global-similarity reduction of one connected
 // component. members lists the component's sequence IDs within set.
 func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error) {
+	return BuildBdMemo(set, members, cfg, nil)
+}
+
+// BuildBdMemo is BuildBd deciding every promising pair that memo holds
+// from its counts under cfg.Edge, and aligning only the others. memo is
+// read-only and may be shared by concurrent calls. The graph is the one
+// BuildBd builds: the memo's counts are those BuildBd would compute.
+func BuildBdMemo(set *seq.Set, members []int, cfg Config, memo Memo) (*Graph, BuildStats, error) {
 	cfg = cfg.withDefaults()
 	m := len(members)
 	g := &Graph{
@@ -153,9 +173,21 @@ func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 			return true
 		}
 		seen[key] = true
-		st.PairsAligned++
-		a, b := sub.Get(int(p.SeqA)).Res, sub.Get(int(p.SeqB)).Res
-		if ok, _ := al.Overlaps(a, b, cfg.Edge); ok {
+		// Sub-IDs ascend with set IDs, so the pair stays lower-first.
+		id := [2]int32{g.LeftSeq[p.SeqA], g.LeftSeq[p.SeqB]}
+		counts, ok := memo[id]
+		if ok {
+			st.PairsReused++
+		} else {
+			st.PairsAligned++
+			a, b := sub.Get(int(p.SeqA)).Res, sub.Get(int(p.SeqB)).Res
+			counts = align.CountsOf(al.Align(a, b, align.Local), len(a), len(b))
+			if st.Fresh == nil {
+				st.Fresh = Memo{}
+			}
+			st.Fresh[id] = counts
+		}
+		if cfg.Edge.Accept(counts) {
 			g.Adj[p.SeqA] = append(g.Adj[p.SeqA], p.SeqB)
 			g.Adj[p.SeqB] = append(g.Adj[p.SeqB], p.SeqA)
 		}

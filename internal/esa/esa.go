@@ -22,6 +22,8 @@ package esa
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 
 	"profam/internal/seq"
@@ -168,7 +170,7 @@ func BuildBucket(set *seq.Set, b suffixtree.Bucket, opt suffixtree.Options) (*su
 		}
 	}
 
-	sort.SliceStable(t.Nodes, func(i, j int) bool { return t.Nodes[i].Depth > t.Nodes[j].Depth })
+	slices.SortStableFunc(t.Nodes, func(a, b suffixtree.Node) int { return cmp.Compare(b.Depth, a.Depth) })
 	return t, nil
 }
 

@@ -1,8 +1,10 @@
 package pace
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"profam/internal/align"
@@ -157,8 +159,8 @@ func newPairSource(trees []*suffixtree.SubTree, newFrom int32) *pairSource {
 			s.refs = append(s.refs, nodeRef{t, i})
 		}
 	}
-	sort.SliceStable(s.refs, func(a, b int) bool {
-		return s.refs[a].t.Nodes[s.refs[a].i].Depth > s.refs[b].t.Nodes[s.refs[b].i].Depth
+	slices.SortStableFunc(s.refs, func(a, b nodeRef) int {
+		return cmp.Compare(b.t.Nodes[b.i].Depth, a.t.Nodes[a.i].Depth)
 	})
 	return s
 }
@@ -739,7 +741,7 @@ func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, prior []bool, newFrom int,
 // (labels are the smallest member ID in the component) or -1 for dropped
 // sequences. All ranks return identical results.
 func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]int32, Stats, error) {
-	comp, _, st, err := ConnectedComponentsFrom(c, set, keep, nil, 0, cfg)
+	comp, _, _, st, err := ConnectedComponentsFrom(c, set, keep, nil, 0, cfg)
 	return comp, st, err
 }
 
@@ -750,10 +752,12 @@ func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]
 // connected-component partition is the transitive closure of its positive
 // pairs and closure is order-invariant, seeding a clone of prior and
 // merging only epoch-crossing pairs yields exactly the cold partition.
-// Alongside comp it returns, on rank 0 only, the resulting union–find
-// over the kept subset (nil on other ranks) so the caller can commit it
-// as the next epoch's prior.
-func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, Stats, error) {
+// Alongside comp it returns, on rank 0 only (nil on other ranks), the
+// resulting union–find over the kept subset, so the caller can commit it
+// as the next epoch's prior, and the verdict of every pair the phase
+// aligned. Each verdict's counts are those of the local alignment of the
+// lower original ID against the higher one.
+func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, []Verdict, Stats, error) {
 	cfg = cfg.withDefaults()
 	// Build the kept-subset view identically on every rank.
 	var ids []int
@@ -775,7 +779,7 @@ func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unio
 	uf := unionfind.New(sub.Len())
 	if prior != nil {
 		if prior.Len() != subNew {
-			return nil, nil, Stats{}, fmt.Errorf("pace: prior union-find covers %d sequences, kept prior subset has %d", prior.Len(), subNew)
+			return nil, nil, nil, Stats{}, fmt.Errorf("pace: prior union-find covers %d sequences, kept prior subset has %d", prior.Len(), subNew)
 		}
 		uf = prior.Clone()
 		uf.Extend(sub.Len())
@@ -783,7 +787,7 @@ func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unio
 	ml := &ccMaster{uf: uf, disableFilter: cfg.DisableClosureFilter}
 	st, err := runPhase(c, sub, ml, ccWorker{params: cfg.Overlap}, cfg, "ccd", subNew)
 	if err != nil {
-		return nil, nil, Stats{}, err
+		return nil, nil, nil, Stats{}, err
 	}
 
 	comp := make([]int32, set.Len())
@@ -803,11 +807,14 @@ func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unio
 	}
 	comp = c.Bcast(0, comp).([]int32)
 	st = broadcastStats(c, st)
-	var out *unionfind.UF
-	if c.Rank() == 0 {
-		out = ml.uf
+	if c.Rank() != 0 {
+		return comp, nil, nil, st, nil
 	}
-	return comp, out, st, nil
+	// Sub-IDs ascend with original IDs, so each pair keeps A < B.
+	for i, v := range ml.verdicts {
+		ml.verdicts[i].A, ml.verdicts[i].B = int32(orig[v.A]), int32(orig[v.B])
+	}
+	return comp, ml.uf, ml.verdicts, st, nil
 }
 
 // broadcastStats shares the master's stats with all ranks.

@@ -181,7 +181,24 @@ type AlignOutcome struct {
 	// a staged pair, so the master can report the cells the cascade
 	// eliminated.
 	FullCells int64
+	// Overlap holds the counts behind a CCD verdict, so a later phase can
+	// re-decide the pair under other thresholds without aligning it
+	// again. Zero in RR.
+	Overlap align.OverlapCounts
 }
+
+// Verdict is one pair CCD aligned, in original sequence IDs (A < B),
+// with the counts its verdict was read from.
+type Verdict struct {
+	A, B    int32
+	Overlap align.OverlapCounts
+}
+
+// Verdicts is a verdict list as it travels between ranks.
+type Verdicts []Verdict
+
+// WireSize implements mpi.Sized.
+func (v Verdicts) WireSize() int { return 16 + 24*len(v) }
 
 // WorkerMsg is the worker→master payload: the next pair batch and the
 // outcomes of the worker's most recently finished task batch. Every
@@ -193,7 +210,15 @@ type WorkerMsg struct {
 }
 
 // WireSize implements mpi.Sized.
-func (m WorkerMsg) WireSize() int { return 16 + 20*len(m.Pairs) + 29*len(m.Results) }
+func (m WorkerMsg) WireSize() int {
+	n := 16 + 20*len(m.Pairs) + 29*len(m.Results)
+	for _, r := range m.Results {
+		if r.Overlap != (align.OverlapCounts{}) {
+			n += 16
+		}
+	}
+	return n
+}
 
 // MasterMsg is the master→worker round payload.
 type MasterMsg struct {
@@ -212,6 +237,7 @@ func RegisterWireTypes() {
 	mpi.RegisterType([]bool{})
 	mpi.RegisterType([]int32{})
 	mpi.RegisterType(Stats{})
+	mpi.RegisterType(Verdicts{})
 	mpi.RegisterType(int64(0))
 	mpi.RegisterType(float64(0))
 }
@@ -338,6 +364,7 @@ func (w rrWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOu
 type ccMaster struct {
 	uf            *unionfind.UF
 	disableFilter bool
+	verdicts      []Verdict // every outcome, in the phase's sub-ID space
 }
 
 func (m *ccMaster) filter(p PairItem) (bool, bool) {
@@ -351,6 +378,7 @@ func (m *ccMaster) absorb(r AlignOutcome) {
 	if r.OK {
 		m.uf.Union(int(r.A), int(r.B))
 	}
+	m.verdicts = append(m.verdicts, Verdict{A: r.A, B: r.B, Overlap: r.Overlap})
 }
 
 type ccWorker struct {
@@ -358,10 +386,11 @@ type ccWorker struct {
 }
 
 func (w ccWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOutcome {
-	a, b := set.Get(int(p.A)), set.Get(int(p.B))
+	a, b := set.Get(int(p.A)).Res, set.Get(int(p.B)).Res
 	before := al.Cells
-	out := AlignOutcome{A: p.A, B: p.B}
-	out.OK, _ = al.Overlaps(a.Res, b.Res, w.params)
+	out := AlignOutcome{A: p.A, B: p.B,
+		Overlap: align.CountsOf(al.Align(a, b, align.Local), len(a), len(b))}
+	out.OK = w.params.Accept(out.Overlap)
 	out.Cells = al.Cells - before
 	return out
 }

@@ -3,6 +3,7 @@ package pace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"profam/internal/align"
 	"profam/internal/mpi"
@@ -115,12 +116,15 @@ func (r *wireReader) pairs() ([]PairItem, error) {
 	return out, nil
 }
 
-// Per-result flag bits: the verdict and the RR contained side. Any other
-// bit set marks a frame from a different layout, which the decoder
-// rejects rather than misreading the fields that follow.
+// Per-result flag bits: the verdict, the RR contained side, and whether
+// the CCD overlap counts follow the cell counts. Any other bit set marks
+// a frame from a different layout, which the decoder rejects rather than
+// misreading the fields that follow. RR results never set resultCounts,
+// so RR frames carry no count bytes at all.
 const (
-	resultOK    byte = 1
-	resultWhich byte = 2
+	resultOK     byte = 1
+	resultWhich  byte = 2
+	resultCounts byte = 4
 )
 
 // WireKind implements mpi.BinaryPayload.
@@ -147,12 +151,38 @@ func (m WorkerMsg) AppendBinary(buf []byte) []byte {
 		if r.Which != 0 {
 			f |= resultWhich
 		}
+		hasCounts := r.Overlap != (align.OverlapCounts{})
+		if hasCounts {
+			f |= resultCounts
+		}
 		buf = append(buf, f)
 		buf = appendZig(buf, int64(r.Stage))
 		buf = binary.AppendUvarint(buf, uint64(r.Cells))
 		buf = binary.AppendUvarint(buf, uint64(r.FullCells))
+		if hasCounts {
+			o := r.Overlap
+			for _, v := range [4]int32{o.Positives, o.Cols, o.Span, o.LongLen} {
+				buf = binary.AppendUvarint(buf, uint64(uint32(v)))
+			}
+		}
 	}
 	return buf
+}
+
+// overlapCounts reads the four counts a resultCounts outcome carries.
+func (r *wireReader) overlapCounts() (align.OverlapCounts, error) {
+	var v [4]int32
+	for i := range v {
+		u, err := r.uvarint()
+		if err != nil {
+			return align.OverlapCounts{}, err
+		}
+		if u > math.MaxInt32 {
+			return align.OverlapCounts{}, fmt.Errorf("pace: overlap count %d out of range", u)
+		}
+		v[i] = int32(u)
+	}
+	return align.OverlapCounts{Positives: v[0], Cols: v[1], Span: v[2], LongLen: v[3]}, nil
 }
 
 func decodeWorkerMsg(body []byte) (any, error) {
@@ -188,7 +218,7 @@ func decodeWorkerMsg(body []byte) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			if f&^(resultOK|resultWhich) != 0 {
+			if f&^(resultOK|resultWhich|resultCounts) != 0 {
 				return nil, fmt.Errorf("pace: result flag byte %#02x sets unknown bits", f)
 			}
 			stage, err := r.zig()
@@ -210,6 +240,11 @@ func decodeWorkerMsg(body []byte) (any, error) {
 				A: prevA, B: prevB,
 				OK: f&resultOK != 0, Which: int8(f&resultWhich) >> 1, Stage: int8(stage),
 				Cells: int64(cells), FullCells: int64(full),
+			}
+			if f&resultCounts != 0 {
+				if m.Results[i].Overlap, err = r.overlapCounts(); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}

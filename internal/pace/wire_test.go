@@ -28,6 +28,12 @@ func randomWorkerMsg(rng *rand.Rand) WorkerMsg {
 			OK: rng.Intn(2) == 0, Which: int8(rng.Intn(2)), Stage: int8(rng.Intn(4)),
 			Cells: rng.Int63n(1 << 30), FullCells: rng.Int63n(1 << 30),
 		})
+		if rng.Intn(2) == 0 { // a CCD outcome
+			m.Results[len(m.Results)-1].Overlap = align.OverlapCounts{
+				Positives: rng.Int31n(1 << 12), Cols: rng.Int31n(1 << 12),
+				Span: rng.Int31n(1 << 12), LongLen: rng.Int31(),
+			}
+		}
 	}
 	return m
 }
@@ -84,8 +90,9 @@ func TestWireCorruptCountRejected(t *testing.T) {
 }
 
 // resultFrame is a WorkerMsg frame carrying one outcome with the given
-// raw flag byte and stage, for the decoder's layout checks.
-func resultFrame(flag byte, stage int64) []byte {
+// raw flag byte, stage and trailing count fields, for the decoder's
+// layout checks.
+func resultFrame(flag byte, stage int64, counts ...uint64) []byte {
 	buf := []byte{0}            // message flags
 	buf = appendPairs(buf, nil) // no pairs
 	buf = binary.AppendUvarint(buf, 1)
@@ -94,12 +101,18 @@ func resultFrame(flag byte, stage int64) []byte {
 	buf = append(buf, flag)
 	buf = appendZig(buf, stage)
 	buf = binary.AppendUvarint(buf, 10)
-	return binary.AppendUvarint(buf, 20)
+	buf = binary.AppendUvarint(buf, 20)
+	for _, c := range counts {
+		buf = binary.AppendUvarint(buf, c)
+	}
+	return buf
 }
 
 // TestWireMalformedResultRejected: an outcome whose flag byte sets a bit
-// besides OK/Which, or whose stage is not a cascade stage, comes from a
-// different frame layout; decoding it would misread the fields after it.
+// besides OK/Which/Counts, or whose stage is not a cascade stage, comes
+// from a different frame layout; decoding it would misread the fields
+// after it. An outcome that announces counts must carry all four, each
+// within int32.
 func TestWireMalformedResultRejected(t *testing.T) {
 	got, err := decodeWorkerMsg(resultFrame(resultOK|resultWhich, int64(align.StageFull)))
 	if err != nil {
@@ -109,7 +122,22 @@ func TestWireMalformedResultRejected(t *testing.T) {
 	if r := got.(WorkerMsg).Results; len(r) != 1 || r[0] != want {
 		t.Fatalf("decoded %+v, want [%+v]", r, want)
 	}
-	for _, f := range []byte{0x04, 0x08, 0x80} {
+	got, err = decodeWorkerMsg(resultFrame(resultOK|resultCounts, 0, 90, 100, 120, 130))
+	if err != nil {
+		t.Fatalf("well-formed frame with counts rejected: %v", err)
+	}
+	want = AlignOutcome{A: 1, B: 2, OK: true, Cells: 10, FullCells: 20,
+		Overlap: align.OverlapCounts{Positives: 90, Cols: 100, Span: 120, LongLen: 130}}
+	if r := got.(WorkerMsg).Results; len(r) != 1 || r[0] != want {
+		t.Fatalf("decoded %+v, want [%+v]", r, want)
+	}
+	if _, err := decodeWorkerMsg(resultFrame(resultOK|resultCounts, 0, 90, 100, 120)); err == nil {
+		t.Error("outcome with three of four counts accepted")
+	}
+	if _, err := decodeWorkerMsg(resultFrame(resultCounts, 0, 1, 1, 1<<31, 1)); err == nil {
+		t.Error("count beyond int32 accepted")
+	}
+	for _, f := range []byte{0x08, 0x10, 0x80} {
 		if _, err := decodeWorkerMsg(resultFrame(f|resultOK, int64(align.StageFull))); err == nil {
 			t.Errorf("flag byte %#02x accepted", f|resultOK)
 		}
@@ -246,6 +274,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(MasterMsg{Tasks: w.Pairs, Done: true}.AppendBinary(nil))
 	f.Add(resultFrame(0x08, int64(align.StageFull)))
 	f.Add(resultFrame(resultOK, int64(align.StageFull)+2))
+	f.Add(resultFrame(resultOK|resultCounts, 0, 90, 100, 120, 130))
+	f.Add(resultFrame(resultCounts, 0, 0, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, dec := range map[string]func([]byte) (any, error){

@@ -18,7 +18,9 @@
 package suffixtree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"profam/internal/seq"
@@ -437,7 +439,7 @@ func MergedPairs(trees []*SubTree, fn func(Pair) bool) {
 			refs = append(refs, ref{t, &t.Nodes[ni]})
 		}
 	}
-	sort.SliceStable(refs, func(i, j int) bool { return refs[i].n.Depth > refs[j].n.Depth })
+	slices.SortStableFunc(refs, func(a, b ref) int { return cmp.Compare(b.n.Depth, a.n.Depth) })
 	for _, r := range refs {
 		if !r.t.emitNodePairs(r.n, fn) {
 			return

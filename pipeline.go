@@ -1,6 +1,7 @@
 package profam
 
 import (
+	"maps"
 	"runtime"
 	"time"
 
@@ -29,10 +30,15 @@ type wireFamily struct {
 // WireSize implements mpi.Sized for the simtime cost model.
 func (w wireFamily) WireSize() int { return 28 + 4*len(w.Members) }
 
-type familyBatch struct{ Families []wireFamily }
+// familyBatch is one rank's phase 3+4 output: its families and the
+// counts of every pair its B_d builds aligned, for rank 0's memo.
+type familyBatch struct {
+	Families []wireFamily
+	Fresh    pace.Verdicts
+}
 
 func (b familyBatch) WireSize() int {
-	n := 16
+	n := b.Fresh.WireSize()
 	for _, f := range b.Families {
 		n += f.WireSize()
 	}
@@ -70,6 +76,7 @@ type epochPrior struct {
 	redundant []bool        // prior RR verdicts, len == newFrom
 	uf        *unionfind.UF // prior union–find over the kept prior subset (sub-ID space)
 	famCache  map[uint64]famEntry
+	memo      bipartite.Memo // counts of aligned pairs inside prior components
 }
 
 // epochPost is the state a successful epoch hands forward, populated on
@@ -78,6 +85,7 @@ type epochPost struct {
 	redundant []bool
 	uf        *unionfind.UF
 	famCache  map[uint64]famEntry
+	memo      bipartite.Memo
 }
 
 // hashMembers is FNV-1a over a component's member IDs — the family-cache
@@ -266,7 +274,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	// Phase 2: connected components over the non-redundant set.
 	tracer.Instant(trace.CatPipeline, "phase:ccd", "", 0, "", 0)
 	ccdSpan := reg.StartSpan("ccd")
-	comp, ccUF, ccStats, err := pace.ConnectedComponentsFrom(c, set, keep, ccPrior, ccNewFrom, pcfg)
+	comp, ccUF, ccVerdicts, ccStats, err := pace.ConnectedComponentsFrom(c, set, keep, ccPrior, ccNewFrom, pcfg)
 	ccdSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -320,6 +328,31 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		}
 	}
 
+	// Pair memo: B_d decides every pair some earlier alignment already
+	// has counts for, without DP. Rank 0 merges the prior epoch's memo
+	// with this run's CCD verdicts into a new map (the committed state is
+	// immutable) and broadcasts the entries inside the components B_d
+	// will build; B_m aligns nothing, so it skips all of this.
+	//
+	// On rank 0 memo holds every count this epoch knows; elsewhere, the
+	// broadcast entries. B_d builds only read it.
+	var memo bipartite.Memo
+	if cfg.Reduction == GlobalSimilarity {
+		var inside pace.Verdicts
+		if c.Rank() == 0 {
+			var priorMemo bipartite.Memo
+			if prior != nil {
+				priorMemo = prior.memo
+			}
+			memo = mergeMemo(priorMemo, ccVerdicts)
+			inside = memoInside(memo, comp, missComps)
+		}
+		inside = c.Bcast(0, inside).(pace.Verdicts)
+		if c.Rank() != 0 {
+			memo = mergeMemo(nil, inside)
+		}
+	}
+
 	// Phases 3+4: per component, build the bipartite reduction and run
 	// the Shingle algorithm. Components are distributed across all ranks
 	// (batched by estimated cost), processed independently — no
@@ -338,15 +371,17 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	// slice indexed by component position, so the flattened family list
 	// is identical for every thread count.
 	type compJob struct {
-		fams  []wireFamily
-		cells int64 // B_d DP cells
-		pairs int64 // B_d pairs aligned
-		chars int64 // B_m word-extraction characters
-		words int64 // B_m shared words (left vertices)
-		sh    shingle.Stats
-		bggS  float64 // wall seconds in Build*
-		dsdS  float64 // wall seconds in Detect
-		err   error
+		fams   []wireFamily
+		cells  int64          // B_d DP cells
+		pairs  int64          // B_d pairs aligned
+		reused int64          // B_d pairs decided from the memo
+		fresh  bipartite.Memo // counts of the pairs B_d aligned
+		chars  int64          // B_m word-extraction characters
+		words  int64          // B_m shared words (left vertices)
+		sh     shingle.Stats
+		bggS   float64 // wall seconds in Build*
+		dsdS   float64 // wall seconds in Detect
+		err    error
 	}
 	jobs := make([]compJob, len(mine))
 	costs := pace.DefaultCostParams()
@@ -371,11 +406,11 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 			j.chars, j.words = st.Chars, st.Words
 		default:
 			var st bipartite.BuildStats
-			g, st, j.err = bipartite.BuildBd(set, members, bcfg)
+			g, st, j.err = bipartite.BuildBdMemo(set, members, bcfg, memo)
 			if j.err != nil {
 				return
 			}
-			j.cells, j.pairs = st.Cells, st.PairsAligned
+			j.cells, j.pairs, j.reused, j.fresh = st.Cells, st.PairsAligned, st.PairsReused, st.Fresh
 		}
 		built := time.Now()
 		subs, st := shingle.Detect(g, sp)
@@ -400,7 +435,8 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	// (t1-t0) is apportioned between the phases by the seconds the jobs
 	// measured in each; under simtime that section takes no virtual time.
 	var local []wireFamily
-	var cells, pairs, chars, words, ops int64
+	var fresh pace.Verdicts
+	var cells, pairs, reused, chars, words, ops int64
 	var bggS, dsdS float64
 	var sh shingle.Stats
 	for i := range jobs {
@@ -410,6 +446,10 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		}
 		cells += j.cells
 		pairs += j.pairs
+		reused += j.reused
+		for k, oc := range j.fresh {
+			fresh = append(fresh, pace.Verdict{A: k[0], B: k[1], Overlap: oc})
+		}
 		chars += j.chars
 		words += j.words
 		ops += j.sh.WorkOps
@@ -426,6 +466,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	// owned by exactly one rank.
 	reg.Counter("pipeline_components_owned").Add(int64(len(mine)))
 	reg.Counter(metrics.Name("bgg_pairs_aligned", "reduction", cfg.Reduction.String())).Add(pairs)
+	reg.Counter(metrics.Name("bgg_pairs_reused", "reduction", cfg.Reduction.String())).Add(reused)
 	reg.Counter(metrics.Name("bgg_align_cells", "reduction", cfg.Reduction.String())).Add(cells)
 	reg.Counter(metrics.Name("bgg_word_chars", "reduction", cfg.Reduction.String())).Add(chars)
 	reg.Counter(metrics.Name("bgg_words", "reduction", cfg.Reduction.String())).Add(words)
@@ -434,8 +475,10 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	reg.Counter("dsd_candidates").Add(int64(sh.Candidates))
 	reg.Counter("dsd_work_ops").Add(ops)
 	reg.Counter("pipeline_families_emitted").Add(int64(len(local)))
+	// B_d enumerates every promising pair, reused or aligned; only the
+	// aligned ones cost DP cells.
 	bggAdv := float64(pool.CeilDiv(cells, threads))*costs.SecPerCell +
-		float64(pool.CeilDiv(pairs, threads))*costs.SecPerPairGen +
+		float64(pool.CeilDiv(pairs+reused, threads))*costs.SecPerPairGen +
 		float64(pool.CeilDiv(chars, threads))*costs.SecPerTreeChar
 	dsdAdv := float64(pool.CeilDiv(ops, threads)) * shingle.SecPerHashOp
 	c.Advance(bggAdv)
@@ -457,15 +500,20 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	reg.RecordSpan("dsd", t0+bggTime, t0+bggTime+dsdTime)
 	probeHeapPeak(c, reg)
 
-	// Gather families at rank 0, then share the final list. Cached
-	// families join on rank 0 before the broadcast; sortFamilies below is
-	// a pure function of the family set, so the cached/recomputed
-	// interleaving cannot perturb the output order.
-	gathered := c.Gather(0, familyBatch{Families: local})
+	// Gather families and fresh B_d counts at rank 0, then share the
+	// final family list. Cached families join on rank 0 before the
+	// broadcast; sortFamilies below is a pure function of the family set,
+	// so the cached/recomputed interleaving cannot perturb the output
+	// order.
+	gathered := c.Gather(0, familyBatch{Families: local, Fresh: fresh})
 	var all []wireFamily
 	if c.Rank() == 0 {
 		for _, g := range gathered {
-			all = append(all, g.(familyBatch).Families...)
+			b := g.(familyBatch)
+			all = append(all, b.Families...)
+			for _, v := range b.Fresh {
+				memo[[2]int32{v.A, v.B}] = v.Overlap
+			}
 		}
 		for ci, fams := range cachedFams {
 			for _, f := range fams {
@@ -503,10 +551,17 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	sortFamilies(res.Families)
 
 	// Commit state for the next epoch on rank 0: the full redundancy
-	// verdict, the kept-subset union–find, and a family cache entry per
+	// verdict, the kept-subset union–find, a family cache entry per
 	// component (including family-less ones — their absence of families
-	// is itself a reusable result).
+	// is itself a reusable result), and the pair memo pruned to pairs
+	// whose two sequences share a final component — the only pairs a
+	// later B_d build can enumerate without a new arrival joining them.
 	if c.Rank() == 0 {
+		for k := range memo {
+			if l := comp[k[0]]; l < 0 || l != comp[k[1]] {
+				delete(memo, k)
+			}
+		}
 		redundant := make([]bool, len(keep))
 		for i, k := range keep {
 			redundant[i] = !k
@@ -517,7 +572,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 			sortFamilies(fams)
 			famCache[hashMembers(members)] = famEntry{members: members, fams: fams}
 		}
-		post = &epochPost{redundant: redundant, uf: ccUF, famCache: famCache}
+		post = &epochPost{redundant: redundant, uf: ccUF, famCache: famCache, memo: memo}
 	}
 
 	res.BGGTime = c.MaxFloat64(bggTime)
@@ -577,6 +632,34 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		log.Info("pipeline done", "families", len(res.Families), "t", c.Time())
 	}
 	return res, post, nil
+}
+
+// mergeMemo returns a new memo holding prior's entries and the counts of
+// every verdict. A verdict overwrites nothing it disagrees with: both are
+// the counts of the same alignment of the same two residue strings.
+func mergeMemo(prior bipartite.Memo, verdicts []pace.Verdict) bipartite.Memo {
+	memo := make(bipartite.Memo, len(prior)+len(verdicts))
+	maps.Copy(memo, prior)
+	for _, v := range verdicts {
+		memo[[2]int32{v.A, v.B}] = v.Overlap
+	}
+	return memo
+}
+
+// memoInside lists the memo entries whose two sequences lie in one of
+// comps, given the component label of every sequence.
+func memoInside(memo bipartite.Memo, comp []int32, comps [][]int) pace.Verdicts {
+	built := make(map[int32]bool, len(comps))
+	for _, members := range comps {
+		built[comp[members[0]]] = true
+	}
+	out := pace.Verdicts{}
+	for k, oc := range memo {
+		if l := comp[k[0]]; l == comp[k[1]] && built[l] {
+			out = append(out, pace.Verdict{A: k[0], B: k[1], Overlap: oc})
+		}
+	}
+	return out
 }
 
 // equalMembers reports whether two sorted member lists are identical.
