@@ -353,8 +353,11 @@ func alignCascadeKernel(set *seq.Set, pairs []seedPair, threads int) (int64, int
 		before := al.Cells
 		var f int64
 		for i := lo; i < hi; i++ {
-			a, b := set.Get(pairs[i].A).Res, set.Get(pairs[i].B).Res
-			al.EitherContainedCascade(a, b, params, pairs[i].Seed)
+			a, b, seed := set.Get(pairs[i].A).Res, set.Get(pairs[i].B).Res, pairs[i].Seed
+			if len(a) > len(b) {
+				a, b, seed = b, a, seed.Swapped()
+			}
+			al.ContainedCascade(a, b, params, seed)
 			f += int64(len(a)) * int64(len(b))
 		}
 		cells.Add(al.Cells - before)

@@ -3,6 +3,7 @@ package profam_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -48,30 +49,42 @@ func splitWaves(names, seqs []string, n int) [][2][]string {
 // TestIncrementalMatchesCold is the determinism contract behind profamd:
 // ingesting a corpus in waves of incremental epochs yields byte-identical
 // families to one cold run over the union, across rank and thread counts
-// and regardless of how many waves the corpus arrives in. Every epoch's
-// B_d aligns only pairs with a member new to its component: the rest are
-// decided by counts committed in earlier epochs or by this epoch's CCD.
+// and regardless of how many waves the corpus arrives in. The "chains"
+// corpus plants containment chains a ⊂ b ⊂ c (a ⊄ c) that the waves cut
+// in three ways, so a sequence's container arrives in a later epoch
+// than it. Every epoch's B_d aligns only pairs with a member new to its
+// component: the rest are decided by counts committed in earlier epochs
+// or by this epoch's CCD.
 func TestIncrementalMatchesCold(t *testing.T) {
 	corpora := []struct {
-		name  string
-		p     workload.Params
-		waves int
+		name   string
+		p      workload.Params
+		waves  int
+		chains bool
 	}{
 		{"basic", workload.Params{
 			Families: 4, MeanFamilySize: 10, MeanLength: 100,
 			Divergence: 0.08, ContainedFrac: 0.15, Singletons: 4, Seed: 4242,
-		}, 3},
+		}, 3, false},
 		{"contained", workload.Params{
 			Families: 3, MeanFamilySize: 8, MeanLength: 90,
 			Divergence: 0.06, IndelRate: 0.004, ContainedFrac: 0.35, Singletons: 2, Seed: 99,
-		}, 2},
+		}, 2, false},
 		{"subfamilies", workload.Params{
 			Families: 2, MeanFamilySize: 12, MeanLength: 110,
 			Divergence: 0.09, Subfamilies: 2, ContainedFrac: 0.1, Singletons: 5, Seed: 7,
-		}, 4},
+		}, 4, false},
+		{"chains", workload.Params{
+			Families: 3, MeanFamilySize: 8, MeanLength: 100,
+			Divergence: 0.06, ContainedFrac: 0.3, Singletons: 2, Seed: 61,
+		}, 2, true},
 	}
 	for _, tc := range corpora {
 		set, _ := workload.Generate(tc.p)
+		var chains []chainIDs
+		if tc.chains {
+			set, chains = withChains(t, set, rand.New(rand.NewSource(tc.p.Seed)))
+		}
 		names, seqs := setStrings(set)
 		for _, p := range []int{1, 2} {
 			for _, threads := range []int{1, 4} {
@@ -83,6 +96,7 @@ func TestIncrementalMatchesCold(t *testing.T) {
 						t.Fatalf("cold run: %v", err)
 					}
 					want := familiesText(t, set, cold)
+					requireChainsResolved(t, cold.Keep, chains)
 
 					st := profam.NewEpochState()
 					var res *profam.Result
@@ -101,6 +115,9 @@ func TestIncrementalMatchesCold(t *testing.T) {
 					got := familiesText(t, st.Set(), res)
 					if got != want {
 						t.Errorf("incremental families differ from cold rebuild:\n--- cold ---\n%s--- incremental ---\n%s", want, got)
+					}
+					if fmt.Sprint(res.Keep) != fmt.Sprint(cold.Keep) {
+						t.Error("incremental keep mask differs from cold rebuild")
 					}
 				})
 			}

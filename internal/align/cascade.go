@@ -217,17 +217,6 @@ func (al *Aligner) ContainedCascade(a, b []byte, p ContainParams, seed SeedMatch
 	return ok, StageFull
 }
 
-// EitherContainedCascade is the cascade form of EitherContained: same
-// verdict and `which` side, plus the deciding stage.
-func (al *Aligner) EitherContainedCascade(a, b []byte, p ContainParams, seed SeedMatch) (contained bool, which int, stage Stage) {
-	if len(a) <= len(b) {
-		ok, st := al.ContainedCascade(a, b, p, seed)
-		return ok, 0, st
-	}
-	ok, st := al.ContainedCascade(b, a, p, seed.Swapped())
-	return ok, 1, st
-}
-
 // OverlapsCascade is Overlaps with a Stage result. It exists for the
 // benchmark harness's align probe, which counts full-DP verdicts.
 // Definition 2 has no cheap stages: every pair runs the exact local

@@ -229,30 +229,33 @@ func BuildBm(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 		g.RightSeq[i] = int32(id)
 	}
 
-	// word -> set of right vertices containing it (deduplicated per
-	// sequence, kept in ascending right order by construction).
+	// word -> set of right vertices containing it, kept in ascending
+	// right order by construction, so a word already seen in the current
+	// sequence is the one whose set ends with it.
 	var st BuildStats
-	occ := map[string][]int32{}
+	index := map[string]int32{} // word -> its position in occ
+	var occ [][]int32
 	for ri, id := range sorted {
 		res := set.Get(id).Res
 		st.Chars += int64(len(res))
-		if len(res) < cfg.W {
-			continue
-		}
-		lastSeen := map[string]bool{}
 		for off := 0; off+cfg.W <= len(res); off++ {
-			w := string(res[off : off+cfg.W])
-			if lastSeen[w] {
+			w := res[off : off+cfg.W]
+			i, ok := index[string(w)]
+			if !ok {
+				i = int32(len(occ))
+				index[string(w)] = i
+				occ = append(occ, nil)
+			}
+			if rs := occ[i]; len(rs) > 0 && rs[len(rs)-1] == int32(ri) {
 				continue
 			}
-			lastSeen[w] = true
-			occ[w] = append(occ[w], int32(ri))
+			occ[i] = append(occ[i], int32(ri))
 		}
 	}
 
-	words := make([]string, 0, len(occ))
-	for w, rs := range occ {
-		if len(rs) >= 2 {
+	words := make([]string, 0, len(index))
+	for w, i := range index {
+		if len(occ[i]) >= 2 {
 			words = append(words, w)
 		}
 	}
@@ -262,7 +265,7 @@ func BuildBm(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error
 	g.LeftWord = words
 	g.Adj = make([][]int32, len(words))
 	for li, w := range words {
-		g.Adj[li] = occ[w]
+		g.Adj[li] = occ[index[w]]
 	}
 	st.Words = int64(len(words))
 	return g, st, nil

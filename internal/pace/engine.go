@@ -27,6 +27,7 @@ import (
 type phaseCounters struct {
 	raw, generated, duplicate *metrics.Counter
 	closure, aligned          *metrics.Counter
+	workerSkipped             *metrics.Counter // the part of closure a worker's replica closed after dispatch
 	positive, cells, rounds   *metrics.Counter
 	batchTasks                *metrics.Histogram // alignment tasks per master→worker batch
 	batchPairs                *metrics.Histogram // promising pairs per worker→master batch
@@ -54,21 +55,22 @@ func rawPairsName(phase string) string {
 func newPhaseCounters(reg *metrics.Registry, phase string) phaseCounters {
 	l := func(n string) string { return metrics.Name(n, "phase", phase) }
 	pc := phaseCounters{
-		raw:          reg.Counter(rawPairsName(phase)),
-		generated:    reg.Counter(l("pace_pairs_generated")),
-		duplicate:    reg.Counter(l("pace_pairs_duplicate")),
-		closure:      reg.Counter(l("pace_pairs_closure")),
-		aligned:      reg.Counter(l("pace_pairs_aligned")),
-		positive:     reg.Counter(l("pace_pairs_positive")),
-		cells:        reg.Counter(l("pace_align_cells")),
-		rounds:       reg.Counter(l("pace_rounds")),
-		batchTasks:   reg.Histogram(l("pace_batch_tasks")),
-		batchPairs:   reg.Histogram(l("pace_batch_pairs")),
-		queueDepth:   reg.Gauge(l("pace_queue_depth")),
-		quota:        reg.Gauge(l("pace_batch_quota")),
-		cascadeStage: make(map[align.Stage]*metrics.Counter),
-		reg:          reg,
-		phase:        phase,
+		raw:           reg.Counter(rawPairsName(phase)),
+		generated:     reg.Counter(l("pace_pairs_generated")),
+		duplicate:     reg.Counter(l("pace_pairs_duplicate")),
+		closure:       reg.Counter(l("pace_pairs_closure")),
+		workerSkipped: reg.Counter(l("pace_pairs_worker_skipped")),
+		aligned:       reg.Counter(l("pace_pairs_aligned")),
+		positive:      reg.Counter(l("pace_pairs_positive")),
+		cells:         reg.Counter(l("pace_align_cells")),
+		rounds:        reg.Counter(l("pace_rounds")),
+		batchTasks:    reg.Histogram(l("pace_batch_tasks")),
+		batchPairs:    reg.Histogram(l("pace_batch_pairs")),
+		queueDepth:    reg.Gauge(l("pace_queue_depth")),
+		quota:         reg.Gauge(l("pace_batch_quota")),
+		cascadeStage:  make(map[align.Stage]*metrics.Counter),
+		reg:           reg,
+		phase:         phase,
 	}
 	pc.base = pc.read()
 	return pc
@@ -239,9 +241,18 @@ type masterState struct {
 	seen    map[int64]bool
 	seqno   int64
 	merges  int64 // positive outcomes absorbed (union-find merges / redundancy marks)
-	ctr     phaseCounters
-	logic   masterLogic
-	cfg     Config
+	// mergeLog lists, in absorb order, every worker outcome that changed
+	// the master state, tagged with the worker that produced it; each
+	// worker's replica is sent the entries of the others.
+	mergeLog []loggedMerge
+	ctr      phaseCounters
+	logic    masterLogic
+	cfg      Config
+}
+
+type loggedMerge struct {
+	Merge
+	from int
 }
 
 func newMasterState(logic masterLogic, cfg Config, phase string) *masterState {
@@ -264,33 +275,41 @@ func (ms *masterState) ingestPairs(pairs []PairItem) int {
 			continue
 		}
 		ms.seen[key] = true
-		enq, closure := ms.logic.filter(pr)
-		if closure {
+		if ms.logic.closed(pr) {
 			ms.ctr.closure.Inc()
 			continue
 		}
-		if enq {
-			ms.seqno++
-			heap.Push(&ms.pending, taskEntry{PairItem: pr, seq: ms.seqno})
-		}
+		ms.seqno++
+		heap.Push(&ms.pending, taskEntry{PairItem: pr, seq: ms.seqno})
 	}
 	ms.ctr.queueDepth.SetMax(float64(ms.pending.Len()))
 	return len(pairs)
 }
 
-// absorbResults integrates worker alignment outcomes.
-func (ms *masterState) absorbResults(results []AlignOutcome) {
+// absorbResults integrates the alignment outcomes of worker rank from
+// (0 on the serial path). A skipped task was closed by the worker's
+// replica: it counts as closure-eliminated and leaves no trace in the
+// state, since the merge that closed it was absorbed before.
+func (ms *masterState) absorbResults(results []AlignOutcome, from int) {
 	for _, r := range results {
+		if r.Skipped {
+			ms.ctr.closure.Inc()
+			ms.ctr.workerSkipped.Inc()
+			continue
+		}
 		ms.ctr.aligned.Inc()
 		ms.ctr.cells.Add(r.Cells)
-		if r.OK {
-			ms.ctr.positive.Inc()
-			ms.merges++
-		}
 		if r.Stage != 0 {
 			ms.ctr.countStage(align.Stage(r.Stage), r.FullCells)
 		}
-		ms.logic.absorb(r)
+		if r.OK {
+			ms.ctr.positive.Inc()
+			ms.merges++
+			if ms.logic.merge(r.A, r.B) && from > 0 {
+				ms.mergeLog = append(ms.mergeLog, loggedMerge{Merge{r.A, r.B}, from})
+			}
+		}
+		ms.logic.record(r)
 	}
 }
 
@@ -300,14 +319,11 @@ func (ms *masterState) popTasks(k int) []PairItem {
 	var tasks []PairItem
 	for len(tasks) < k && ms.pending.Len() > 0 {
 		e := heap.Pop(&ms.pending).(taskEntry)
-		enq, closure := ms.logic.filter(e.PairItem)
-		if closure {
+		if ms.logic.closed(e.PairItem) {
 			ms.ctr.closure.Inc()
 			continue
 		}
-		if enq {
-			tasks = append(tasks, e.PairItem)
-		}
+		tasks = append(tasks, e.PairItem)
 	}
 	return tasks
 }
@@ -320,6 +336,20 @@ type workerState struct {
 	quota       int  // adaptive task quota: slow-start, doubles per productive dispatch
 	expect      int  // requests this worker will send in total (grows per non-Done reply)
 	received    int  // requests received so far
+	logged      int  // merge-log entries already considered for this worker
+}
+
+// mergesFor returns the merge-log entries other workers produced since
+// the master's previous reply to worker w, and advances w's cursor.
+func (ms *masterState) mergesFor(w int, s *workerState) []Merge {
+	var out []Merge
+	for _, e := range ms.mergeLog[s.logged:] {
+		if e.from != w {
+			out = append(out, e.Merge)
+		}
+	}
+	s.logged = len(ms.mergeLog)
+	return out
 }
 
 // runMaster drives the event-driven master loop on rank 0: it serves
@@ -335,6 +365,10 @@ type workerState struct {
 // terminates with zero messages left in flight even though tags are
 // reused by the next phase.
 //
+// Every non-Done reply carries the worker's merge log (mergesFor), so
+// each worker's replica of the clustering state lags the master by at
+// most the outcomes still in flight.
+//
 // A request is answered immediately unless the worker is a pure task
 // sink with an empty queue (exhausted, nothing to dispatch): answering
 // it with an empty batch would spin an idle request/reply loop, so it
@@ -347,11 +381,11 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 	tr := ms.cfg.Trace
 	phase := ms.ctr.phase
 	// With prefetchDepth requests in flight per worker, a per-dispatch
-	// quota of BatchTasks/prefetchDepth keeps each worker's undispatchable
-	// window (tasks the closure filter can no longer recall) at
-	// BatchTasks. A larger quota overlaps no better and measurably
-	// inflates the aligned-pair count: stale tasks connecting
-	// already-merged clusters slip past the filter.
+	// quota of BatchTasks/prefetchDepth keeps each worker's window of
+	// dispatched tasks at BatchTasks. The worker's replica re-filters
+	// that window, so the quota no longer decides how many pairs one
+	// worker aligns; it bounds how many outcomes of *other* workers a
+	// replica can be missing.
 	maxQuota := max(1, ms.cfg.BatchTasks/prefetchDepth)
 	initialQuota := max(1, maxQuota/8)
 	ws := make([]workerState, p)
@@ -363,6 +397,7 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 	reply := func(w int) {
 		s := &ws[w]
 		var tasks []PairItem
+		var merges []Merge
 		if !done {
 			quota := s.quota
 			if fair := ms.pending.Len()/(p-1) + 1; fair < quota {
@@ -380,12 +415,13 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 				}
 				ms.ctr.quota.SetMax(float64(s.quota))
 			}
+			merges = ms.mergesFor(w, s)
 			s.expect++ // one more request will answer this reply
 		}
 		s.owed--
 		tr.Instant(trace.CatMaster, phase+"/dispatch",
 			"to", int64(w), "tasks", int64(len(tasks)))
-		c.Send(w, tagMaster, MasterMsg{Tasks: tasks, Done: done})
+		c.Send(w, tagMaster, MasterMsg{Tasks: tasks, Merges: merges, Done: done})
 	}
 
 	var served int64
@@ -413,7 +449,7 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 		ms.ctr.rounds.Inc()
 		tr.Instant(trace.CatMaster, phase+"/collect",
 			"pairs", int64(len(msg.Pairs)), "results", int64(len(msg.Results)))
-		ms.absorbResults(msg.Results)
+		ms.absorbResults(msg.Results, w)
 		s.outstanding -= len(msg.Results)
 		if msg.Exhausted {
 			s.exhausted = true
@@ -464,31 +500,58 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 	}
 }
 
-// alignBatch computes the outcomes for one assigned task batch on the
-// rank's goroutine pool. Outcomes land at the same index as their task,
-// so the result order — and everything the master derives from it — is
-// identical for every thread count. Each chunk checks an aligner out of
-// the cache, recycling DP row and trace buffers across chunks and
-// rounds. The summed DP cells are returned so the caller can charge the
-// virtual clock ceil(cells/threads), the perfect-speedup model.
-func alignBatch(cache *pool.AlignerCache, threads int, set *seq.Set, wl workerLogic, tasks []PairItem, out []AlignOutcome, obs pool.Observer) ([]AlignOutcome, int64) {
-	if cap(out) < len(tasks) {
-		out = make([]AlignOutcome, len(tasks))
-	} else {
-		out = out[:len(tasks)]
-	}
-	pool.RunChunkedObserved(threads, len(tasks), obs, func(lo, hi int) {
-		al := cache.Get()
-		for i := lo; i < hi; i++ {
-			out[i] = wl.alignPair(al, set, tasks[i])
+// alignBatch computes the outcomes for one assigned task batch against
+// the worker's replica of the clustering state. A task the replica
+// proves closed comes back Skipped, without an alignment. The rest align
+// on the rank's goroutine pool in conflict-free waves: a task joins the
+// current wave unless the wave already touches one of its keys, and a
+// task that conflicts first flushes the wave — aligns it, then merges
+// its positive outcomes into the replica in task order. Outcomes in one
+// wave cannot change each other's closed test, so skips and outcomes
+// equal strict one-at-a-time processing for every thread count.
+// Outcomes land at their task's index. Each chunk checks an aligner out
+// of the cache, recycling DP buffers across chunks and rounds. The
+// summed DP cells are returned so the caller can charge the virtual
+// clock ceil(cells/threads), the perfect-speedup model, along with the
+// replica operations (closed tests and merges) it performed.
+func alignBatch(cache *pool.AlignerCache, threads int, set *seq.Set, wl workerLogic, replica masterLogic, tasks []PairItem, obs pool.Observer) (out []AlignOutcome, cells, ops int64) {
+	out = make([]AlignOutcome, len(tasks))
+	var wave []int
+	touched := make(map[int32]bool)
+	flush := func() {
+		pool.RunChunkedObserved(threads, len(wave), obs, func(lo, hi int) {
+			al := cache.Get()
+			for _, i := range wave[lo:hi] {
+				out[i] = wl.alignPair(al, set, tasks[i])
+			}
+			cache.Put(al)
+		})
+		for _, i := range wave {
+			cells += out[i].Cells
+			if out[i].OK {
+				replica.merge(out[i].A, out[i].B)
+				ops++
+			}
 		}
-		cache.Put(al)
-	})
-	var cells int64
-	for i := range out {
-		cells += out[i].Cells
+		wave = wave[:0]
+		clear(touched)
 	}
-	return out, cells
+	for i, t := range tasks {
+		a, b := replica.keys(t)
+		if touched[a] || touched[b] {
+			flush()
+			a, b = replica.keys(t)
+		}
+		ops++
+		if replica.closed(t) {
+			out[i] = AlignOutcome{A: t.A, B: t.B, Skipped: true}
+			continue
+		}
+		wave = append(wave, i)
+		touched[a], touched[b] = true, true
+	}
+	flush()
+	return out, cells, ops
 }
 
 // runWorker drives the double-buffered worker loop on ranks 1..p-1. The
@@ -508,7 +571,12 @@ func alignBatch(cache *pool.AlignerCache, threads int, set *seq.Set, wl workerLo
 // to after the alignment costs no overlap while making its piggybacked
 // outcomes as fresh as a dedicated report message would be — without
 // doubling the phase's message count.
-func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg Config, phase string) {
+//
+// Before aligning a batch the worker applies the batch's merge log to its
+// replica; alignBatch then skips whatever the replica proves closed. The
+// replica's checks and merges are charged at the master's per-pair
+// filter rate, so a skipped task is not free in virtual time.
+func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, replica masterLogic, src *pairSource, cfg Config, phase string) {
 	sp := cfg.Metrics.StartSpan(phase + "/exchange")
 	defer sp.End()
 	tr := cfg.Trace
@@ -553,8 +621,12 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, src *pairSource, cfg C
 			return
 		}
 		t0 := tr.Now()
-		results, cells := alignBatch(cache, threads, set, wl, msg.Tasks, nil, obs)
-		c.Advance(float64(pool.CeilDiv(cells, threads)) * DefaultCostParams().SecPerCell)
+		for _, m := range msg.Merges {
+			replica.merge(m.A, m.B)
+		}
+		results, cells, ops := alignBatch(cache, threads, set, wl, replica, msg.Tasks, obs)
+		c.Advance(float64(int64(len(msg.Merges))+ops)*DefaultCostParams().SecPerPairFilter +
+			float64(pool.CeilDiv(cells, threads))*DefaultCostParams().SecPerCell)
 		tr.Span(trace.CatWorker, phase+"/align", t0, tr.Now(),
 			"tasks", int64(len(msg.Tasks)), "cells", cells)
 		// Ship the finished batch's outcomes with the next request. The
@@ -586,13 +658,13 @@ func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *
 		nops := ms.ingestPairs(pairs)
 		c.Advance(float64(nops) * DefaultCostParams().SecPerPairFilter)
 		// One task at a time so each alignment outcome can eliminate
-		// later pending pairs via the closure filter — the serial
-		// reference semantics the parallel rounds approximate.
+		// later pending pairs via the closure filter — the reference
+		// that a single worker's replica reproduces exactly.
 		for ms.pending.Len() > 0 {
 			for _, t := range ms.popTasks(1) {
 				out := wl.alignPair(al, set, t)
 				c.Advance(float64(out.Cells) * DefaultCostParams().SecPerCell)
-				ms.absorbResults([]AlignOutcome{out})
+				ms.absorbResults([]AlignOutcome{out}, 0)
 			}
 		}
 		tr.Count(trace.CatMaster, phase+"/merges", ms.merges)
@@ -657,7 +729,8 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 		return st, nil
 	}
 
-	// Workers own the buckets; the master owns the clustering state.
+	// Workers own the buckets; the master owns the clustering state, and
+	// each worker's own ml serves as its replica of it.
 	assign := suffixtree.AssignBuckets(buckets, p-1)
 	if c.Rank() == 0 {
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
@@ -674,7 +747,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Con
 		return Stats{}, err
 	}
 	src := newPairSource(trees, int32(newFrom))
-	runWorker(c, set, wl, src, cfg, phase)
+	runWorker(c, set, wl, ml, src, cfg, phase)
 	// The enumerating ranks own the raw-pair counter; the master's Stats
 	// read-out gets the total via the reduction below.
 	cfg.Metrics.Counter(rawPairsName(phase)).Add(src.raw)
@@ -710,13 +783,15 @@ func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, er
 // RedundancyRemovalFrom is the incremental form of RedundancyRemoval:
 // prior (may be nil) is the redundancy verdict from the previous epoch
 // over sequences 0..newFrom-1, and only pairs with at least one side ≥
-// newFrom are aligned. Old-vs-old containment was settled last epoch, so
-// the combined mask matches a cold run whenever no containment chains
-// cross the epoch boundary (see DESIGN.md §9). The returned keep mask
-// covers the whole set on all ranks.
+// newFrom are aligned. A sequence is redundant iff an earlier one in the
+// (length descending, ID ascending) order contains it, and whether it is
+// depends on each of its pairs alone. Old-vs-old pairs were settled last
+// epoch, so the combined mask equals a cold run's, containment chains
+// across the epoch boundary included (see DESIGN.md §9). The returned
+// keep mask covers the whole set on all ranks.
 func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, prior []bool, newFrom int, cfg Config) ([]bool, Stats, error) {
 	cfg = cfg.withDefaults()
-	ml := &rrMaster{redundant: make([]bool, set.Len())}
+	ml := &rrMaster{set: set, redundant: make([]bool, set.Len())}
 	if prior != nil {
 		copy(ml.redundant, prior)
 	}

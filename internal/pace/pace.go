@@ -9,9 +9,13 @@
 // generates "promising pairs" — pairs of sequences sharing a maximal
 // exact match of length ≥ ψ — in decreasing match-length order. The
 // master maintains the global clustering state,
-// filters incoming pairs (duplicate elimination plus, for CCD, the
-// transitive-closure test that skips pairs already in one cluster), and
-// dynamically assigns the surviving alignment workload back to workers.
+// filters incoming pairs (duplicate elimination plus the closure test:
+// for CCD, pairs already in one cluster; for RR, pairs whose later side
+// is already redundant), and dynamically assigns the surviving alignment
+// workload back to workers. Each worker keeps a replica of the
+// clustering state, fed by its own outcomes and a merge log the master
+// piggybacks on its replies, and skips the tasks the replica proves
+// closed.
 //
 // The same code runs serially (one rank), concurrently (inproc/tcp
 // transports), and on the virtual-time simulator, where each rank charges
@@ -169,9 +173,12 @@ type PairItem struct {
 
 // AlignOutcome is a worker's verdict on one assigned pair.
 type AlignOutcome struct {
-	A, B  int32
-	OK    bool // predicate passed
-	Which int8 // RR only: 0 if A is the contained side, 1 if B
+	A, B int32
+	OK   bool // predicate passed
+	// Skipped marks a task the worker's replica of the clustering state
+	// already proved closed: nothing was aligned, and every other field
+	// but A and B is zero.
+	Skipped bool
 	// Stage records which containment-cascade stage decided an RR pair
 	// (0 when the exact path ran instead, and always 0 in CCD; see
 	// align.Stage).
@@ -213,21 +220,33 @@ type WorkerMsg struct {
 func (m WorkerMsg) WireSize() int {
 	n := 16 + 20*len(m.Pairs) + 29*len(m.Results)
 	for _, r := range m.Results {
-		if r.Overlap != (align.OverlapCounts{}) {
+		switch {
+		case r.Skipped:
+			n -= 20 // no stage or cell counts follow a skip
+		case r.Overlap != (align.OverlapCounts{}):
 			n += 16
 		}
 	}
 	return n
 }
 
-// MasterMsg is the master→worker round payload.
+// Merge is one positive outcome as the master relays it to the replicas
+// of the workers that did not produce it.
+type Merge struct {
+	A, B int32
+}
+
+// MasterMsg is the master→worker round payload: the next task batch and
+// the merge log, the positive outcomes of other workers that the master
+// absorbed since its previous reply to this worker.
 type MasterMsg struct {
-	Tasks []PairItem
-	Done  bool
+	Tasks  []PairItem
+	Merges []Merge
+	Done   bool
 }
 
 // WireSize implements mpi.Sized.
-func (m MasterMsg) WireSize() int { return 16 + 20*len(m.Tasks) }
+func (m MasterMsg) WireSize() int { return 16 + 20*len(m.Tasks) + 8*len(m.Merges) }
 
 // RegisterWireTypes registers the phase payloads for the TCP transport:
 // the binary frame decoders for the hot batch messages, and the gob types
@@ -289,16 +308,28 @@ func pairKey(a, b int32) int64 { return int64(a)<<32 | int64(uint32(b)) }
 
 // --- phase logic interfaces ---------------------------------------------
 
-// masterLogic is the phase-specific policy the generic master loop
-// consults.
+// masterLogic is the phase's clustering state and the policy the generic
+// master loop consults. Every rank builds one from the same collective
+// arguments: rank 0's is the master state, a worker's is its replica,
+// which learns the worker's own outcomes and the master's merge log.
+// Both rules are monotone — merges only ever add to the state, and a
+// closed pair stays closed — so a replica that knows any subset of the
+// outcomes never closes a pair the complete state would still act on.
 type masterLogic interface {
-	// filter decides whether an incoming promising pair still needs an
-	// alignment. Duplicate elimination is handled generically before
-	// this is called. Returning closure=true counts the pair as
-	// eliminated by clustering state.
-	filter(p PairItem) (enqueue, closure bool)
-	// absorb integrates one alignment outcome into the master state.
-	absorb(r AlignOutcome)
+	// closed reports whether the state already implies the pair's
+	// verdict, so aligning it could change nothing. Duplicate
+	// elimination is handled generically before this is called.
+	closed(p PairItem) bool
+	// keys names the state entries whose change could reopen or close
+	// the pair: two outcomes with disjoint keys cannot affect each
+	// other's closed test.
+	keys(p PairItem) (int32, int32)
+	// merge applies one positive outcome and reports whether it changed
+	// the state.
+	merge(a, b int32) bool
+	// record keeps whatever the phase returns about an aligned pair
+	// besides the merge; only the master calls it.
+	record(r AlignOutcome)
 }
 
 // workerLogic computes the phase predicate for one assigned pair.
@@ -308,52 +339,67 @@ type workerLogic interface {
 
 // --- redundancy removal -------------------------------------------------
 
+// laterSide orders a pair's sequences by (length descending, ID
+// ascending) and returns the side that comes later, then the earlier.
+func laterSide(set *seq.Set, a, b int32) (later, earlier int32) {
+	la, lb := len(set.Get(int(a)).Res), len(set.Get(int(b)).Res)
+	if la < lb || (la == lb && a > b) {
+		return a, b
+	}
+	return b, a
+}
+
+// rrMaster holds Definition 1's redundancy marks: a sequence is
+// redundant iff some sequence earlier in the (length descending, ID
+// ascending) order contains it. A pair can only mark its later side, so
+// the marks are the same under any processing order.
 type rrMaster struct {
+	set       *seq.Set
 	redundant []bool
 }
 
-func (m *rrMaster) filter(p PairItem) (bool, bool) {
-	// If either side is already redundant the pair cannot change the
-	// outcome: a redundant sequence is dropped regardless, and it is not
-	// eligible to serve as a container (its own container still is).
-	if m.redundant[p.A] || m.redundant[p.B] {
-		return false, true
-	}
-	return true, false
+func (m *rrMaster) closed(p PairItem) bool {
+	later, _ := laterSide(m.set, p.A, p.B)
+	return m.redundant[later]
 }
 
-func (m *rrMaster) absorb(r AlignOutcome) {
-	if !r.OK {
-		return
-	}
-	contained, container := r.A, r.B
-	if r.Which == 1 {
-		contained, container = r.B, r.A
-	}
-	// Never remove both sides of a mutually-contained (near-identical)
-	// pair: keep the container if it still stands.
-	if !m.redundant[container] {
-		m.redundant[contained] = true
-	}
+func (m *rrMaster) keys(p PairItem) (int32, int32) {
+	later, _ := laterSide(m.set, p.A, p.B)
+	return later, later
 }
+
+func (m *rrMaster) merge(a, b int32) bool {
+	later, _ := laterSide(m.set, a, b)
+	if m.redundant[later] {
+		return false
+	}
+	m.redundant[later] = true
+	return true
+}
+
+func (m *rrMaster) record(AlignOutcome) {}
 
 type rrWorker struct {
 	params align.ContainParams
 	exact  bool
 }
 
+// alignPair tests whether the pair's later side is contained in its
+// earlier side; the reverse containment can never mark anything.
 func (w rrWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOutcome {
-	a, b := set.Get(int(p.A)), set.Get(int(p.B))
+	later, earlier := laterSide(set, p.A, p.B)
+	a, b := set.Get(int(later)).Res, set.Get(int(earlier)).Res
+	seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
+	if later != p.A {
+		seed = seed.Swapped()
+	}
 	before := al.Cells
-	out := AlignOutcome{A: p.A, B: p.B,
-		FullCells: int64(len(a.Res)) * int64(len(b.Res))}
+	out := AlignOutcome{A: p.A, B: p.B, FullCells: int64(len(a)) * int64(len(b))}
 	if w.exact {
-		ok, which := al.EitherContained(a.Res, b.Res, w.params)
-		out.OK, out.Which = ok, int8(which)
+		out.OK, _ = al.Contained(a, b, w.params)
 	} else {
-		seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-		ok, which, stage := al.EitherContainedCascade(a.Res, b.Res, w.params, seed)
-		out.OK, out.Which, out.Stage = ok, int8(which), int8(stage)
+		ok, stage := al.ContainedCascade(a, b, w.params, seed)
+		out.OK, out.Stage = ok, int8(stage)
 	}
 	out.Cells = al.Cells - before
 	return out
@@ -364,20 +410,20 @@ func (w rrWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOu
 type ccMaster struct {
 	uf            *unionfind.UF
 	disableFilter bool
-	verdicts      []Verdict // every outcome, in the phase's sub-ID space
+	verdicts      []Verdict // every aligned outcome, in the phase's sub-ID space
 }
 
-func (m *ccMaster) filter(p PairItem) (bool, bool) {
-	if !m.disableFilter && m.uf.Same(int(p.A), int(p.B)) {
-		return false, true
-	}
-	return true, false
+func (m *ccMaster) closed(p PairItem) bool {
+	return !m.disableFilter && m.uf.Same(int(p.A), int(p.B))
 }
 
-func (m *ccMaster) absorb(r AlignOutcome) {
-	if r.OK {
-		m.uf.Union(int(r.A), int(r.B))
-	}
+func (m *ccMaster) keys(p PairItem) (int32, int32) {
+	return int32(m.uf.Find(int(p.A))), int32(m.uf.Find(int(p.B)))
+}
+
+func (m *ccMaster) merge(a, b int32) bool { return m.uf.Union(int(a), int(b)) }
+
+func (m *ccMaster) record(r AlignOutcome) {
 	m.verdicts = append(m.verdicts, Verdict{A: r.A, B: r.B, Overlap: r.Overlap})
 }
 

@@ -116,15 +116,17 @@ func (r *wireReader) pairs() ([]PairItem, error) {
 	return out, nil
 }
 
-// Per-result flag bits: the verdict, the RR contained side, and whether
-// the CCD overlap counts follow the cell counts. Any other bit set marks
-// a frame from a different layout, which the decoder rejects rather than
+// Per-result flag bits: the verdict, a task the worker's replica skipped,
+// and whether the CCD overlap counts follow the cell counts. A skipped
+// task carries no fields beyond its IDs, so resultSkipped stands alone.
+// Any other bit set, or resultSkipped combined with another, marks a
+// frame from a different layout, which the decoder rejects rather than
 // misreading the fields that follow. RR results never set resultCounts,
 // so RR frames carry no count bytes at all.
 const (
-	resultOK     byte = 1
-	resultWhich  byte = 2
-	resultCounts byte = 4
+	resultOK      byte = 1
+	resultSkipped byte = 2
+	resultCounts  byte = 4
 )
 
 // WireKind implements mpi.BinaryPayload.
@@ -144,12 +146,13 @@ func (m WorkerMsg) AppendBinary(buf []byte) []byte {
 		buf = appendZig(buf, int64(r.A-prevA))
 		buf = appendZig(buf, int64(r.B-prevB))
 		prevA, prevB = r.A, r.B
+		if r.Skipped {
+			buf = append(buf, resultSkipped)
+			continue
+		}
 		var f byte
 		if r.OK {
 			f = resultOK
-		}
-		if r.Which != 0 {
-			f |= resultWhich
 		}
 		hasCounts := r.Overlap != (align.OverlapCounts{})
 		if hasCounts {
@@ -196,7 +199,7 @@ func decodeWorkerMsg(body []byte) (any, error) {
 	if m.Pairs, err = r.pairs(); err != nil {
 		return nil, err
 	}
-	n, err := r.count(5)
+	n, err := r.count(3)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +221,15 @@ func decodeWorkerMsg(body []byte) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			if f&^(resultOK|resultWhich|resultCounts) != 0 {
+			if f&^(resultOK|resultSkipped|resultCounts) != 0 {
 				return nil, fmt.Errorf("pace: result flag byte %#02x sets unknown bits", f)
+			}
+			if f&resultSkipped != 0 {
+				if f != resultSkipped {
+					return nil, fmt.Errorf("pace: result flag byte %#02x combines a skip with other bits", f)
+				}
+				m.Results[i] = AlignOutcome{A: prevA, B: prevB, Skipped: true}
+				continue
 			}
 			stage, err := r.zig()
 			if err != nil {
@@ -238,7 +248,7 @@ func decodeWorkerMsg(body []byte) (any, error) {
 			}
 			m.Results[i] = AlignOutcome{
 				A: prevA, B: prevB,
-				OK: f&resultOK != 0, Which: int8(f&resultWhich) >> 1, Stage: int8(stage),
+				OK: f&resultOK != 0, Stage: int8(stage),
 				Cells: int64(cells), FullCells: int64(full),
 			}
 			if f&resultCounts != 0 {
@@ -261,7 +271,15 @@ func (m MasterMsg) AppendBinary(buf []byte) []byte {
 		flags = 1
 	}
 	buf = append(buf, flags)
-	return appendPairs(buf, m.Tasks)
+	buf = appendPairs(buf, m.Tasks)
+	buf = binary.AppendUvarint(buf, uint64(len(m.Merges)))
+	var prev Merge
+	for _, g := range m.Merges {
+		buf = appendZig(buf, int64(g.A-prev.A))
+		buf = appendZig(buf, int64(g.B-prev.B))
+		prev = g
+	}
+	return buf
 }
 
 func decodeMasterMsg(body []byte) (any, error) {
@@ -274,6 +292,26 @@ func decodeMasterMsg(body []byte) (any, error) {
 	m.Done = flags&1 != 0
 	if m.Tasks, err = r.pairs(); err != nil {
 		return nil, err
+	}
+	n, err := r.count(2)
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		m.Merges = make([]Merge, n)
+		var prev Merge
+		for i := range m.Merges {
+			da, err := r.zig()
+			if err != nil {
+				return nil, err
+			}
+			db, err := r.zig()
+			if err != nil {
+				return nil, err
+			}
+			prev = Merge{A: prev.A + int32(da), B: prev.B + int32(db)}
+			m.Merges[i] = prev
+		}
 	}
 	return m, nil
 }

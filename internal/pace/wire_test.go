@@ -23,9 +23,14 @@ func randomWorkerMsg(rng *rand.Rand) WorkerMsg {
 		})
 	}
 	for i, n := 0, rng.Intn(40); i < n; i++ {
+		if rng.Intn(4) == 0 { // a task the worker's replica skipped
+			m.Results = append(m.Results, AlignOutcome{
+				A: rng.Int31n(1 << 20), B: rng.Int31n(1 << 20), Skipped: true})
+			continue
+		}
 		m.Results = append(m.Results, AlignOutcome{
 			A: rng.Int31n(1 << 20), B: rng.Int31n(1 << 20),
-			OK: rng.Intn(2) == 0, Which: int8(rng.Intn(2)), Stage: int8(rng.Intn(4)),
+			OK: rng.Intn(2) == 0, Stage: int8(rng.Intn(4)),
 			Cells: rng.Int63n(1 << 30), FullCells: rng.Int63n(1 << 30),
 		})
 		if rng.Intn(2) == 0 { // a CCD outcome
@@ -34,6 +39,14 @@ func randomWorkerMsg(rng *rand.Rand) WorkerMsg {
 				Span: rng.Int31n(1 << 12), LongLen: rng.Int31(),
 			}
 		}
+	}
+	return m
+}
+
+func randomMasterMsg(rng *rand.Rand) MasterMsg {
+	m := MasterMsg{Tasks: randomWorkerMsg(rng).Pairs, Done: rng.Intn(2) == 0}
+	for i, n := 0, rng.Intn(20); i < n; i++ {
+		m.Merges = append(m.Merges, Merge{A: rng.Int31n(1 << 20), B: rng.Int31n(1 << 20)})
 	}
 	return m
 }
@@ -52,7 +65,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: WorkerMsg round trip mismatch:\nin:  %+v\nout: %+v", trial, w, got)
 		}
 
-		m := MasterMsg{Tasks: randomWorkerMsg(rng).Pairs, Done: rng.Intn(2) == 0}
+		m := randomMasterMsg(rng)
 		gotM, err := decodeMasterMsg(m.AppendBinary(nil))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -108,17 +121,29 @@ func resultFrame(flag byte, stage int64, counts ...uint64) []byte {
 	return buf
 }
 
+// skipFrame is a WorkerMsg frame carrying one outcome with the given raw
+// flag byte and nothing after it, the layout of a skipped task.
+func skipFrame(flag byte) []byte {
+	buf := []byte{0}            // message flags
+	buf = appendPairs(buf, nil) // no pairs
+	buf = binary.AppendUvarint(buf, 1)
+	buf = appendZig(buf, 1)
+	buf = appendZig(buf, 2)
+	return append(buf, flag)
+}
+
 // TestWireMalformedResultRejected: an outcome whose flag byte sets a bit
-// besides OK/Which/Counts, or whose stage is not a cascade stage, comes
-// from a different frame layout; decoding it would misread the fields
-// after it. An outcome that announces counts must carry all four, each
-// within int32.
+// besides OK/Skipped/Counts, combines Skipped with another bit, or whose
+// stage is not a cascade stage, comes from a different frame layout;
+// decoding it would misread the fields after it. An outcome that
+// announces counts must carry all four, each within int32. A skip is the
+// two IDs and the flag byte, nothing more.
 func TestWireMalformedResultRejected(t *testing.T) {
-	got, err := decodeWorkerMsg(resultFrame(resultOK|resultWhich, int64(align.StageFull)))
+	got, err := decodeWorkerMsg(resultFrame(resultOK, int64(align.StageFull)))
 	if err != nil {
 		t.Fatalf("well-formed frame rejected: %v", err)
 	}
-	want := AlignOutcome{A: 1, B: 2, OK: true, Which: 1, Stage: int8(align.StageFull), Cells: 10, FullCells: 20}
+	want := AlignOutcome{A: 1, B: 2, OK: true, Stage: int8(align.StageFull), Cells: 10, FullCells: 20}
 	if r := got.(WorkerMsg).Results; len(r) != 1 || r[0] != want {
 		t.Fatalf("decoded %+v, want [%+v]", r, want)
 	}
@@ -140,6 +165,19 @@ func TestWireMalformedResultRejected(t *testing.T) {
 	for _, f := range []byte{0x08, 0x10, 0x80} {
 		if _, err := decodeWorkerMsg(resultFrame(f|resultOK, int64(align.StageFull))); err == nil {
 			t.Errorf("flag byte %#02x accepted", f|resultOK)
+		}
+	}
+	got, err = decodeWorkerMsg(skipFrame(resultSkipped))
+	if err != nil {
+		t.Fatalf("well-formed skip rejected: %v", err)
+	}
+	want = AlignOutcome{A: 1, B: 2, Skipped: true}
+	if r := got.(WorkerMsg).Results; len(r) != 1 || r[0] != want {
+		t.Fatalf("decoded %+v, want [%+v]", r, want)
+	}
+	for _, f := range []byte{resultSkipped | resultOK, resultSkipped | resultCounts} {
+		if _, err := decodeWorkerMsg(resultFrame(f, int64(align.StageFull))); err == nil {
+			t.Errorf("skip combined into flag byte %#02x accepted", f)
 		}
 	}
 	for _, st := range []int64{-1, int64(align.StageFull) + 1, int64(align.StageFull) + 2} {
@@ -169,7 +207,7 @@ func realisticWorkerMsg(rng *rand.Rand, batch int) WorkerMsg {
 		a += int32(rng.Intn(3))
 		m.Results = append(m.Results, AlignOutcome{
 			A: a, B: a + 1 + int32(rng.Intn(60)),
-			OK: rng.Intn(3) > 0, Which: int8(rng.Intn(2)), Stage: int8(1 + rng.Intn(3)),
+			OK: rng.Intn(3) > 0, Stage: int8(1 + rng.Intn(3)),
 			Cells: int64(rng.Intn(20000)), FullCells: int64(10000 + rng.Intn(90000)),
 		})
 	}
@@ -272,6 +310,10 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(corruptCountFrame())
 	f.Add(MasterMsg{Tasks: w.Pairs, Done: true}.AppendBinary(nil))
+	f.Add(randomMasterMsg(rng).AppendBinary(nil))
+	f.Add(MasterMsg{Merges: []Merge{{A: 3, B: 9}, {A: 1, B: 2}}}.AppendBinary(nil))
+	f.Add(skipFrame(resultSkipped))
+	f.Add(skipFrame(resultSkipped | resultOK))
 	f.Add(resultFrame(0x08, int64(align.StageFull)))
 	f.Add(resultFrame(resultOK, int64(align.StageFull)+2))
 	f.Add(resultFrame(resultOK|resultCounts, 0, 90, 100, 120, 130))

@@ -247,6 +247,45 @@ func allocated(fn func()) (objects, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
+// TestDetectorReuse runs one Detector over graphs of both kinds whose
+// sizes shrink and grow: every result must equal a fresh Detect's and
+// stay unchanged by the calls after it, and a repeat on a graph the
+// storage has already held must allocate well under a fresh call.
+func TestDetectorReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	p := Params{S1: 4, C1: 60, S2: 3, C2: 30, Tau: 0.2, MinSize: 3}
+	graphs := []*bipartite.Graph{
+		sharedAdjacency(rng, bipartite.Match, 30, 12, 24, 3),
+		denseBd(rng, 3, 10, 0.9, 0.2),
+		sharedAdjacency(rng, bipartite.Match, 6, 3, 3, 2),
+		{Kind: bipartite.Match, NRight: 1, RightSeq: []int32{0}},
+		sharedAdjacency(rng, bipartite.Duplicate, 6, 9, 12, 0),
+		sharedAdjacency(rng, bipartite.Match, 40, 14, 30, 4),
+	}
+	var d Detector
+	var got [][]DenseSubgraph
+	for i, g := range graphs {
+		want, wantSt := Detect(g, p)
+		subs, st := d.Detect(g, p)
+		if !reflect.DeepEqual(subs, want) || st != wantSt {
+			t.Fatalf("graph %d: reused detector gave %v %+v, a fresh one %v %+v", i, subs, st, want, wantSt)
+		}
+		got = append(got, subs)
+	}
+	for i, g := range graphs {
+		if want, _ := Detect(g, p); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("graph %d: result changed by later calls on the same detector", i)
+		}
+	}
+	g := graphs[len(graphs)-1]
+	_, fresh := allocated(func() { Detect(g, p) })
+	_, reused := allocated(func() { d.Detect(g, p) })
+	t.Logf("bytes allocated: fresh %d, reused %d", fresh, reused)
+	if 3*reused > fresh {
+		t.Errorf("a reused detector allocates %d bytes, more than a third of a fresh one's %d", reused, fresh)
+	}
+}
+
 // TestMemoBoundedWithoutSharing is the worst case for the memos: no two
 // adjacency lists are equal, so every pass-I lookup misses and that memo
 // is pure overhead (pass II still finds the single-vertex member lists

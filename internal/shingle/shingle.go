@@ -100,21 +100,56 @@ const SecPerHashOp = 2.0e-8
 // Detect runs the two-pass algorithm on one bipartite graph and returns
 // the dense subgraphs, largest first.
 func Detect(g *bipartite.Graph, p Params) ([]DenseSubgraph, Stats) {
+	var d Detector
+	return d.Detect(g, p)
+}
+
+// Detector runs Detect with its working storage — the pass I shingle
+// sets, their grouping by shingle and the hash tables of both passes —
+// kept from one call to the next, so a caller that detects in many
+// graphs in turn allocates for the largest of them rather than for
+// every one. Results never alias that storage. The zero value is ready
+// to use; a Detector must not be used by two goroutines at once.
+type Detector struct {
+	tuples               shingleTuples
+	sorted               []uint64 // distinct first-level hashes, ascending
+	id, off, verts, fill []int32  // firstLevel and its fill cursors
+	done, second, sameAs map[uint64]int32
+	seen                 map[uint64]struct{}
+}
+
+// Detect is the package-level Detect on d's storage.
+func (d *Detector) Detect(g *bipartite.Graph, p Params) ([]DenseSubgraph, Stats) {
 	p = p.withDefaults()
 	st := Stats{LeftVertices: g.NLeft}
 	if g.NLeft == 0 {
 		return nil, st
 	}
-	tuples, ops := passOne(g, p)
+	if d.done == nil {
+		d.done, d.second, d.sameAs = map[uint64]int32{}, map[uint64]int32{}, map[uint64]int32{}
+		d.seen = make(map[uint64]struct{}, p.C1)
+	}
+	tuples, ops := d.passOne(g, p)
 	st.WorkOps = ops
-	return reportFromShingles(g, p, tuples, st)
+	return d.reportFromShingles(g, p, tuples, st)
 }
 
-// shingleTuples is pass I's output, one <first-level shingle, left
-// vertex> pair per entry in ascending vertex order.
+// reuse returns s resized to n zeroed elements, in place when its
+// capacity allows.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// shingleTuples is pass I's output: the shingle set of every left
+// vertex. Vertices with equal adjacency lists share one stored set.
 type shingleTuples struct {
-	Hashes []uint64
-	Verts  []int32
+	Hashes []uint64 // the distinct shingle sets, concatenated
+	Sets   []span   // by left vertex: its shingle set in Hashes, empty without one
 }
 
 // listKey hashes a vertex list to the 64-bit key the two memos look
@@ -134,16 +169,17 @@ type span struct{ lo, hi int32 }
 
 // passOne computes the (s1, c1)-shingle set of every left vertex: per
 // vertex, the distinct shingle hashes in permutation order. A shingle
-// set is a pure function of the adjacency list, so vertices sharing one (the members of a clique in B_d, the words of
-// one conserved domain in B_m) are shingled once: later vertices replay
-// the first one's tuples. It returns the tuples and the number of hash
-// evaluations performed.
-func passOne(g *bipartite.Graph, p Params) (shingleTuples, int64) {
+// set is a pure function of the adjacency list, so vertices sharing one
+// (the members of a clique in B_d, the words of one conserved domain in
+// B_m) are shingled once: later vertices point at the first one's set.
+// It returns the sets and the number of hash evaluations performed.
+func (d *Detector) passOne(g *bipartite.Graph, p Params) (shingleTuples, int64) {
 	fam := minhash.NewFamily(p.C1, p.Seed)
-	var t shingleTuples
+	t := shingleTuples{Hashes: d.tuples.Hashes[:0], Sets: reuse(d.tuples.Sets, g.NLeft)}
 	var ops int64
-	done := map[uint64]span{} // listKey(adjacency) -> its first vertex's tuples
-	seen := make(map[uint64]struct{}, p.C1)
+	done := d.done // listKey(adjacency) -> first vertex with it
+	clear(done)
+	seen := d.seen
 	scratch := make([]uint64, p.S1)
 	var elems []uint64
 	for v := range g.NLeft {
@@ -153,11 +189,8 @@ func passOne(g *bipartite.Graph, p Params) (shingleTuples, int64) {
 		}
 		key := listKey(adj)
 		first, known := done[key]
-		if known && slices.Equal(g.Adj[t.Verts[first.lo]], adj) {
-			t.Hashes = append(t.Hashes, t.Hashes[first.lo:first.hi]...)
-			for range first.hi - first.lo {
-				t.Verts = append(t.Verts, int32(v))
-			}
+		if known && slices.Equal(g.Adj[first], adj) {
+			t.Sets[v] = t.Sets[first]
 			continue
 		}
 		elems = elems[:0]
@@ -171,20 +204,22 @@ func passOne(g *bipartite.Graph, p Params) (shingleTuples, int64) {
 			if _, dup := seen[h]; !dup {
 				seen[h] = struct{}{}
 				t.Hashes = append(t.Hashes, h)
-				t.Verts = append(t.Verts, int32(v))
 			}
 		}
 		ops += int64(len(elems)) * int64(len(fam.Perms))
+		t.Sets[v] = span{int32(start), int32(len(t.Hashes))}
 		if !known {
-			done[key] = span{int32(start), int32(len(t.Hashes))}
+			done[key] = int32(v)
 		}
 	}
+	d.tuples = t
 	return t, ops
 }
 
 // firstLevel is pass I's output grouped by shingle. Shingles are numbered
 // by ascending hash; shingle i has the member vertices
-// verts[off[i]:off[i+1]], ascending, and tuple k belongs to shingle id[k].
+// verts[off[i]:off[i+1]], ascending, and stored hash k (pass I's
+// Hashes[k]) is shingle id[k].
 type firstLevel struct {
 	id, off, verts []int32
 }
@@ -192,45 +227,37 @@ type firstLevel struct {
 func (f firstLevel) len() int                { return len(f.off) - 1 }
 func (f firstLevel) members(i int32) []int32 { return f.verts[f.off[i]:f.off[i+1]] }
 
-// groupTuples indexes the pass-I tuples, which must be in ascending
-// vertex order.
-func groupTuples(t shingleTuples) firstLevel {
-	id := make([]int32, len(t.Hashes))
-	index := make(map[uint64]int32, len(t.Hashes)/4)
-	var hashes []uint64 // in first-seen order
-	for k, h := range t.Hashes {
-		i, ok := index[h]
-		if !ok {
-			i = int32(len(hashes))
-			index[h] = i
-			hashes = append(hashes, h)
-		}
-		id[k] = i
-	}
+// groupTuples indexes the pass-I shingle sets by shingle; id is indexed
+// like t.Hashes.
+func (d *Detector) groupTuples(t shingleTuples) firstLevel {
+	hashes := append(d.sorted[:0], t.Hashes...) // the distinct hashes, ascending
+	slices.Sort(hashes)
+	hashes = slices.Compact(hashes)
+	d.sorted = hashes
 	n := len(hashes)
-	order := make([]int32, n) // sorted position -> first-seen position
-	for i := range order {
-		order[i] = int32(i)
+	id := reuse(d.id, len(t.Hashes))
+	for k, h := range t.Hashes {
+		i, _ := slices.BinarySearch(hashes, h)
+		id[k] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(hashes[a], hashes[b]) })
-	rank := make([]int32, n) // first-seen position -> sorted position
-	for i, o := range order {
-		rank[o] = int32(i)
-	}
-	off := make([]int32, n+1)
-	for k := range id {
-		id[k] = rank[id[k]]
-		off[id[k]+1]++
+	off := reuse(d.off, n+1)
+	for _, s := range t.Sets {
+		for _, i := range id[s.lo:s.hi] {
+			off[i+1]++
+		}
 	}
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-	verts := make([]int32, len(id))
-	fill := slices.Clone(off[:n])
-	for k, i := range id {
-		verts[fill[i]] = t.Verts[k]
-		fill[i]++
+	verts := reuse(d.verts, int(off[n]))
+	fill := append(d.fill[:0], off[:n]...)
+	for v, s := range t.Sets {
+		for _, i := range id[s.lo:s.hi] {
+			verts[fill[i]] = int32(v)
+			fill[i]++
+		}
 	}
+	d.id, d.off, d.verts, d.fill = id, off, verts, fill
 	return firstLevel{id: id, off: off, verts: verts}
 }
 
@@ -243,12 +270,14 @@ func groupTuples(t shingleTuples) firstLevel {
 // same c2 second-level shingles and be unioned with whatever holds
 // them, which by then is the earlier shingle's own set: one union with
 // that shingle leaves the same sets, roots and ranks (DESIGN §5).
-func passTwo(f firstLevel, p Params, st *Stats) []int32 {
+func (d *Detector) passTwo(f firstLevel, p Params, st *Stats) []int32 {
 	fam := minhash.NewFamily(p.C2, p.Seed+1)
 	n := f.len()
 	uf := unionfind.New(n)
-	second := map[uint64]int32{} // second-level shingle -> first first-level index seen
-	sameAs := map[uint64]int32{} // listKey(members) -> first first-level index with them
+	second := d.second // second-level shingle -> first first-level index seen
+	sameAs := d.sameAs // listKey(members) -> first first-level index with them
+	clear(second)
+	clear(sameAs)
 	scratch := make([]uint64, p.S2)
 	var elems []uint64
 	for i := int32(0); i < int32(n); i++ {
@@ -288,42 +317,41 @@ func passTwo(f firstLevel, p Params, st *Stats) []int32 {
 }
 
 // reportFromShingles runs pass II and the reporting stage over the
-// pass-I tuples, which must be in ascending vertex order.
-func reportFromShingles(g *bipartite.Graph, p Params, t shingleTuples, st Stats) ([]DenseSubgraph, Stats) {
-	f := groupTuples(t)
+// pass-I shingle sets.
+func (d *Detector) reportFromShingles(g *bipartite.Graph, p Params, t shingleTuples, st Stats) ([]DenseSubgraph, Stats) {
+	f := d.groupTuples(t)
 	n, id := f.len(), f.id
 	st.ShinglesPass1 = n
-	root := passTwo(f, p, &st)
+	root := d.passTwo(f, p, &st)
 
 	// A left vertex can surface in several components (its c1 shingles
 	// may scatter); keep the output disjoint by assigning each vertex to
 	// the component holding more of its shingles (ties to the smaller
-	// root for determinism). A vertex's tuples are consecutive.
+	// root for determinism).
 	assigned := make([]int32, g.NLeft) // left vertex -> root, -1 without shingles
-	for v := range assigned {
+	votes := make([]int32, n)          // by root; zero between vertices
+	sizeA := make([]int32, n)          // by root: vertices assigned
+	for v, s := range t.Sets {
 		assigned[v] = -1
-	}
-	votes := make([]int32, n) // by root; zero between vertices
-	sizeA := make([]int32, n) // by root: vertices assigned
-	for lo := 0; lo < len(id); {
-		v := t.Verts[lo]
-		hi := lo
-		for ; hi < len(id) && t.Verts[hi] == v; hi++ {
-			votes[root[id[hi]]]++
+		if s.lo == s.hi {
+			continue
+		}
+		ids := id[s.lo:s.hi]
+		for _, i := range ids {
+			votes[root[i]]++
 		}
 		best, bestVotes := int32(-1), int32(0)
-		for _, i := range id[lo:hi] {
+		for _, i := range ids {
 			r := root[i]
 			if c := votes[r]; c > bestVotes || (c == bestVotes && r < best) {
 				best, bestVotes = r, c
 			}
 		}
-		for _, i := range id[lo:hi] {
+		for _, i := range ids {
 			votes[root[i]] = 0
 		}
 		assigned[v] = best
 		sizeA[best]++
-		lo = hi
 	}
 
 	// Candidate (A, B) per component: A are the assigned vertices.

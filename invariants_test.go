@@ -1,6 +1,7 @@
 package profam_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,7 +18,8 @@ import (
 //  2. families are pairwise disjoint and each lies inside one component;
 //  3. family sizes respect MinFamilySize and are sorted descending;
 //  4. densities are in [0, 1] (+ epsilon) for the B_d reduction;
-//  5. serial and 3-rank parallel runs agree on the keep mask.
+//  5. serial and 3-rank parallel runs agree on the keep mask and the
+//     families.
 func TestPipelineInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -96,25 +98,18 @@ func TestPipelineInvariantsProperty(t *testing.T) {
 			}
 		}
 
-		// Serial and parallel runs may disagree on a few borderline
-		// redundancy decisions: the paper's skip-if-already-redundant
-		// heuristic makes the outcome of containment *chains* (a⊂b⊂c)
-		// depend on result arrival order, which the arrival-order service
-		// loop leaves to the network. Require the disagreement to stay
-		// marginal.
+		// Redundancy is a per-pair rule, so a 3-rank run keeps exactly the
+		// serial run's sequences and finds the same families.
 		par, _, err := profam.RunSet(set, 3, false, cfg)
 		if err != nil {
 			return false
 		}
-		differs := 0
-		for i := range res.Keep {
-			if res.Keep[i] != par.Keep[i] {
-				differs++
-			}
+		if fmt.Sprint(par.Keep) != fmt.Sprint(res.Keep) {
+			t.Logf("seed %d: serial and parallel keep masks differ", seed)
+			return false
 		}
-		limit := set.Len()/10 + 3
-		if differs > limit {
-			t.Logf("seed %d: %d keep decisions differ serial vs parallel (limit %d)", seed, differs, limit)
+		if got, want := familiesText(t, set, par), familiesText(t, set, res); got != want {
+			t.Logf("seed %d: serial and parallel families differ", seed)
 			return false
 		}
 		return true

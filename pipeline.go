@@ -389,6 +389,12 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		reg.Histogram(metrics.Name("pool_queue_depth", "phase", "bgg", "site", "components")).
 			Observe(int64(queued))
 	}
+	// One Detector per pool goroutine, handed from component to component,
+	// so the rank's detection storage is sized by its largest component.
+	detectors := make(chan *shingle.Detector, threads)
+	for range threads {
+		detectors <- new(shingle.Detector)
+	}
 	t0 := c.Time()
 	pool.RunObserved(threads, len(mine), compObs, func(i int) {
 		j := &jobs[i]
@@ -413,7 +419,9 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 			j.cells, j.pairs, j.reused, j.fresh = st.Cells, st.PairsAligned, st.PairsReused, st.Fresh
 		}
 		built := time.Now()
-		subs, st := shingle.Detect(g, sp)
+		d := <-detectors
+		subs, st := d.Detect(g, sp)
+		detectors <- d
 		j.sh = st
 		j.bggS, j.dsdS = built.Sub(start).Seconds(), time.Since(built).Seconds()
 		for _, d := range subs {
