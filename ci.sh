@@ -11,8 +11,9 @@
 #                       over HTTP in waves, diff the served families
 #                       against a cold profam run on the union corpus, and
 #                       validate the epoch provenance ledger (record count,
-#                       schema round-trip, families digest vs the cold run)
-#                       plus the per-epoch traces and telemetry series;
+#                       schema round-trip, families digest vs the cold run,
+#                       family-cache hits in epochs 2 and 3) plus the
+#                       per-epoch traces and telemetry series;
 #                       artifacts land in e2e_artifacts/
 #
 # The race pass matters: the hybrid rank×thread execution model runs
@@ -169,6 +170,12 @@ if [ "${1:-}" = "e2e" ]; then
 	for w in 1 2 3; do
 		[ -s "$artifacts/traces/epoch_000$w.trace.json" ] \
 			|| { echo "ci.sh e2e: missing persisted trace for epoch $w" >&2; exit 1; }
+	done
+	# Waves 2 and 3 leave some components untouched, so both epochs must
+	# serve those from the family cache rather than rebuild them.
+	for e in 2 3; do
+		grep "^{\"epoch\":$e," "$artifacts/ledger.jsonl" | grep -q '"components_cached":[1-9]' \
+			|| { echo "ci.sh e2e: epoch $e reused no cached component (components_cached is 0)" >&2; exit 1; }
 	done
 
 	echo "ci.sh: e2e service gate passed ($total sequences, byte-identical families, ledger verified)"

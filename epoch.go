@@ -26,17 +26,20 @@ var ErrConfigChanged = errors.New("profam: config differs from committed epoch s
 // EpochState is the committed clustering state after some number of
 // ingest epochs: the corpus so far plus everything the next epoch needs
 // to avoid reclustering it — redundancy verdicts, the kept-subset
-// union–find, the per-component family cache, and the overlap counts of
-// every aligned pair inside a component. It is immutable once
-// returned: RunEpoch never mutates its input state, so an aborted or
-// failed epoch leaves the committed state (and anything serving from it)
-// untouched. The zero of the type is not useful; start from
-// NewEpochState (epoch 0, empty corpus).
+// union–find, the family cache (each component's families under its
+// exact member list), and the overlap counts of every aligned pair
+// inside a component. It is the one value that flows between epochs:
+// the pipeline takes the committed state and builds the next one on
+// rank 0, and RunEpoch stamps its epoch number and config fingerprint.
+// It is immutable once returned: RunEpoch never mutates its input state,
+// so an aborted or failed epoch leaves the committed state (and anything
+// serving from it) untouched. The zero of the type is not useful; start
+// from NewEpochState (epoch 0, empty corpus).
 type EpochState struct {
 	set         *seq.Set
 	redundant   []bool
 	uf          *unionfind.UF
-	famCache    map[uint64]famEntry
+	famCache    map[string][]wireFamily
 	memo        bipartite.Memo
 	epoch       int
 	fingerprint string
@@ -61,7 +64,8 @@ func (s *EpochState) Set() *seq.Set { return s.set }
 // p in-process ranks, incrementally: only pairs involving at least one
 // new sequence are aligned, prior redundancy and component verdicts are
 // reused, and components untouched by the new arrivals skip the family
-// phases entirely via the prior's family cache. The returned Result is
+// phases entirely via the prior's family cache. Every rank reads the same
+// prior, so each finds the cache hits on its own. The returned Result is
 // byte-identical to a cold run over the union corpus (the determinism
 // contract; see DESIGN.md §9) and covers the whole corpus, with sequence
 // IDs assigned in arrival order. On success the second return is the
@@ -97,25 +101,14 @@ func RunEpoch(prior *EpochState, names, seqs []string, p int, cfg Config) (*Resu
 		}
 	}
 
-	var ep *epochPrior
-	if prior.epoch > 0 {
-		ep = &epochPrior{
-			newFrom:   prior.set.Len(),
-			redundant: prior.redundant,
-			uf:        prior.uf,
-			famCache:  prior.famCache,
-			memo:      prior.memo,
-		}
-	}
-
 	cfg = cfg.withAutoThreads(p)
 	var res *Result
-	var post *epochPost
+	var next *EpochState
 	var rerr error
 	err := mpi.Run(p, func(c *mpi.Comm) {
-		r, po, e := runEpochPipeline(c, union, cfg, ep)
+		r, n, e := runEpochPipeline(c, union, cfg, prior)
 		if c.Rank() == 0 {
-			res, post, rerr = r, po, e
+			res, next, rerr = r, n, e
 		}
 	})
 	if err != nil {
@@ -124,14 +117,6 @@ func RunEpoch(prior *EpochState, names, seqs []string, p int, cfg Config) (*Resu
 	if rerr != nil {
 		return nil, prior, rerr
 	}
-	next := &EpochState{
-		set:         union,
-		redundant:   post.redundant,
-		uf:          post.uf,
-		famCache:    post.famCache,
-		memo:        post.memo,
-		epoch:       prior.epoch + 1,
-		fingerprint: fp,
-	}
+	next.epoch, next.fingerprint = prior.epoch+1, fp
 	return res, next, nil
 }

@@ -192,31 +192,39 @@ func TestIncrementalDemotionFallback(t *testing.T) {
 
 // TestEpochFamilyCacheHits checks that a wave touching none of the
 // existing components reuses their cached families rather than
-// recomputing phases 3+4.
+// recomputing phases 3+4, and that the hits are counted once per job:
+// every rank finds them, but p = 3 must report what p = 1 does.
 func TestEpochFamilyCacheHits(t *testing.T) {
 	set, _ := workload.Generate(workload.Params{
 		Families: 4, MeanFamilySize: 10, MeanLength: 100,
 		Divergence: 0.08, Singletons: 2, Seed: 31,
 	})
 	names, seqs := setStrings(set)
-	_, st, err := profam.RunEpoch(nil, names, seqs, 1, profam.Config{})
-	if err != nil {
-		t.Fatal(err)
+	hits := map[int]int64{}
+	for _, p := range []int{1, 3} {
+		_, st, err := profam.RunEpoch(nil, names, seqs, p, profam.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A second wave of unrelated singletons (random-ish distinct
+		// residues) cannot join any existing component.
+		res, _, err := profam.RunEpoch(st, nil, []string{
+			"MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF", "WWYYAACCDDEEFFGGHHKK",
+		}, p, profam.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := metricValue(res.Metrics, "pipeline_components_cached")
+		if cached == 0 {
+			t.Errorf("p=%d: second epoch recomputed every component; expected family-cache hits", p)
+		}
+		if cached > int64(len(res.Components)) {
+			t.Errorf("p=%d: cache hits %d exceed component count %d", p, cached, len(res.Components))
+		}
+		hits[p] = cached
 	}
-	// A second wave of unrelated singletons (random-ish distinct
-	// residues) cannot join any existing component.
-	res, _, err := profam.RunEpoch(st, nil, []string{
-		"MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF", "WWYYAACCDDEEFFGGHHKK",
-	}, 1, profam.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := metricValue(res.Metrics, "pipeline_components_cached")
-	if cached == 0 {
-		t.Error("second epoch recomputed every component; expected family-cache hits")
-	}
-	if cached > int64(len(res.Components)) {
-		t.Errorf("cache hits %d exceed component count %d", cached, len(res.Components))
+	if hits[1] != hits[3] {
+		t.Errorf("cache hits differ by rank count: p=1 %d, p=3 %d", hits[1], hits[3])
 	}
 }
 

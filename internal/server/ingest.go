@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"os"
@@ -123,11 +124,13 @@ func (s *Server) loop() {
 
 // flush validates the batch, runs one incremental epoch over the
 // accepted submissions, publishes the new snapshot, and resolves every
-// reply channel. Rejections (invalid residues, duplicate names) are
-// per-submission: one bad request cannot poison its batch-mates. Every
-// epoch attempt — committed, failed or aborted — lands one record in
-// the ledger and one outcome-labeled ingest-latency observation per
-// accepted submission, so provenance and SLO data cover failures too.
+// reply channel. Rejections (invalid residues; a name already committed,
+// taken by a batch-mate, or repeated within the submission) are
+// per-submission: one bad request cannot poison its batch-mates, and it
+// claims none of its names. Every epoch attempt — committed, failed or
+// aborted — lands one record in the ledger and one outcome-labeled
+// ingest-latency observation per accepted submission, so provenance and
+// SLO data cover failures too.
 func (s *Server) flush(batch []*submission) {
 	inBatch := make(map[string]bool)
 	var accepted []*submission
@@ -135,6 +138,7 @@ func (s *Server) flush(batch []*submission) {
 	for _, sub := range batch {
 		reject := func(status int, msg string) { sub.done <- submitReply{status: status, err: &httpError{status, msg}} }
 		bad := false
+		mine := make(map[string]bool, len(sub.names))
 		for i, res := range sub.seqs {
 			name := sub.names[i]
 			if !seq.Valid(res) {
@@ -142,20 +146,19 @@ func (s *Server) flush(batch []*submission) {
 				bad = true
 				break
 			}
-			if name != "" && (s.committed[name] || inBatch[name]) {
+			if name != "" && (s.committed[name] || inBatch[name] || mine[name]) {
 				reject(http.StatusConflict, fmt.Sprintf("sequence name %q already exists", name))
 				bad = true
 				break
+			}
+			if name != "" {
+				mine[name] = true
 			}
 		}
 		if bad {
 			continue
 		}
-		for _, name := range sub.names {
-			if name != "" {
-				inBatch[name] = true
-			}
-		}
+		maps.Copy(inBatch, mine)
 		accepted = append(accepted, sub)
 		names = append(names, sub.names...)
 		seqs = append(seqs, sub.seqs...)

@@ -213,6 +213,59 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		strings.NewReader(`{"sequences":[]}`)); code != http.StatusBadRequest {
 		t.Errorf("empty submission = %d, want 400", code)
 	}
+
+	// A name repeated inside one submission conflicts too, and the
+	// rejected submission claims neither copy: a later "b" commits, and
+	// so does a batch-mate "c" of a rejected submission holding two.
+	const dup = `{"sequences":[{"name":"%s","residues":"GHIKNNPQRSTVWYACDEF"},{"name":"%[1]s","residues":"WWYYAACCDDEEFFGGHHKK"}]}`
+	const one = `{"sequences":[{"name":"%s","residues":"WWYYAACCDDEEFFGGHHKK"}]}`
+	if code, _ := post(t, ts.URL+"/v1/sequences", "application/json",
+		strings.NewReader(fmt.Sprintf(dup, "b"))); code != http.StatusConflict {
+		t.Errorf("name repeated within a submission = %d, want 409", code)
+	}
+	if code, _ := post(t, ts.URL+"/v1/sequences", "application/json",
+		strings.NewReader(fmt.Sprintf(one, "b"))); code != http.StatusOK {
+		t.Errorf("name of a rejected submission = %d, want 200", code)
+	}
+	// One batch of exactly two submissions, the duplicate first: the
+	// batch flushes when its third sequence is pending.
+	srv, slow := newTestServer(t, Config{BatchWait: time.Hour, BatchSize: 3})
+	dupCode := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(slow.URL+"/v1/sequences", "application/json", strings.NewReader(fmt.Sprintf(dup, "c")))
+		if err != nil {
+			t.Error(err)
+			dupCode <- 0
+			return
+		}
+		resp.Body.Close()
+		dupCode <- resp.StatusCode
+	}()
+	for srv.pendingBatch.Load() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if code, _ := post(t, slow.URL+"/v1/sequences", "application/json",
+		strings.NewReader(fmt.Sprintf(one, "c"))); code != http.StatusOK {
+		t.Errorf("batch-mate of a rejected submission = %d, want 200", code)
+	}
+	if code := <-dupCode; code != http.StatusConflict {
+		t.Errorf("name repeated within a batched submission = %d, want 409", code)
+	}
+	for hs, want := range map[*httptest.Server]int{ts: 2, slow: 1} {
+		code, body := get(t, hs.URL+"/v1/status")
+		if code != http.StatusOK {
+			t.Fatalf("status = %d", code)
+		}
+		var st struct {
+			Sequences int `json:"sequences"`
+		}
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Sequences != want {
+			t.Errorf("corpus has %d sequences, want %d", st.Sequences, want)
+		}
+	}
 }
 
 // TestServerRejectsOversizedBody checks that a body past maxIngestBytes

@@ -1,6 +1,7 @@
 package profam
 
 import (
+	"encoding/binary"
 	"maps"
 	"runtime"
 	"time"
@@ -17,9 +18,9 @@ import (
 )
 
 // wireFamily is the gob-friendly family representation exchanged between
-// ranks. Comp is the index of the component the family came from (into
-// the epoch's Components slice) so rank 0 can attribute gathered
-// families to components when building the next epoch's family cache.
+// ranks and kept in the family cache. Comp is the index of the component
+// the family came from (into the epoch's Components slice) so rank 0 can
+// file gathered families under their component's cache key.
 type wireFamily struct {
 	Comp       int32
 	Members    []int32
@@ -59,68 +60,32 @@ func RegisterWireTypes() {
 	mpi.RegisterType(false) // abort-decision broadcast
 }
 
-// famEntry is one family-cache record: the exact member list of a
-// component from the prior epoch (collision guard for the hash key) and
-// the families phases 3+4 produced for it.
-type famEntry struct {
-	members []int
-	fams    []Family
-}
-
-// epochPrior carries the committed state of the previous epoch into an
-// incremental run. All fields describe the sequence-ID prefix
-// [0, newFrom) of the current set; IDs at or beyond newFrom are the
-// epoch's new arrivals.
-type epochPrior struct {
-	newFrom   int           // first new sequence ID
-	redundant []bool        // prior RR verdicts, len == newFrom
-	uf        *unionfind.UF // prior union–find over the kept prior subset (sub-ID space)
-	famCache  map[uint64]famEntry
-	memo      bipartite.Memo // counts of aligned pairs inside prior components
-}
-
-// epochPost is the state a successful epoch hands forward, populated on
-// rank 0 only (nil elsewhere).
-type epochPost struct {
-	redundant []bool
-	uf        *unionfind.UF
-	famCache  map[uint64]famEntry
-	memo      bipartite.Memo
-}
-
-// hashMembers is FNV-1a over a component's member IDs — the family-cache
-// key. Collisions are harmless: lookups verify the full member list.
-func hashMembers(members []int) uint64 {
-	h := uint64(14695981039346656037)
+// compKey is a component's family-cache key: its member list, encoded
+// exactly, so equal keys mean equal components.
+func compKey(members []int) string {
+	b := make([]byte, 0, 2*len(members))
 	for _, m := range members {
-		v := uint64(m)
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= 1099511628211
-		}
+		b = binary.AppendUvarint(b, uint64(m))
 	}
-	return h
+	return string(b)
 }
 
-// runPipeline executes all four phases collectively on c. Every rank
-// returns the same *Result.
-func runPipeline(c *mpi.Comm, set *seq.Set, cfg Config) (*Result, error) {
-	res, _, err := runEpochPipeline(c, set, cfg, nil)
-	return res, err
-}
-
-// runEpochPipeline is the epoch-aware pipeline core. With prior == nil it
-// is a cold run, behaviorally identical to the original runPipeline (the
-// incremental machinery — pair filtering, union–find seeding, the family
-// cache, abort broadcasts — is entirely inert, so metrics and traces of
-// existing callers are unchanged). With a prior it reuses last epoch's
-// verdicts: RR aligns only pairs touching a new sequence on top of the
-// prior redundancy mask, CCD merges epoch-crossing pairs into a clone of
-// the prior union–find, and components whose membership is unchanged skip
-// phases 3+4 via the family cache. Every rank returns the same *Result;
-// rank 0 additionally returns the epochPost to commit (nil elsewhere).
-func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) (res *Result, post *epochPost, err error) {
+// runEpochPipeline executes all four phases collectively on c. prior is
+// the committed state whose corpus is the prefix [0, prior.set.Len()) of
+// set; a nil or epoch-0 prior (an empty corpus) makes this a cold run.
+// Otherwise the run reuses prior's verdicts: RR aligns only pairs
+// touching a new sequence on top of the prior redundancy mask, CCD merges
+// epoch-crossing pairs into a clone of the prior union–find, and
+// components whose member list the prior already built skip phases 3+4
+// via the family cache. prior is only read. Every rank returns the same
+// *Result; rank 0 also returns the next state over set (nil elsewhere),
+// whose epoch and fingerprint the caller stamps.
+func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) (res *Result, next *EpochState, err error) {
 	cfg = cfg.withDefaults()
+	if prior == nil {
+		prior = NewEpochState()
+	}
+	newFrom := prior.set.Len()
 
 	// Every rank owns one metrics registry, clocked by its communicator:
 	// virtual seconds under the simulator (deterministic traces),
@@ -208,13 +173,6 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		return nil, nil, err
 	}
 
-	var priorRedundant []bool
-	newFrom := 0
-	if prior != nil {
-		priorRedundant = prior.redundant
-		newFrom = prior.newFrom
-	}
-
 	// Phases 1+2. The start instant carries the corpus shape so an
 	// epoch's timeline is self-describing (both counts are rank-identical,
 	// so the canonical trace stays thread-invariant).
@@ -223,7 +181,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	// Phase 1: redundancy removal.
 	tracer.Instant(trace.CatPipeline, "phase:rr", "", 0, "", 0)
 	rrSpan := reg.StartSpan("rr")
-	keep, rrStats, err := pace.RedundancyRemovalFrom(c, set, priorRedundant, newFrom, pcfg)
+	keep, rrStats, err := pace.RedundancyRemovalFrom(c, set, prior.redundant, newFrom, pcfg)
 	rrSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -252,22 +210,15 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	// cold CCD for this epoch. The scan runs on every rank over the
 	// broadcast keep mask, so the fallback decision is collective for
 	// free.
-	ccPrior, ccNewFrom := (*unionfind.UF)(nil), 0
-	if prior != nil {
-		demoted := false
-		for i := 0; i < prior.newFrom; i++ {
-			if !prior.redundant[i] && !keep[i] {
-				demoted = true
-				break
-			}
-		}
-		if demoted {
+	ccPrior, ccNewFrom := prior.uf, newFrom
+	for i := range newFrom {
+		if !prior.redundant[i] && !keep[i] {
+			ccPrior, ccNewFrom = nil, 0
 			if c.Rank() == 0 {
 				reg.Counter("pipeline_epoch_demotions").Add(1)
 				log.Info("prior sequence demoted by new arrival; cold CCD rebuild", "t", c.Time())
 			}
-		} else {
-			ccPrior, ccNewFrom = prior.uf, prior.newFrom
+			break
 		}
 	}
 
@@ -292,40 +243,25 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		return nil, nil, err
 	}
 
-	// Family cache: a component whose membership is unchanged from the
-	// prior epoch must produce byte-identical families (phases 3+4 are a
-	// pure function of the members and the config, and incremental runs
-	// are fingerprint-guarded), so its cached result is reused and only
-	// the remaining components are recomputed. Rank 0 owns the cache and
-	// broadcasts the hit mask; component indices below are into
-	// res.Components throughout.
-	hit := make([]bool, len(res.Components))
-	var cachedFams [][]Family // rank 0 only, indexed like res.Components
-	if prior != nil && prior.famCache != nil {
-		if c.Rank() == 0 {
-			cachedFams = make([][]Family, len(res.Components))
-			hits := int64(0)
-			for i, members := range res.Components {
-				e, ok := prior.famCache[hashMembers(members)]
-				if ok && equalMembers(e.members, members) {
-					hit[i] = true
-					cachedFams[i] = e.fams
-					hits++
-				}
-			}
-			if hits > 0 {
-				reg.Counter("pipeline_components_cached").Add(hits)
-			}
-		}
-		hit = c.Bcast(0, hit).([]bool)
-	}
-	missIdx := make([]int, 0, len(res.Components))
-	missComps := make([][]int, 0, len(res.Components))
+	// Family cache: a component's families are a pure function of its
+	// exact member list and the config (phases 3+4 never look outside the
+	// component, and incremental runs are fingerprint-guarded), so a
+	// component the prior epoch built is reused as is. Every rank holds
+	// the same prior and the same components, so each finds the same hits
+	// without a message; only the misses are distributed below. Component
+	// indices are into res.Components throughout.
+	keys := make([]string, len(res.Components))
+	var missIdx []int
+	var missComps [][]int
 	for i, members := range res.Components {
-		if !hit[i] {
+		keys[i] = compKey(members)
+		if _, hit := prior.famCache[keys[i]]; !hit {
 			missIdx = append(missIdx, i)
 			missComps = append(missComps, members)
 		}
+	}
+	if hits := len(keys) - len(missIdx); hits > 0 && c.Rank() == 0 {
+		reg.Counter("pipeline_components_cached").Add(int64(hits))
 	}
 
 	// Pair memo: B_d decides every pair some earlier alignment already
@@ -340,11 +276,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 	if cfg.Reduction == GlobalSimilarity {
 		var inside pace.Verdicts
 		if c.Rank() == 0 {
-			var priorMemo bipartite.Memo
-			if prior != nil {
-				priorMemo = prior.memo
-			}
-			memo = mergeMemo(priorMemo, ccVerdicts)
+			memo = mergeMemo(prior.memo, ccVerdicts)
 			inside = memoInside(memo, comp, missComps)
 		}
 		inside = c.Bcast(0, inside).(pace.Verdicts)
@@ -353,167 +285,16 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		}
 	}
 
-	// Phases 3+4: per component, build the bipartite reduction and run
-	// the Shingle algorithm. Components are distributed across all ranks
-	// (batched by estimated cost), processed independently — no
-	// communication until the final gather, exactly as the paper argues
-	// dense subgraphs cannot span components.
-	tracer.Instant(trace.CatPipeline, "phase:bgg", "", 0, "", 0)
-	own := bipartite.DistributeComponents(missComps, c.Size())
-	bcfg := cfg.bipartiteConfig()
-	sp := cfg.shingleParams()
-	mine := own[c.Rank()]
-	threads := max(1, cfg.ThreadsPerRank)
+	local, bggTime, dsdTime, err := buildFamilies(c, set, cfg, reg, tracer, missComps, missIdx, memo)
+	if err != nil {
+		return nil, nil, err
+	}
 
-	// Each owned component is an independent job: build its bipartite
-	// reduction, run the Shingle detector, and record the modeled work
-	// units. Jobs run on the rank's goroutine pool; results land in a
-	// slice indexed by component position, so the flattened family list
-	// is identical for every thread count.
-	type compJob struct {
-		fams   []wireFamily
-		cells  int64          // B_d DP cells
-		pairs  int64          // B_d pairs aligned
-		reused int64          // B_d pairs decided from the memo
-		fresh  bipartite.Memo // counts of the pairs B_d aligned
-		chars  int64          // B_m word-extraction characters
-		words  int64          // B_m shared words (left vertices)
-		sh     shingle.Stats
-		bggS   float64 // wall seconds in Build*
-		dsdS   float64 // wall seconds in Detect
-		err    error
-	}
-	jobs := make([]compJob, len(mine))
-	costs := pace.DefaultCostParams()
-	compObs := func(queued, threads int) {
-		reg.Histogram(metrics.Name("pool_queue_depth", "phase", "bgg", "site", "components")).
-			Observe(int64(queued))
-	}
-	// One Detector per pool goroutine, handed from component to component,
-	// so the rank's detection storage is sized by its largest component.
-	detectors := make(chan *shingle.Detector, threads)
-	for range threads {
-		detectors <- new(shingle.Detector)
-	}
-	t0 := c.Time()
-	pool.RunObserved(threads, len(mine), compObs, func(i int) {
-		j := &jobs[i]
-		members := missComps[mine[i]]
-		reg.Histogram("pipeline_component_size").Observe(int64(len(members)))
-		var g *bipartite.Graph
-		start := time.Now()
-		switch cfg.Reduction {
-		case DomainBased:
-			var st bipartite.BuildStats
-			g, st, j.err = bipartite.BuildBm(set, members, bcfg)
-			if j.err != nil {
-				return
-			}
-			j.chars, j.words = st.Chars, st.Words
-		default:
-			var st bipartite.BuildStats
-			g, st, j.err = bipartite.BuildBdMemo(set, members, bcfg, memo)
-			if j.err != nil {
-				return
-			}
-			j.cells, j.pairs, j.reused, j.fresh = st.Cells, st.PairsAligned, st.PairsReused, st.Fresh
-		}
-		built := time.Now()
-		d := <-detectors
-		subs, st := d.Detect(g, sp)
-		detectors <- d
-		j.sh = st
-		j.bggS, j.dsdS = built.Sub(start).Seconds(), time.Since(built).Seconds()
-		for _, d := range subs {
-			reg.Histogram("pipeline_family_size").Observe(int64(len(d.Members)))
-			j.fams = append(j.fams, wireFamily{
-				Comp:       int32(missIdx[mine[i]]),
-				Members:    d.Members,
-				MeanDegree: d.MeanDegree,
-				Density:    d.Density,
-			})
-		}
-	})
-	t1 := c.Time()
-
-	// Charge the virtual clock ceil(work/threads) per work class — the
-	// perfect-intra-rank-speedup model — keeping simulated curves
-	// deterministic for a given thread count. On wall-clock transports
-	// Advance is a no-op and the elapsed time of the parallel section
-	// (t1-t0) is apportioned between the phases by the seconds the jobs
-	// measured in each; under simtime that section takes no virtual time.
-	var local []wireFamily
-	var fresh pace.Verdicts
-	var cells, pairs, reused, chars, words, ops int64
-	var bggS, dsdS float64
-	var sh shingle.Stats
-	for i := range jobs {
-		j := &jobs[i]
-		if j.err != nil {
-			return nil, nil, j.err
-		}
-		cells += j.cells
-		pairs += j.pairs
-		reused += j.reused
-		for k, oc := range j.fresh {
-			fresh = append(fresh, pace.Verdict{A: k[0], B: k[1], Overlap: oc})
-		}
-		chars += j.chars
-		words += j.words
-		ops += j.sh.WorkOps
-		bggS += j.bggS
-		dsdS += j.dsdS
-		sh.ShinglesPass1 += j.sh.ShinglesPass1
-		sh.ShinglesPass2 += j.sh.ShinglesPass2
-		sh.Candidates += j.sh.Candidates
-		sh.Reported += j.sh.Reported
-		local = append(local, j.fams...)
-	}
-	// Fold the phase 3+4 work of this rank's components into the
-	// registry; sums over ranks give the job totals since components are
-	// owned by exactly one rank.
-	reg.Counter("pipeline_components_owned").Add(int64(len(mine)))
-	reg.Counter(metrics.Name("bgg_pairs_aligned", "reduction", cfg.Reduction.String())).Add(pairs)
-	reg.Counter(metrics.Name("bgg_pairs_reused", "reduction", cfg.Reduction.String())).Add(reused)
-	reg.Counter(metrics.Name("bgg_align_cells", "reduction", cfg.Reduction.String())).Add(cells)
-	reg.Counter(metrics.Name("bgg_word_chars", "reduction", cfg.Reduction.String())).Add(chars)
-	reg.Counter(metrics.Name("bgg_words", "reduction", cfg.Reduction.String())).Add(words)
-	reg.Counter("dsd_shingles_pass1").Add(int64(sh.ShinglesPass1))
-	reg.Counter("dsd_shingles_pass2").Add(int64(sh.ShinglesPass2))
-	reg.Counter("dsd_candidates").Add(int64(sh.Candidates))
-	reg.Counter("dsd_work_ops").Add(ops)
-	reg.Counter("pipeline_families_emitted").Add(int64(len(local)))
-	// B_d enumerates every promising pair, reused or aligned; only the
-	// aligned ones cost DP cells.
-	bggAdv := float64(pool.CeilDiv(cells, threads))*costs.SecPerCell +
-		float64(pool.CeilDiv(pairs+reused, threads))*costs.SecPerPairGen +
-		float64(pool.CeilDiv(chars, threads))*costs.SecPerTreeChar
-	dsdAdv := float64(pool.CeilDiv(ops, threads)) * shingle.SecPerHashOp
-	c.Advance(bggAdv)
-	t2 := c.Time()
-	c.Advance(dsdAdv)
-	t3 := c.Time()
-	bggShare := 1.0
-	if bggS+dsdS > 0 {
-		bggShare = bggS / (bggS + dsdS)
-	}
-	wall := t1 - t0
-	bggTime := (t2 - t1) + wall*bggShare
-	dsdTime := (t3 - t2) + wall*(1-bggShare)
-	// Phases 3+4 interleave inside the per-component jobs, so their
-	// spans are recorded from the apportionment rather than bracketed
-	// directly.
-	reg.RecordSpan("bgg", t0, t0+bggTime)
-	tracer.Instant(trace.CatPipeline, "phase:dsd", "", 0, "", 0)
-	reg.RecordSpan("dsd", t0+bggTime, t0+bggTime+dsdTime)
-	probeHeapPeak(c, reg)
-
-	// Gather families and fresh B_d counts at rank 0, then share the
-	// final family list. Cached families join on rank 0 before the
-	// broadcast; sortFamilies below is a pure function of the family set,
-	// so the cached/recomputed interleaving cannot perturb the output
-	// order.
-	gathered := c.Gather(0, familyBatch{Families: local, Fresh: fresh})
+	// Gather families and fresh B_d counts at rank 0, join the cached
+	// families there, and share the final family list. sortFamilies below
+	// is a pure function of the family set, so the cached/recomputed
+	// interleaving cannot perturb the output order.
+	gathered := c.Gather(0, local)
 	var all []wireFamily
 	if c.Rank() == 0 {
 		for _, g := range gathered {
@@ -523,64 +304,27 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 				memo[[2]int32{v.A, v.B}] = v.Overlap
 			}
 		}
-		for ci, fams := range cachedFams {
-			for _, f := range fams {
-				w := wireFamily{
-					Comp:       int32(ci),
-					Members:    make([]int32, len(f.Members)),
-					MeanDegree: f.MeanDegree,
-					Density:    f.Density,
-				}
-				for i, id := range f.Members {
-					w.Members[i] = int32(id)
-				}
+		for i, k := range keys {
+			for _, w := range prior.famCache[k] {
+				w.Comp = int32(i)
 				all = append(all, w)
 			}
 		}
 	}
 	all = c.Bcast(0, familyBatch{Families: all}).(familyBatch).Families
 
-	res.Families = make([]Family, 0, len(all))
-	perComp := map[int][]Family{} // rank 0: component index → its families
-	for _, w := range all {
-		f := Family{
-			Members:    make([]int, len(w.Members)),
-			MeanDegree: w.MeanDegree,
-			Density:    w.Density,
+	res.Families = make([]Family, len(all))
+	for i, w := range all {
+		f := Family{Members: make([]int, len(w.Members)), MeanDegree: w.MeanDegree, Density: w.Density}
+		for k, id := range w.Members {
+			f.Members[k] = int(id)
 		}
-		for i, id := range w.Members {
-			f.Members[i] = int(id)
-		}
-		res.Families = append(res.Families, f)
-		if c.Rank() == 0 {
-			perComp[int(w.Comp)] = append(perComp[int(w.Comp)], f)
-		}
+		res.Families[i] = f
 	}
 	sortFamilies(res.Families)
 
-	// Commit state for the next epoch on rank 0: the full redundancy
-	// verdict, the kept-subset union–find, a family cache entry per
-	// component (including family-less ones — their absence of families
-	// is itself a reusable result), and the pair memo pruned to pairs
-	// whose two sequences share a final component — the only pairs a
-	// later B_d build can enumerate without a new arrival joining them.
 	if c.Rank() == 0 {
-		for k := range memo {
-			if l := comp[k[0]]; l < 0 || l != comp[k[1]] {
-				delete(memo, k)
-			}
-		}
-		redundant := make([]bool, len(keep))
-		for i, k := range keep {
-			redundant[i] = !k
-		}
-		famCache := make(map[uint64]famEntry, len(res.Components))
-		for i, members := range res.Components {
-			fams := perComp[i]
-			sortFamilies(fams)
-			famCache[hashMembers(members)] = famEntry{members: members, fams: fams}
-		}
-		post = &epochPost{redundant: redundant, uf: ccUF, famCache: famCache, memo: memo}
+		next = nextState(set, keep, comp, ccUF, keys, all, memo)
 	}
 
 	res.BGGTime = c.MaxFloat64(bggTime)
@@ -594,52 +338,229 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *epochPrior) 
 		reg.Gauge(metrics.Name("work_elimination_ratio", "phase", "ccd")).Set(res.CCD.WorkReduction())
 	}
 
-	// Fold the per-rank registries into one job-wide report that every
-	// rank returns. The snapshot is taken after the last data collective so
-	// the transport counters cover the family exchange; the metrics
-	// gather/broadcast itself is necessarily outside its own accounting.
-	gathered = c.Gather(0, reg.Snapshot())
-	var rep *metrics.Report
+	res.Metrics, res.Trace = shareReports(c, reg, tracer)
+	if c.Rank() == 0 {
+		if res.Trace != nil {
+			log.Info("pipeline done",
+				"families", len(res.Families),
+				"trace_events", res.Trace.NumEvents(), "trace_dropped", res.Trace.Dropped,
+				"t", c.Time())
+		} else {
+			log.Info("pipeline done", "families", len(res.Families), "t", c.Time())
+		}
+	}
+	return res, next, nil
+}
+
+// nextState is the state a run over set commits for the next epoch: the
+// full redundancy verdict, the kept-subset union–find, a family-cache
+// entry per component keyed by keys (family-less components included —
+// their absence of families is itself a reusable result), and memo
+// pruned, in place, to pairs whose two sequences share a final component
+// — the only pairs a later B_d build can enumerate without a new arrival
+// joining them.
+func nextState(set *seq.Set, keep []bool, comp []int32, uf *unionfind.UF, keys []string, fams []wireFamily, memo bipartite.Memo) *EpochState {
+	for k := range memo {
+		if l := comp[k[0]]; l < 0 || l != comp[k[1]] {
+			delete(memo, k)
+		}
+	}
+	redundant := make([]bool, len(keep))
+	for i, k := range keep {
+		redundant[i] = !k
+	}
+	famCache := make(map[string][]wireFamily, len(keys))
+	for _, k := range keys {
+		famCache[k] = nil
+	}
+	for _, w := range fams {
+		k := keys[w.Comp]
+		famCache[k] = append(famCache[k], w)
+	}
+	return &EpochState{set: set, redundant: redundant, uf: uf, famCache: famCache, memo: memo}
+}
+
+// buildFamilies runs phases 3+4 on this rank's share of comps: per
+// component, build the bipartite reduction and run the Shingle algorithm.
+// Components are distributed across all ranks (batched by estimated
+// cost) and processed independently — no communication, exactly as the
+// paper argues dense subgraphs cannot span components. idx[k] is the
+// index of comps[k] among the epoch's components, stamped on its
+// families. It returns the rank's families with the counts of every pair
+// its B_d builds aligned, and the rank's BGG and DSD seconds.
+func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry, tracer *trace.Tracer,
+	comps [][]int, idx []int, memo bipartite.Memo) (out familyBatch, bggTime, dsdTime float64, err error) {
+	tracer.Instant(trace.CatPipeline, "phase:bgg", "", 0, "", 0)
+	mine := bipartite.DistributeComponents(comps, c.Size())[c.Rank()]
+	bcfg := cfg.bipartiteConfig()
+	sp := cfg.shingleParams()
+	threads := max(1, cfg.ThreadsPerRank)
+
+	// Each owned component is an independent job: build its bipartite
+	// reduction, run the Shingle detector, and record the modeled work
+	// units. Jobs run on the rank's goroutine pool; results land in a
+	// slice indexed by component position, so the flattened family list
+	// is identical for every thread count.
+	type compJob struct {
+		fams  []wireFamily
+		build bipartite.BuildStats
+		sh    shingle.Stats
+		bggS  float64 // wall seconds in Build*
+		dsdS  float64 // wall seconds in Detect
+		err   error
+	}
+	jobs := make([]compJob, len(mine))
+	compObs := func(queued, threads int) {
+		reg.Histogram(metrics.Name("pool_queue_depth", "phase", "bgg", "site", "components")).
+			Observe(int64(queued))
+	}
+	// One Detector per pool goroutine, handed from component to component,
+	// so the rank's detection storage is sized by its largest component.
+	detectors := make(chan *shingle.Detector, threads)
+	for range threads {
+		detectors <- new(shingle.Detector)
+	}
+	t0 := c.Time()
+	pool.RunObserved(threads, len(mine), compObs, func(i int) {
+		j := &jobs[i]
+		members := comps[mine[i]]
+		reg.Histogram("pipeline_component_size").Observe(int64(len(members)))
+		var g *bipartite.Graph
+		start := time.Now()
+		if cfg.Reduction == DomainBased {
+			g, j.build, j.err = bipartite.BuildBm(set, members, bcfg)
+		} else {
+			g, j.build, j.err = bipartite.BuildBdMemo(set, members, bcfg, memo)
+		}
+		if j.err != nil {
+			return
+		}
+		built := time.Now()
+		d := <-detectors
+		subs, st := d.Detect(g, sp)
+		detectors <- d
+		j.sh = st
+		j.bggS, j.dsdS = built.Sub(start).Seconds(), time.Since(built).Seconds()
+		for _, d := range subs {
+			reg.Histogram("pipeline_family_size").Observe(int64(len(d.Members)))
+			j.fams = append(j.fams, wireFamily{
+				Comp:       int32(idx[mine[i]]),
+				Members:    d.Members,
+				MeanDegree: d.MeanDegree,
+				Density:    d.Density,
+			})
+		}
+	})
+	t1 := c.Time()
+
+	var build bipartite.BuildStats
+	var sh shingle.Stats
+	var bggS, dsdS float64
+	for i := range jobs {
+		j := &jobs[i]
+		if j.err != nil {
+			return familyBatch{}, 0, 0, j.err
+		}
+		build.Cells += j.build.Cells
+		build.PairsAligned += j.build.PairsAligned
+		build.PairsReused += j.build.PairsReused
+		build.Chars += j.build.Chars
+		build.Words += j.build.Words
+		for k, oc := range j.build.Fresh {
+			out.Fresh = append(out.Fresh, pace.Verdict{A: k[0], B: k[1], Overlap: oc})
+		}
+		sh.ShinglesPass1 += j.sh.ShinglesPass1
+		sh.ShinglesPass2 += j.sh.ShinglesPass2
+		sh.Candidates += j.sh.Candidates
+		sh.WorkOps += j.sh.WorkOps
+		bggS += j.bggS
+		dsdS += j.dsdS
+		out.Families = append(out.Families, j.fams...)
+	}
+	// Fold the phase 3+4 work of this rank's components into the
+	// registry; sums over ranks give the job totals since components are
+	// owned by exactly one rank.
+	red := cfg.Reduction.String()
+	reg.Counter("pipeline_components_owned").Add(int64(len(mine)))
+	reg.Counter(metrics.Name("bgg_pairs_aligned", "reduction", red)).Add(build.PairsAligned)
+	reg.Counter(metrics.Name("bgg_pairs_reused", "reduction", red)).Add(build.PairsReused)
+	reg.Counter(metrics.Name("bgg_align_cells", "reduction", red)).Add(build.Cells)
+	reg.Counter(metrics.Name("bgg_word_chars", "reduction", red)).Add(build.Chars)
+	reg.Counter(metrics.Name("bgg_words", "reduction", red)).Add(build.Words)
+	reg.Counter("dsd_shingles_pass1").Add(int64(sh.ShinglesPass1))
+	reg.Counter("dsd_shingles_pass2").Add(int64(sh.ShinglesPass2))
+	reg.Counter("dsd_candidates").Add(int64(sh.Candidates))
+	reg.Counter("dsd_work_ops").Add(sh.WorkOps)
+	reg.Counter("pipeline_families_emitted").Add(int64(len(out.Families)))
+
+	// Charge the virtual clock ceil(work/threads) per work class — the
+	// perfect-intra-rank-speedup model — keeping simulated curves
+	// deterministic for a given thread count. On wall-clock transports
+	// Advance is a no-op and the elapsed time of the parallel section
+	// (t1-t0) is apportioned between the phases by the seconds the jobs
+	// measured in each; under simtime that section takes no virtual time.
+	// B_d enumerates every promising pair, reused or aligned; only the
+	// aligned ones cost DP cells.
+	costs := pace.DefaultCostParams()
+	bggAdv := float64(pool.CeilDiv(build.Cells, threads))*costs.SecPerCell +
+		float64(pool.CeilDiv(build.PairsAligned+build.PairsReused, threads))*costs.SecPerPairGen +
+		float64(pool.CeilDiv(build.Chars, threads))*costs.SecPerTreeChar
+	dsdAdv := float64(pool.CeilDiv(sh.WorkOps, threads)) * shingle.SecPerHashOp
+	c.Advance(bggAdv)
+	t2 := c.Time()
+	c.Advance(dsdAdv)
+	t3 := c.Time()
+	bggShare := 1.0
+	if bggS+dsdS > 0 {
+		bggShare = bggS / (bggS + dsdS)
+	}
+	wall := t1 - t0
+	bggTime = (t2 - t1) + wall*bggShare
+	dsdTime = (t3 - t2) + wall*(1-bggShare)
+	// Phases 3+4 interleave inside the per-component jobs, so their
+	// spans are recorded from the apportionment rather than bracketed
+	// directly.
+	reg.RecordSpan("bgg", t0, t0+bggTime)
+	tracer.Instant(trace.CatPipeline, "phase:dsd", "", 0, "", 0)
+	reg.RecordSpan("dsd", t0+bggTime, t0+bggTime+dsdTime)
+	probeHeapPeak(c, reg)
+	return out, bggTime, dsdTime, nil
+}
+
+// shareReports folds every rank's registry, and its tracer when tracing
+// is on, into the job-wide report and timeline that every rank returns.
+// Each rank snapshots its registry after the last data collective, so the
+// transport counters cover the family exchange; the metrics
+// gather/broadcast itself is necessarily outside its own accounting.
+// Traces are gathered strictly after the metrics exchange, so its comm
+// events are traced, while each rank's snapshot right before sending
+// excludes the trace exchange's own messages on every rank,
+// deterministically.
+func shareReports(c *mpi.Comm, reg *metrics.Registry, tracer *trace.Tracer) (*metrics.Report, *trace.Timeline) {
+	gathered := c.Gather(0, reg.Snapshot())
+	rep := &metrics.Report{}
 	if c.Rank() == 0 {
 		snaps := make([]metrics.Snapshot, len(gathered))
 		for i, s := range gathered {
 			snaps[i] = s.(metrics.Snapshot)
 		}
 		rep = metrics.Merge(snaps)
-	} else {
-		rep = &metrics.Report{}
 	}
-	rep2 := c.Bcast(0, *rep).(metrics.Report)
-	res.Metrics = &rep2
-
-	// Gather traces strictly after the metrics exchange so the comm
-	// events of the metrics gather are themselves traced; each rank
-	// snapshots right before sending, so the trace exchange's own
-	// messages are excluded on every rank — deterministically.
-	if tracer != nil {
-		gt := c.Gather(0, tracer.Snapshot())
-		var tl *trace.Timeline
-		if c.Rank() == 0 {
-			rts := make([]trace.RankTrace, len(gt))
-			for i, s := range gt {
-				rts[i] = s.(trace.RankTrace)
-			}
-			tl = trace.Merge(rts)
-		} else {
-			tl = &trace.Timeline{}
-		}
-		tl2 := c.Bcast(0, *tl).(trace.Timeline)
-		res.Trace = &tl2
-		if c.Rank() == 0 {
-			log.Info("pipeline done",
-				"families", len(res.Families),
-				"trace_events", tl2.NumEvents(), "trace_dropped", tl2.Dropped,
-				"t", c.Time())
-		}
-	} else if c.Rank() == 0 {
-		log.Info("pipeline done", "families", len(res.Families), "t", c.Time())
+	merged := c.Bcast(0, *rep).(metrics.Report)
+	if tracer == nil {
+		return &merged, nil
 	}
-	return res, post, nil
+	gathered = c.Gather(0, tracer.Snapshot())
+	tl := &trace.Timeline{}
+	if c.Rank() == 0 {
+		rts := make([]trace.RankTrace, len(gathered))
+		for i, s := range gathered {
+			rts[i] = s.(trace.RankTrace)
+		}
+		tl = trace.Merge(rts)
+	}
+	timeline := c.Bcast(0, *tl).(trace.Timeline)
+	return &merged, &timeline
 }
 
 // mergeMemo returns a new memo holding prior's entries and the counts of
@@ -670,26 +591,14 @@ func memoInside(memo bipartite.Memo, comp []int32, comps [][]int) pace.Verdicts 
 	return out
 }
 
-// equalMembers reports whether two sorted member lists are identical.
-func equalMembers(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // RunPipelineOn executes the pipeline collectively on an existing
 // communicator — for callers managing their own transports, such as a
 // TCP mesh spanning several processes (see mpi.DialMesh). Every rank
 // must call it with the same sequence set and configuration; every rank
 // returns the same result.
 func RunPipelineOn(c *mpi.Comm, set *seq.Set, cfg Config) (*Result, error) {
-	return runPipeline(c, set, cfg)
+	res, _, err := runEpochPipeline(c, set, cfg, nil)
+	return res, err
 }
 
 // RunSet runs the pipeline over a set the caller already holds — the
@@ -706,7 +615,7 @@ func RunSet(set *seq.Set, p int, simulate bool, cfg Config) (*Result, float64, e
 	var res *Result
 	var rerr error
 	body := func(c *mpi.Comm) {
-		r, e := runPipeline(c, set, cfg)
+		r, _, e := runEpochPipeline(c, set, cfg, nil)
 		if c.Rank() == 0 {
 			res, rerr = r, e
 		}

@@ -127,12 +127,13 @@ type Config struct {
 	Logger *slog.Logger
 
 	// Abort, when non-nil, lets the caller cancel a running job: the
-	// pipeline polls it at phase boundaries (after RR, CCD, and BGG/DSD)
-	// and returns ErrAborted once it is closed. The decision is taken on
-	// rank 0 and broadcast, so every rank exits the same phase and the
-	// error-path observability (metrics/trace stashing) still runs
-	// collectively. nil (the default) disables the checks entirely and
-	// leaves the message pattern of existing jobs untouched.
+	// pipeline polls it at phase boundaries (before RR, after RR and
+	// after CCD) and returns ErrAborted once it is closed; phases 3+4 run
+	// to the end once started. The decision is taken on rank 0 and
+	// broadcast, so every rank exits the same phase and the error-path
+	// observability (metrics/trace stashing) still runs collectively. nil
+	// (the default) disables the checks entirely and leaves the message
+	// pattern of existing jobs untouched.
 	Abort <-chan struct{}
 }
 
