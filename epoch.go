@@ -25,8 +25,8 @@ var ErrConfigChanged = errors.New("profam: config differs from committed epoch s
 
 // EpochState is the committed clustering state after some number of
 // ingest epochs: the corpus so far plus everything the next epoch needs
-// to avoid reclustering it — redundancy verdicts, the kept-subset
-// union–find, the family cache (each component's families under its
+// to avoid reclustering it — redundancy verdicts, the union–find over the
+// whole corpus (redundant sequences are singletons), the family cache (each component's families under its
 // exact member list), and the overlap counts of every aligned pair
 // inside a component. It is the one value that flows between epochs:
 // the pipeline takes the committed state and builds the next one on

@@ -9,6 +9,8 @@ import (
 
 	"profam"
 	"profam/internal/metrics"
+	"profam/internal/mpi"
+	"profam/internal/pace"
 	"profam/internal/report"
 	"profam/internal/seq"
 	"profam/internal/workload"
@@ -225,6 +227,71 @@ func TestEpochFamilyCacheHits(t *testing.T) {
 	}
 	if hits[1] != hits[3] {
 		t.Errorf("cache hits differ by rank count: p=1 %d, p=3 %d", hits[1], hits[3])
+	}
+}
+
+// TestOneEnumerationPerRun: a cold run and an epoch without demotions
+// build one pair index, RR's, and CCD replays the kept pairs of its list,
+// so no {phase=ccd} index series appears. The standalone CCD phase still
+// enumerates its own kept subset.
+func TestOneEnumerationPerRun(t *testing.T) {
+	set, _ := workload.Generate(workload.Params{
+		Families: 4, MeanFamilySize: 10, MeanLength: 100,
+		Divergence: 0.08, Singletons: 2, Seed: 31,
+	})
+	oneIndex := func(run string, rep *metrics.Report) {
+		t.Helper()
+		if rep.Counters["pace_index_chars{phase=rr}"] <= 0 {
+			t.Errorf("%s: no pace_index_chars{phase=rr}", run)
+		}
+		var series []string
+		for k := range rep.Counters {
+			series = append(series, k)
+		}
+		for k := range rep.Gauges {
+			series = append(series, k)
+		}
+		for _, k := range series {
+			if strings.HasPrefix(k, "pace_index_") && strings.Contains(k, "phase=ccd") {
+				t.Errorf("%s: CCD built its own index (%s)", run, k)
+			}
+		}
+	}
+	cold, _, err := profam.RunSet(set, 2, true, profam.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneIndex("cold RunSet", cold.Metrics)
+
+	names, seqs := setStrings(set)
+	_, st, err := profam.RunEpoch(nil, names, seqs, 2, profam.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := profam.RunEpoch(st, nil, []string{"MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF"}, 2, profam.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := metricValue(res.Metrics, "pipeline_epoch_demotions"); n != 0 {
+		t.Fatalf("the second epoch demoted %d sequences; it was meant not to", n)
+	}
+	oneIndex("incremental RunEpoch", res.Metrics)
+
+	var chars int64
+	_, err = mpi.RunSim(2, mpi.BlueGeneLike(), func(c *mpi.Comm) {
+		reg := metrics.New(c.Rank(), c.Time)
+		if _, _, err := pace.ConnectedComponents(c, set, nil, pace.Config{Metrics: reg}); err != nil {
+			panic(err)
+		}
+		if c.Rank() == 1 {
+			chars = reg.Counter("pace_index_chars{phase=ccd}").Value()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chars <= 0 {
+		t.Error("standalone ConnectedComponents reported no {phase=ccd} index")
 	}
 }
 

@@ -51,7 +51,7 @@ func TestPipelineTCPMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *profam.Result
-	err = mpi.RunTCP(3, 43200, func(c *mpi.Comm) {
+	err = mpi.RunTCP(3, 0, func(c *mpi.Comm) {
 		res, err := profam.RunPipelineOn(c, set, cfg)
 		if err != nil {
 			panic(err)

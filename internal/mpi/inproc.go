@@ -18,6 +18,9 @@ type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	msgs []Message
+	// lost maps a peer whose connection failed to the read error: no
+	// message from it will arrive beyond those already queued.
+	lost map[int]error
 }
 
 func newMailbox() *mailbox {
@@ -43,6 +46,17 @@ func (b *mailbox) put(m Message) {
 	b.mu.Unlock()
 }
 
+// lose records that nothing more will arrive from peer.
+func (b *mailbox) lose(peer int, err error) {
+	b.mu.Lock()
+	if b.lost == nil {
+		b.lost = make(map[int]error)
+	}
+	b.lost[peer] = err
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
 func (b *mailbox) take(from, tag int) Message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -58,6 +72,15 @@ func (b *mailbox) take(from, tag int) Message {
 			m := b.msgs[i]
 			b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
 			return m
+		}
+		// Nothing queued matches. A lost peer that could have sent it
+		// never will: fail rather than wait forever. Only such a receive
+		// fails, because peers also drop off as each leaves a finished
+		// job, and a rank may still be waiting on another peer then.
+		for peer, err := range b.lost {
+			if from == Any || from == peer {
+				panic(fmt.Sprintf("mpi: connection to rank %d lost: %v", peer, err))
+			}
 		}
 		b.cond.Wait()
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestInprocRing(t *testing.T) {
@@ -108,7 +109,7 @@ func TestSendToSelf(t *testing.T) {
 		t.Fatalf("simtime: %v", err)
 	}
 	RegisterType("")
-	if err := RunTCP(2, nextPorts(), check); err != nil {
+	if err := RunTCP(2, 0, check); err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
 }
@@ -329,17 +330,13 @@ func TestSimPanicPropagates(t *testing.T) {
 	}
 }
 
-var tcpPort int32 = 42600
-
-func nextPorts() int { return int(atomic.AddInt32(&tcpPort, 16)) - 16 }
-
 func TestTCPRingAndCollectives(t *testing.T) {
 	RegisterType("")
 	RegisterType(0)
 	RegisterType(int64(0))
 	RegisterType(float64(0))
 	const p = 3
-	err := RunTCP(p, nextPorts(), func(c *Comm) {
+	err := RunTCP(p, 0, func(c *Comm) {
 		next := (c.Rank() + 1) % p
 		prev := (c.Rank() + p - 1) % p
 		c.Send(next, 3, fmt.Sprintf("hello-%d", c.Rank()))
@@ -357,9 +354,42 @@ func TestTCPRingAndCollectives(t *testing.T) {
 	}
 }
 
+// TestTCPDeadPeerFailsRecv: a rank that dies closes its sockets, and a
+// rank blocked in Recv from it must fail instead of waiting forever.
+func TestTCPDeadPeerFailsRecv(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- RunTCP(2, 0, func(c *Comm) {
+			if c.Rank() == 1 {
+				panic("rank 1 dies")
+			}
+			c.Recv(1, 7)
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("RunTCP reported success although rank 1 panicked")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("rank 0 still blocked in Recv from a dead peer after 10 s")
+	}
+}
+
+// TestTCPCleanShutdown: ranks leave a finished job at different times,
+// closing their sockets while others still wait in the final barrier.
+// That is not a lost peer: every run must succeed.
+func TestTCPCleanShutdown(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		if err := RunTCP(6, 0, func(c *Comm) { c.Barrier() }); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+}
+
 func TestTCPLargerPayloads(t *testing.T) {
 	RegisterType([]int32{})
-	err := RunTCP(2, nextPorts(), func(c *Comm) {
+	err := RunTCP(2, 0, func(c *Comm) {
 		if c.Rank() == 0 {
 			data := make([]int32, 5000)
 			for i := range data {

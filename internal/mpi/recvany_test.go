@@ -93,7 +93,7 @@ func TestRecvAnySimTieBreak(t *testing.T) {
 func TestRecvAnyTCP(t *testing.T) {
 	RegisterType(0)
 	const p, per = 3, 8
-	err := RunTCP(p, nextPorts(), func(c *Comm) {
+	err := RunTCP(p, 0, func(c *Comm) {
 		if c.Rank() != 0 {
 			for i := 0; i < per; i++ {
 				c.Send(0, 7, c.Rank()*100+i)

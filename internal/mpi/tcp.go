@@ -114,13 +114,16 @@ func (t *tcpTransport) time() float64              { return time.Since(t.start).
 // that read the handshake: gob decoders buffer ahead, so a second decoder
 // on the same connection would lose bytes. Binary frames are decoded here
 // — off the receiving rank's critical path — and a decode failure poisons
-// the mailbox so the rank unwinds instead of hanging.
-func (t *tcpTransport) readLoop(dec *gob.Decoder, cr *countReader) {
+// the mailbox so the rank unwinds instead of hanging. A read error or EOF
+// marks the peer lost: a peer closes its end when it leaves the job, and
+// also when it dies, so a receive that only it could satisfy fails.
+func (t *tcpTransport) readLoop(peer int, dec *gob.Decoder, cr *countReader) {
 	for {
 		before := cr.n
 		var m wireMsg
 		if err := dec.Decode(&m); err != nil {
-			return // peer closed; job is ending
+			t.box.lose(peer, err)
+			return
 		}
 		data := m.Data
 		if f, ok := data.(rawFrame); ok {
@@ -151,6 +154,16 @@ func (t *tcpTransport) close() {
 //
 // The handshake is: dialer sends its rank as the first gob value.
 func DialMesh(r int, addrs []string) (*Comm, func(), error) {
+	ln, err := net.Listen("tcp", addrs[r])
+	if err != nil {
+		return nil, nil, fmt.Errorf("mpi: rank %d listen %s: %w", r, addrs[r], err)
+	}
+	return dialMesh(r, ln, addrs)
+}
+
+// dialMesh is DialMesh on a listener already bound to addrs[r]; it owns
+// ln from here on.
+func dialMesh(r int, ln net.Listener, addrs []string) (*Comm, func(), error) {
 	n := len(addrs)
 	t := &tcpTransport{
 		r: r, n: n,
@@ -161,11 +174,6 @@ func DialMesh(r int, addrs []string) (*Comm, func(), error) {
 	decs := make([]*gob.Decoder, n)
 	crs := make([]*countReader, n)
 	conns := make([]net.Conn, n)
-
-	ln, err := net.Listen("tcp", addrs[r])
-	if err != nil {
-		return nil, nil, fmt.Errorf("mpi: rank %d listen %s: %w", r, addrs[r], err)
-	}
 
 	var wg sync.WaitGroup
 	var firstErr error
@@ -274,7 +282,7 @@ func DialMesh(r int, addrs []string) (*Comm, func(), error) {
 			crs[peer] = &countReader{r: conn}
 			decs[peer] = gob.NewDecoder(crs[peer])
 		}
-		go t.readLoop(decs[peer], crs[peer])
+		go t.readLoop(peer, decs[peer], crs[peer])
 	}
 
 	cleanup := func() {
@@ -287,11 +295,24 @@ func DialMesh(r int, addrs []string) (*Comm, func(), error) {
 // RunTCP executes f on p ranks connected over loopback TCP, one goroutine
 // per rank, blocking until all finish. It exercises the genuine
 // socket/RPC path inside a single process; multi-process deployments use
-// DialMesh directly with one rank per process.
+// DialMesh directly with one rank per process. Rank i listens on port
+// basePort+i; basePort 0 lets the kernel pick free ports instead.
 func RunTCP(p int, basePort int, f func(c *Comm)) error {
+	lns := make([]net.Listener, p)
 	addrs := make([]string, p)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+	for i := range lns {
+		port := 0
+		if basePort != 0 {
+			port = basePort + i
+		}
+		ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
+		if err != nil {
+			for _, l := range lns[:i] {
+				l.Close()
+			}
+			return fmt.Errorf("mpi: rank %d listen: %w", i, err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 	errs := make(chan error, p)
 	var wg sync.WaitGroup
@@ -304,7 +325,7 @@ func RunTCP(p int, basePort int, f func(c *Comm)) error {
 					errs <- fmt.Errorf("mpi: tcp rank %d panicked: %v", r, e)
 				}
 			}()
-			c, cleanup, err := DialMesh(r, addrs)
+			c, cleanup, err := dialMesh(r, lns[r], addrs)
 			if err != nil {
 				errs <- err
 				return

@@ -1,10 +1,8 @@
 package pace
 
 import (
-	"cmp"
 	"container/heap"
 	"fmt"
-	"slices"
 	"sort"
 
 	"profam/internal/align"
@@ -25,14 +23,14 @@ import (
 // counter values at construction, making the read-out a per-call delta
 // even when a caller reuses one registry across phase calls.
 type phaseCounters struct {
-	raw, generated, duplicate *metrics.Counter
-	closure, aligned          *metrics.Counter
-	workerSkipped             *metrics.Counter // the part of closure a worker's replica closed after dispatch
-	positive, cells, rounds   *metrics.Counter
-	batchTasks                *metrics.Histogram // alignment tasks per master→worker batch
-	batchPairs                *metrics.Histogram // promising pairs per worker→master batch
-	queueDepth                *metrics.Gauge     // high-water mark of the master's pending heap
-	quota                     *metrics.Gauge     // high-water adaptive per-worker task quota
+	generated, duplicate    *metrics.Counter
+	closure, aligned        *metrics.Counter
+	workerSkipped           *metrics.Counter // the part of closure a worker's replica closed after dispatch
+	positive, cells, rounds *metrics.Counter
+	batchTasks              *metrics.Histogram // alignment tasks per master→worker batch
+	batchPairs              *metrics.Histogram // promising pairs per worker→master batch
+	queueDepth              *metrics.Gauge     // high-water mark of the master's pending heap
+	quota                   *metrics.Gauge     // high-water adaptive per-worker task quota
 	// cascadeStage[s] counts RR pairs decided by containment-cascade
 	// stage s (prefilter/banded/full); cascadeFullCells accumulates what
 	// those pairs would have cost under the exact full-matrix predicate,
@@ -46,16 +44,9 @@ type phaseCounters struct {
 	base             Stats
 }
 
-// rawPairsName names the raw-pair counter, which the master reads and
-// the enumerating worker ranks own.
-func rawPairsName(phase string) string {
-	return metrics.Name("pace_pairs_raw", "phase", phase)
-}
-
 func newPhaseCounters(reg *metrics.Registry, phase string) phaseCounters {
 	l := func(n string) string { return metrics.Name(n, "phase", phase) }
 	pc := phaseCounters{
-		raw:           reg.Counter(rawPairsName(phase)),
 		generated:     reg.Counter(l("pace_pairs_generated")),
 		duplicate:     reg.Counter(l("pace_pairs_duplicate")),
 		closure:       reg.Counter(l("pace_pairs_closure")),
@@ -94,7 +85,6 @@ func (pc *phaseCounters) countStage(stage align.Stage, fullCells int64) {
 // read returns the counters' current absolute values.
 func (pc phaseCounters) read() Stats {
 	return Stats{
-		PairsRaw:       pc.raw.Value(),
 		PairsGenerated: pc.generated.Value(),
 		PairsDuplicate: pc.duplicate.Value(),
 		PairsClosure:   pc.closure.Value(),
@@ -109,7 +99,6 @@ func (pc phaseCounters) read() Stats {
 func (pc phaseCounters) stats() Stats {
 	cur := pc.read()
 	return Stats{
-		PairsRaw:       cur.PairsRaw - pc.base.PairsRaw,
 		PairsGenerated: cur.PairsGenerated - pc.base.PairsGenerated,
 		PairsDuplicate: cur.PairsDuplicate - pc.base.PairsDuplicate,
 		PairsClosure:   cur.PairsClosure - pc.base.PairsClosure,
@@ -132,83 +121,23 @@ func poolObserver(reg *metrics.Registry, phase, site string) pool.Observer {
 	return func(queued, threads int) { h.Observe(int64(queued)) }
 }
 
-// pairSource pulls promising pairs out of a worker's subtrees in
-// decreasing match-length order, deduplicating locally (the first — and
-// therefore longest — occurrence of each sequence pair wins).
-type pairSource struct {
-	refs []nodeRef
-	cur  int
-	buf  []PairItem
-	pos  int
-	seen map[int64]bool
-	raw  int64 // pairs enumerated before local dedup
-	// newFrom > 0 is the incremental-epoch filter: pairs whose sequences
-	// both predate it are settled by the prior state and are skipped at
-	// enumeration (counted in prior), before local dedup.
-	newFrom int32
-	prior   int64
-}
-
-type nodeRef struct {
-	t *suffixtree.SubTree
-	i int
-}
-
-func newPairSource(trees []*suffixtree.SubTree, newFrom int32) *pairSource {
-	s := &pairSource{seen: make(map[int64]bool), newFrom: newFrom}
-	for _, t := range trees {
-		for i := range t.Nodes {
-			s.refs = append(s.refs, nodeRef{t, i})
-		}
-	}
-	slices.SortStableFunc(s.refs, func(a, b nodeRef) int {
-		return cmp.Compare(b.t.Nodes[b.i].Depth, a.t.Nodes[a.i].Depth)
-	})
-	return s
-}
-
-// next returns up to k pairs and whether the source is now exhausted.
-func (s *pairSource) next(k int) ([]PairItem, bool) {
-	out := make([]PairItem, 0, k)
-	for len(out) < k {
-		if s.pos >= len(s.buf) {
-			if s.cur >= len(s.refs) {
-				return out, true
-			}
-			r := s.refs[s.cur]
-			s.cur++
-			s.buf = s.buf[:0]
-			s.pos = 0
-			r.t.EmitNodePairs(r.i, func(p suffixtree.Pair) bool {
-				s.raw++
-				if s.newFrom > 0 && p.SeqA < s.newFrom && p.SeqB < s.newFrom {
-					s.prior++
-					return true
-				}
-				key := pairKey(p.SeqA, p.SeqB)
-				if !s.seen[key] {
-					s.seen[key] = true
-					s.buf = append(s.buf, PairItem{A: p.SeqA, B: p.SeqB,
-						OffA: p.OffA, OffB: p.OffB, Len: p.Len})
-				}
-				return true
-			})
-			continue
-		}
-		out = append(out, s.buf[s.pos])
-		s.pos++
-	}
-	exhausted := s.pos >= len(s.buf) && s.cur >= len(s.refs)
-	return out, exhausted
+// nextBatch splits the next batch of at most k pairs off the front of
+// *pairs and reports whether the list is now exhausted, so the last batch
+// carries the exhaustion notice itself.
+func nextBatch(pairs *[]PairItem, k int) ([]PairItem, bool) {
+	n := min(k, len(*pairs))
+	batch := (*pairs)[:n:n]
+	*pairs = (*pairs)[n:]
+	return batch, len(*pairs) == 0
 }
 
 // buildTrees constructs the per-bucket indexes owned by this rank,
 // charging construction work to the virtual clock. Buckets are
 // independent, so they build on the rank's goroutine pool; the result
 // slice is indexed by bucket position, keeping the tree order — and
-// therefore the pair stream — identical for every thread count. The
-// subtrees stay alive for the whole phase, so pace_index_bytes is their
-// summed footprint.
+// therefore the pair list — identical for every thread count.
+// pace_index_bytes is the subtrees' summed footprint, which lives until
+// their pairs are listed.
 func buildTrees(c *mpi.Comm, set *seq.Set, bucketIdx []int, buckets []suffixtree.Bucket, cfg Config, phase string) ([]*suffixtree.SubTree, error) {
 	sp := cfg.Metrics.StartSpan(phase + "/index")
 	defer sp.End()
@@ -330,7 +259,7 @@ func (ms *masterState) popTasks(k int) []PairItem {
 
 // workerState is the master's per-worker protocol bookkeeping.
 type workerState struct {
-	exhausted   bool // the worker's pair source is drained
+	exhausted   bool // the worker has shipped its last pair
 	outstanding int  // tasks dispatched whose outcomes have not come back
 	owed        int  // requests received and not yet answered (parked)
 	quota       int  // adaptive task quota: slow-start, doubles per productive dispatch
@@ -576,7 +505,7 @@ func alignBatch(cache *pool.AlignerCache, threads int, set *seq.Set, wl workerLo
 // replica; alignBatch then skips whatever the replica proves closed. The
 // replica's checks and merges are charged at the master's per-pair
 // filter rate, so a skipped task is not free in virtual time.
-func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, replica masterLogic, src *pairSource, cfg Config, phase string) {
+func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, replica masterLogic, pairs []PairItem, cfg Config, phase string) {
 	sp := cfg.Metrics.StartSpan(phase + "/exchange")
 	defer sp.End()
 	tr := cfg.Trace
@@ -586,19 +515,19 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, replica masterLogic, s
 	exhausted := false
 	sent, recvd := 0, 0
 	request := func(results []AlignOutcome) {
-		var pairs []PairItem
+		var batch []PairItem
 		if !exhausted {
-			pairs, exhausted = src.next(cfg.BatchPairs)
-			c.Advance(float64(len(pairs)) * DefaultCostParams().SecPerPairGen)
+			batch, exhausted = nextBatch(&pairs, cfg.BatchPairs)
+			c.Advance(float64(len(batch)) * DefaultCostParams().SecPerPairGen)
 			var ex int64
 			if exhausted {
 				ex = 1
 			}
 			tr.Instant(trace.CatWorker, phase+"/pairgen",
-				"pairs", int64(len(pairs)), "exhausted", ex)
+				"pairs", int64(len(batch)), "exhausted", ex)
 		}
 		sent++
-		c.Send(0, tagWorker, WorkerMsg{Pairs: pairs, Exhausted: exhausted, Results: results})
+		c.Send(0, tagWorker, WorkerMsg{Pairs: batch, Exhausted: exhausted, Results: results})
 	}
 	for i := 0; i < prefetchDepth; i++ {
 		request(nil)
@@ -640,7 +569,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, replica masterLogic, s
 
 // runSerial executes a whole phase on a single rank: pairs are consumed
 // in decreasing match-length order with the same filtering policy.
-func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *pairSource, cfg Config) {
+func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, pairs []PairItem, cfg Config) {
 	al := align.NewAligner(align.DefaultScoring())
 	tr := cfg.Trace
 	phase := ms.ctr.phase
@@ -649,13 +578,13 @@ func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *
 		round++
 		ms.ctr.rounds.Inc()
 		roundStart := tr.Now()
-		pairs, exhausted := src.next(cfg.BatchPairs)
-		c.Advance(float64(len(pairs)) * DefaultCostParams().SecPerPairGen)
-		ms.ctr.generated.Add(int64(len(pairs)))
-		if len(pairs) > 0 {
-			ms.ctr.batchPairs.Observe(int64(len(pairs)))
+		batch, exhausted := nextBatch(&pairs, cfg.BatchPairs)
+		c.Advance(float64(len(batch)) * DefaultCostParams().SecPerPairGen)
+		ms.ctr.generated.Add(int64(len(batch)))
+		if len(batch) > 0 {
+			ms.ctr.batchPairs.Observe(int64(len(batch)))
 		}
-		nops := ms.ingestPairs(pairs)
+		nops := ms.ingestPairs(batch)
 		c.Advance(float64(nops) * DefaultCostParams().SecPerPairFilter)
 		// One task at a time so each alignment outcome can eliminate
 		// later pending pairs via the closure filter — the reference
@@ -669,136 +598,143 @@ func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, src *
 		}
 		tr.Count(trace.CatMaster, phase+"/merges", ms.merges)
 		tr.Span(trace.CatMaster, phase+"/round", roundStart, tr.Now(),
-			"round", round, "pairs", int64(len(pairs)))
+			"round", round, "pairs", int64(len(batch)))
 		ms.cfg.Log.Debug("serial round",
 			"phase", phase, "round", round, "merges", ms.merges, "t", c.Time())
 		if exhausted {
-			ms.ctr.raw.Add(src.raw)
 			return
 		}
 	}
 }
 
-// runPhase wires buckets, trees, and the master/worker/serial loops
-// together for one phase over the given sequence set. It returns the
-// master's stats on rank 0 (zero Stats elsewhere; callers broadcast what
-// they need). Stats are a read-out of the phase's registry counters —
-// the registry is the one accumulation path.
+// Enumerate lists this rank's promising pairs over set — the pairs of
+// sequences sharing a maximal match of length ≥ ψ — each once, with the
+// length of its longest match, longest first. Every rank calls it with
+// the same arguments. The enumerating ranks own the suffix-tree buckets:
+// rank 0 alone at p = 1, the workers 1..p-1 otherwise (the master gets
+// nil). Each builds its buckets' suffix arrays, lists their pairs and
+// drops them. Whether a pair is promising depends on its two sequences
+// alone, so one list serves every phase over any subset of set: RR takes
+// it whole, CCD keeps the pairs with both sides kept.
 //
-// newFrom > 0 is the representative-pair generation mode behind
-// incremental epochs: pair sources emit only promising pairs with at
-// least one sequence ID ≥ newFrom. IDs below newFrom are the previous
-// epoch's sequences — their pairwise outcomes are already folded into
-// the prior clustering state the caller seeds the master with
-// (RedundancyRemovalFrom / ConnectedComponentsFrom), so re-enumerating
-// them would only rediscover settled verdicts. The suppressed
-// enumeration is counted under pace_pairs_prior. 0 emits every pair —
-// the one-shot batch behavior.
-func runPhase(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, cfg Config, phase string, newFrom int) (Stats, error) {
+// newFrom > 0 leaves out the pairs whose two sequences both predate it:
+// an incremental epoch's prior state already holds their verdicts. They
+// are counted under pace_pairs_prior. phase labels the index and raw-pair
+// series with the phase the enumeration serves.
+func Enumerate(c *mpi.Comm, set *seq.Set, newFrom int, cfg Config, phase string) ([]PairItem, error) {
+	cfg = cfg.withDefaults()
+	opt := suffixtree.Options{MinMatch: cfg.Psi}
+	p := c.Size()
+	if p > 1 && c.Rank() == 0 {
+		_, err := opt.Validate()
+		return nil, err
+	}
+	buckets, err := suffixtree.Buckets(set, opt)
+	if err != nil {
+		return nil, err
+	}
+	// Rank 0 owns every bucket at p = 1; otherwise worker r owns share r-1.
+	own := suffixtree.AssignBuckets(buckets, max(1, p-1))[max(0, c.Rank()-1)]
+	trees, err := buildTrees(c, set, own, buckets, cfg, phase)
+	if err != nil {
+		return nil, err
+	}
+	var pairs []PairItem
+	var raw, prior int64
+	seen := make(map[int64]bool)
+	// The first occurrence of a sequence pair is its longest match.
+	suffixtree.MergedPairs(trees, func(m suffixtree.Pair) bool {
+		raw++
+		if m.SeqB < int32(newFrom) { // SeqA < SeqB: both predate newFrom
+			prior++
+			return true
+		}
+		if key := pairKey(m.SeqA, m.SeqB); !seen[key] {
+			seen[key] = true
+			pairs = append(pairs, PairItem{A: m.SeqA, B: m.SeqB, Len: m.Len})
+		}
+		return true
+	})
+	cfg.Metrics.Counter(metrics.Name("pace_pairs_raw", "phase", phase)).Add(raw)
+	if prior > 0 {
+		cfg.Metrics.Counter(metrics.Name("pace_pairs_prior", "phase", phase)).Add(prior)
+	}
+	return pairs, nil
+}
+
+// runPhase runs the master/worker/serial loops of one phase over this
+// rank's pair list. It returns the master's stats on rank 0 (zero Stats
+// elsewhere; callers broadcast what they need), with PhaseTime counted
+// from start on rank 0 to the slowest rank's end. Stats are a read-out of
+// the phase's registry counters — the registry is the one accumulation
+// path.
+func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl workerLogic, cfg Config, phase string, start float64) Stats {
 	if cfg.Metrics == nil {
 		// Private registry so the counter-backed Stats still work for
 		// direct API callers that don't collect metrics.
 		cfg.Metrics = metrics.New(c.Rank(), c.Time)
 	}
-	start := c.Time()
-	buckets, err := suffixtree.Buckets(set, suffixtree.Options{MinMatch: cfg.Psi})
-	if err != nil {
-		return Stats{}, err
-	}
-	p := c.Size()
 	ms := newMasterState(ml, cfg, phase)
-
-	if p == 1 {
-		own := make([]int, len(buckets))
-		for i := range own {
-			own[i] = i
-		}
-		trees, err := buildTrees(c, set, own, buckets, cfg, phase)
-		if err != nil {
-			return Stats{}, err
-		}
-		src := newPairSource(trees, int32(newFrom))
-		treeDone := c.Time()
+	switch {
+	case c.Size() == 1:
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
-		runSerial(c, set, ms, wl, src, cfg)
+		runSerial(c, set, ms, wl, pairs, cfg)
 		sp.End()
-		countPriorPairs(cfg, phase, src)
 		st := ms.ctr.stats()
-		st.TreeTime = treeDone - start
 		st.PhaseTime = c.Time() - start
-		return st, nil
-	}
-
-	// Workers own the buckets; the master owns the clustering state, and
-	// each worker's own ml serves as its replica of it.
-	assign := suffixtree.AssignBuckets(buckets, p-1)
-	if c.Rank() == 0 {
+		return st
+	case c.Rank() == 0:
+		// The master owns the clustering state; each worker's own ml
+		// serves as its replica of it.
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
 		runMaster(c, ms)
 		sp.End()
-		raw := c.ReduceInt64(0, 0, addInt64)
 		st := ms.ctr.stats()
-		st.PairsRaw = raw
 		st.PhaseTime = c.MaxFloat64(c.Time()) - start
-		return st, nil
-	}
-	trees, err := buildTrees(c, set, assign[c.Rank()-1], buckets, cfg, phase)
-	if err != nil {
-		return Stats{}, err
-	}
-	src := newPairSource(trees, int32(newFrom))
-	runWorker(c, set, wl, ml, src, cfg, phase)
-	// The enumerating ranks own the raw-pair counter; the master's Stats
-	// read-out gets the total via the reduction below.
-	cfg.Metrics.Counter(rawPairsName(phase)).Add(src.raw)
-	countPriorPairs(cfg, phase, src)
-	c.ReduceInt64(0, src.raw, addInt64)
-	c.MaxFloat64(c.Time())
-	return Stats{}, nil
-}
-
-func addInt64(a, b int64) int64 { return a + b }
-
-// countPriorPairs records how many promising pairs the newFrom filter
-// suppressed because both sides predate the current epoch. The counter is
-// created lazily so cold runs (newFrom == 0) export an unchanged metric
-// set.
-func countPriorPairs(cfg Config, phase string, src *pairSource) {
-	if src.prior > 0 {
-		cfg.Metrics.Counter(metrics.Name("pace_pairs_prior", "phase", phase)).Add(src.prior)
+		return st
+	default:
+		runWorker(c, set, wl, ml, pairs, cfg, phase)
+		c.MaxFloat64(c.Time())
+		return Stats{}
 	}
 }
 
 // --- public phase entry points -------------------------------------------
 
-// RedundancyRemoval executes the paper's RR phase collectively: every
-// rank calls it with the same set and config, and every rank returns the
-// same keep mask (keep[id] == false means sequence id is contained in
-// another sequence and should be dropped). Stats are likewise identical
-// on all ranks.
+// RedundancyRemoval executes the paper's RR phase collectively over its
+// own enumeration of set: every rank calls it with the same set and
+// config, and every rank returns the same keep mask (keep[id] == false
+// means sequence id is contained in another sequence and should be
+// dropped). Stats are likewise identical on all ranks, and PhaseTime
+// includes the index build.
 func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, error) {
-	return RedundancyRemovalFrom(c, set, nil, 0, cfg)
-}
-
-// RedundancyRemovalFrom is the incremental form of RedundancyRemoval:
-// prior (may be nil) is the redundancy verdict from the previous epoch
-// over sequences 0..newFrom-1, and only pairs with at least one side ≥
-// newFrom are aligned. A sequence is redundant iff an earlier one in the
-// (length descending, ID ascending) order contains it, and whether it is
-// depends on each of its pairs alone. Old-vs-old pairs were settled last
-// epoch, so the combined mask equals a cold run's, containment chains
-// across the epoch boundary included (see DESIGN.md §9). The returned
-// keep mask covers the whole set on all ranks.
-func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, prior []bool, newFrom int, cfg Config) ([]bool, Stats, error) {
-	cfg = cfg.withDefaults()
-	ml := &rrMaster{set: set, redundant: make([]bool, set.Len())}
-	if prior != nil {
-		copy(ml.redundant, prior)
-	}
-	st, err := runPhase(c, set, ml, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, cfg, "rr", newFrom)
+	start := c.Time()
+	pairs, err := Enumerate(c, set, 0, cfg, "rr")
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	keep, st := redundancyRemoval(c, set, pairs, nil, cfg, start)
+	return keep, st, nil
+}
+
+// RedundancyRemovalFrom is RedundancyRemoval over this rank's pairs from
+// Enumerate, on top of prior (may be nil), the redundancy verdict of a
+// previous epoch over a prefix of set. A sequence is redundant iff an
+// earlier one in the (length descending, ID ascending) order contains it,
+// and whether it is depends on each of its pairs alone. So when the pairs
+// leave out only pairs of two prior sequences, settled last epoch, the
+// combined mask equals a cold run's, containment chains across the epoch
+// boundary included (see DESIGN.md §9). The returned keep mask covers the
+// whole set on all ranks.
+func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config) ([]bool, Stats) {
+	return redundancyRemoval(c, set, pairs, prior, cfg, c.Time())
+}
+
+func redundancyRemoval(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config, start float64) ([]bool, Stats) {
+	cfg = cfg.withDefaults()
+	ml := &rrMaster{set: set, redundant: make([]bool, set.Len())}
+	copy(ml.redundant, prior)
+	st := runPhase(c, set, pairs, ml, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, cfg, "rr", start)
 	keep := make([]bool, set.Len())
 	if c.Rank() == 0 {
 		for i := range keep {
@@ -806,78 +742,90 @@ func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, prior []bool, newFrom int,
 		}
 	}
 	keep = c.Bcast(0, keep).([]bool)
-	st = broadcastStats(c, st)
-	return keep, st, nil
+	return keep, broadcastStats(c, st)
 }
 
 // ConnectedComponents executes the paper's CCD phase collectively over
-// the sequences with keep[id] == true (pass nil to cluster everything).
-// It returns comp, where comp[id] is the component label of sequence id
-// (labels are the smallest member ID in the component) or -1 for dropped
-// sequences. All ranks return identical results.
+// the sequences with keep[id] == true (pass nil to cluster everything),
+// enumerating the pairs of that kept subset itself, so PhaseTime includes
+// the phase's own index build. It returns comp, where comp[id] is the
+// component label of sequence id (labels are the smallest member ID in
+// the component) or -1 for dropped sequences. All ranks return identical
+// results.
 func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]int32, Stats, error) {
-	comp, _, _, st, err := ConnectedComponentsFrom(c, set, keep, nil, 0, cfg)
+	start := c.Time()
+	var ids []int
+	for i := range set.Len() {
+		if keep == nil || keep[i] {
+			ids = append(ids, i)
+		}
+	}
+	sub, orig := set.Subset(ids)
+	pairs, err := Enumerate(c, sub, 0, cfg, "ccd")
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	for i, p := range pairs { // orig ascends, so A < B still holds
+		pairs[i].A, pairs[i].B = int32(orig[p.A]), int32(orig[p.B])
+	}
+	comp, _, _, st, err := connectedComponents(c, set, keep, pairs, nil, 0, cfg, start)
 	return comp, st, err
 }
 
-// ConnectedComponentsFrom is the incremental form of ConnectedComponents:
-// prior (may be nil) is the committed union–find over the kept subset of
-// sequences 0..newFrom-1, and only pairs with at least one side ≥ newFrom
-// are aligned — old-vs-old merges are already encoded in prior. Because a
-// connected-component partition is the transitive closure of its positive
-// pairs and closure is order-invariant, seeding a clone of prior and
-// merging only epoch-crossing pairs yields exactly the cold partition.
-// Alongside comp it returns, on rank 0 only (nil on other ranks), the
-// resulting union–find over the kept subset, so the caller can commit it
-// as the next epoch's prior, and the verdict of every pair the phase
-// aligned. Each verdict's counts are those of the local alignment of the
-// lower original ID against the higher one.
-func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, []Verdict, Stats, error) {
-	cfg = cfg.withDefaults()
-	// Build the kept-subset view identically on every rank.
-	var ids []int
-	subNew := 0 // sub-space ID that the first new sequence maps to
-	for i := 0; i < set.Len(); i++ {
-		if keep == nil || keep[i] {
-			ids = append(ids, i)
-			if i < newFrom {
-				subNew++
-			}
-		}
-	}
-	// The pair filter operates in the subset's ID space: kept sequences
-	// are renumbered in ascending original order, so IDs < subNew are
-	// exactly the kept prior-epoch sequences. Computed on every rank so
-	// the collective phase sees identical arguments.
-	sub, orig := set.Subset(ids)
+// ConnectedComponentsFrom is ConnectedComponents over this rank's pairs
+// from Enumerate, of which it keeps those with both sides kept. prior
+// (may be nil) is the committed union–find over the previous epoch's
+// corpus, sequences 0..newFrom-1, and the pairs may leave out the pairs
+// of two prior sequences: their merges are already encoded in prior.
+// Because a connected-component partition is the transitive closure of
+// its positive pairs and closure is order-invariant, seeding a clone of
+// prior and merging only epoch-crossing pairs yields exactly the cold
+// partition. Alongside comp it returns, on rank 0 only (nil on other
+// ranks), the resulting union–find over the whole set — redundant
+// sequences stay singletons — so the caller can commit it as the next
+// epoch's prior, and the verdict of every pair the phase aligned. Each
+// verdict's counts are those of the local alignment of the lower ID
+// against the higher one.
+func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, []Verdict, Stats, error) {
+	return connectedComponents(c, set, keep, pairs, prior, newFrom, cfg, c.Time())
+}
 
-	uf := unionfind.New(sub.Len())
+func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config, start float64) ([]int32, *unionfind.UF, []Verdict, Stats, error) {
+	cfg = cfg.withDefaults()
+	uf := unionfind.New(set.Len())
 	if prior != nil {
-		if prior.Len() != subNew {
-			return nil, nil, nil, Stats{}, fmt.Errorf("pace: prior union-find covers %d sequences, kept prior subset has %d", prior.Len(), subNew)
+		if prior.Len() != newFrom {
+			return nil, nil, nil, Stats{}, fmt.Errorf("pace: prior union-find covers %d sequences, the prior corpus has %d", prior.Len(), newFrom)
 		}
 		uf = prior.Clone()
-		uf.Extend(sub.Len())
+		uf.Extend(set.Len())
+	}
+	if keep != nil {
+		kept := make([]PairItem, 0, len(pairs))
+		for _, p := range pairs {
+			if keep[p.A] && keep[p.B] {
+				kept = append(kept, p)
+			}
+		}
+		pairs = kept
 	}
 	ml := &ccMaster{uf: uf, disableFilter: cfg.DisableClosureFilter}
-	st, err := runPhase(c, sub, ml, ccWorker{params: cfg.Overlap}, cfg, "ccd", subNew)
-	if err != nil {
-		return nil, nil, nil, Stats{}, err
-	}
+	st := runPhase(c, set, pairs, ml, ccWorker{params: cfg.Overlap}, cfg, "ccd", start)
 
 	comp := make([]int32, set.Len())
 	if c.Rank() == 0 {
+		// Label components by their smallest member ID: the first visit.
+		label := make(map[int]int32)
 		for i := range comp {
-			comp[i] = -1
-		}
-		// Label components by their smallest original member ID.
-		rootLabel := make(map[int]int32)
-		for subID := 0; subID < sub.Len(); subID++ {
-			r := ml.uf.Find(subID)
-			if _, ok := rootLabel[r]; !ok {
-				rootLabel[r] = int32(orig[subID]) // first visit = smallest subID = smallest orig
+			if keep != nil && !keep[i] {
+				comp[i] = -1
+				continue
 			}
-			comp[orig[subID]] = rootLabel[r]
+			r := uf.Find(i)
+			if _, ok := label[r]; !ok {
+				label[r] = int32(i)
+			}
+			comp[i] = label[r]
 		}
 	}
 	comp = c.Bcast(0, comp).([]int32)
@@ -885,11 +833,7 @@ func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, prior *unio
 	if c.Rank() != 0 {
 		return comp, nil, nil, st, nil
 	}
-	// Sub-IDs ascend with original IDs, so each pair keeps A < B.
-	for i, v := range ml.verdicts {
-		ml.verdicts[i].A, ml.verdicts[i].B = int32(orig[v.A]), int32(orig[v.B])
-	}
-	return comp, ml.uf, ml.verdicts, st, nil
+	return comp, uf, ml.verdicts, st, nil
 }
 
 // broadcastStats shares the master's stats with all ranks.

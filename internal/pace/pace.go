@@ -6,9 +6,11 @@
 // paper's distributed structure is the suffix tree, not the sequences).
 // Suffix-tree buckets are assigned to worker ranks; each worker builds its
 // subtrees locally (from each bucket's suffix array, internal/esa) and
-// generates "promising pairs" — pairs of sequences sharing a maximal
-// exact match of length ≥ ψ — in decreasing match-length order. The
-// master maintains the global clustering state,
+// lists its "promising pairs" — pairs of sequences sharing a maximal
+// exact match of length ≥ ψ — in decreasing match-length order
+// (Enumerate). A pipeline run enumerates once: RR ships the whole list to
+// the master, CCD the pairs with both sides kept. The master maintains
+// the global clustering state,
 // filters incoming pairs (duplicate elimination plus the closure test:
 // for CCD, pairs already in one cluster; for RR, pairs whose later side
 // is already redundant), and dynamically assigns the surviving alignment
@@ -132,7 +134,6 @@ func (c Config) withDefaults() Config {
 
 // Stats summarise one phase's execution across all ranks.
 type Stats struct {
-	PairsRaw       int64 // maximal-match pairs enumerated before worker-local dedup
 	PairsGenerated int64 // promising pairs shipped by workers
 	PairsDuplicate int64 // dropped by the master: pair already seen
 	PairsClosure   int64 // dropped by the master: already same cluster
@@ -140,7 +141,6 @@ type Stats struct {
 	PairsPositive  int64 // alignments that passed the phase predicate
 	Cells          int64 // total DP cells across workers
 	Rounds         int64 // master–worker exchange rounds
-	TreeTime       float64
 	PhaseTime      float64
 }
 
@@ -161,14 +161,12 @@ func (s Stats) WorkReduction() float64 {
 
 // --- wire types -------------------------------------------------------
 
-// PairItem is one promising pair: sequence IDs plus the coordinates of
-// the maximal match that made it promising (the seed). OffA/OffB locate
-// the match start within each sequence, and Len orders the master's
+// PairItem is one promising pair: sequence IDs (A < B) and the length of
+// the longest maximal match they share, which orders the master's
 // pending queue (longest match first).
 type PairItem struct {
-	A, B       int32
-	OffA, OffB int32
-	Len        int32
+	A, B int32
+	Len  int32
 }
 
 // AlignOutcome is a worker's verdict on one assigned pair.
@@ -218,7 +216,7 @@ type WorkerMsg struct {
 
 // WireSize implements mpi.Sized.
 func (m WorkerMsg) WireSize() int {
-	n := 16 + 20*len(m.Pairs) + 29*len(m.Results)
+	n := 16 + 12*len(m.Pairs) + 29*len(m.Results)
 	for _, r := range m.Results {
 		switch {
 		case r.Skipped:
@@ -246,7 +244,7 @@ type MasterMsg struct {
 }
 
 // WireSize implements mpi.Sized.
-func (m MasterMsg) WireSize() int { return 16 + 20*len(m.Tasks) + 8*len(m.Merges) }
+func (m MasterMsg) WireSize() int { return 16 + 12*len(m.Tasks) + 8*len(m.Merges) }
 
 // RegisterWireTypes registers the phase payloads for the TCP transport:
 // the binary frame decoders for the hot batch messages, and the gob types
@@ -257,7 +255,6 @@ func RegisterWireTypes() {
 	mpi.RegisterType([]int32{})
 	mpi.RegisterType(Stats{})
 	mpi.RegisterType(Verdicts{})
-	mpi.RegisterType(int64(0))
 	mpi.RegisterType(float64(0))
 }
 
@@ -389,16 +386,12 @@ type rrWorker struct {
 func (w rrWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOutcome {
 	later, earlier := laterSide(set, p.A, p.B)
 	a, b := set.Get(int(later)).Res, set.Get(int(earlier)).Res
-	seed := align.SeedMatch{PosA: int(p.OffA), PosB: int(p.OffB), Len: int(p.Len)}
-	if later != p.A {
-		seed = seed.Swapped()
-	}
 	before := al.Cells
 	out := AlignOutcome{A: p.A, B: p.B, FullCells: int64(len(a)) * int64(len(b))}
 	if w.exact {
 		out.OK, _ = al.Contained(a, b, w.params)
 	} else {
-		ok, stage := al.ContainedCascade(a, b, w.params, seed)
+		ok, stage := al.ContainedCascade(a, b, w.params, align.SeedMatch{})
 		out.OK, out.Stage = ok, int8(stage)
 	}
 	out.Cells = al.Cells - before
@@ -410,7 +403,7 @@ func (w rrWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOu
 type ccMaster struct {
 	uf            *unionfind.UF
 	disableFilter bool
-	verdicts      []Verdict // every aligned outcome, in the phase's sub-ID space
+	verdicts      []Verdict // every aligned outcome
 }
 
 func (m *ccMaster) closed(p PairItem) bool {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"profam/internal/align"
+	"profam/internal/metrics"
 	"profam/internal/mpi"
 	"profam/internal/seq"
 	"profam/internal/suffixtree"
@@ -17,10 +18,22 @@ import (
 // runRR executes redundancy removal on p simulated ranks.
 func runRR(t *testing.T, set *seq.Set, cfg Config, p int) ([]bool, Stats) {
 	t.Helper()
+	keep, st, _ := runRRRaw(t, set, cfg, p)
+	return keep, st
+}
+
+// runRRRaw is runRR that also returns pace_pairs_raw{phase=rr} summed
+// over the ranks' registries.
+func runRRRaw(t *testing.T, set *seq.Set, cfg Config, p int) ([]bool, Stats, int64) {
+	t.Helper()
 	var keep []bool
 	var st Stats
+	regs := make([]*metrics.Registry, p)
 	_, err := mpi.RunSim(p, mpi.BlueGeneLike(), func(c *mpi.Comm) {
-		k, s, err := RedundancyRemoval(c, set, cfg)
+		rcfg := cfg
+		rcfg.Metrics = metrics.New(c.Rank(), c.Time)
+		regs[c.Rank()] = rcfg.Metrics
+		k, s, err := RedundancyRemoval(c, set, rcfg)
 		if err != nil {
 			panic(err)
 		}
@@ -31,7 +44,11 @@ func runRR(t *testing.T, set *seq.Set, cfg Config, p int) ([]bool, Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return keep, st
+	var raw int64
+	for _, reg := range regs {
+		raw += reg.Counter("pace_pairs_raw{phase=rr}").Value()
+	}
+	return keep, st, raw
 }
 
 // runCCD executes connected-component detection on p simulated ranks.
@@ -108,7 +125,7 @@ func famSet(t *testing.T) (*seq.Set, *workload.Truth) {
 
 func TestRRRemovesPlantedFragments(t *testing.T) {
 	set, truth := famSet(t)
-	keep, st := runRR(t, set, Config{Psi: 6}, 1)
+	keep, st, raw := runRRRaw(t, set, Config{Psi: 6}, 1)
 	planted, removed := 0, 0
 	for id, red := range truth.Redundant {
 		if red {
@@ -137,17 +154,17 @@ func TestRRRemovesPlantedFragments(t *testing.T) {
 	if st.PairsAligned == 0 || st.PairsGenerated == 0 {
 		t.Errorf("stats empty: %+v", st)
 	}
-	if st.PairsRaw < st.PairsGenerated {
-		t.Errorf("raw pairs %d < generated %d", st.PairsRaw, st.PairsGenerated)
+	if raw < st.PairsGenerated {
+		t.Errorf("raw pairs %d < generated %d", raw, st.PairsGenerated)
 	}
 }
 
 func TestRRParallelMatchesSerial(t *testing.T) {
 	set, _ := famSet(t)
 	cfg := Config{Psi: 6, BatchPairs: 64, BatchTasks: 16}
-	keep1, st1 := runRR(t, set, cfg, 1)
+	keep1, st1, raw1 := runRRRaw(t, set, cfg, 1)
 	for _, p := range []int{2, 4, 7} {
-		keepP, stP := runRR(t, set, cfg, p)
+		keepP, stP, rawP := runRRRaw(t, set, cfg, p)
 		for i := range keep1 {
 			if keep1[i] != keepP[i] {
 				t.Fatalf("p=%d: keep[%d] differs (serial %v, parallel %v)", p, i, keep1[i], keepP[i])
@@ -157,8 +174,8 @@ func TestRRParallelMatchesSerial(t *testing.T) {
 		// occurrence lives in exactly one bucket); the shipped-pair
 		// count is not, because worker-local dedup sees only one
 		// worker's buckets.
-		if st1.PairsRaw != stP.PairsRaw {
-			t.Errorf("p=%d: raw pairs %d vs serial %d", p, stP.PairsRaw, st1.PairsRaw)
+		if raw1 != rawP {
+			t.Errorf("p=%d: raw pairs %d vs serial %d", p, rawP, raw1)
 		}
 		if stP.PairsGenerated < st1.PairsGenerated {
 			t.Errorf("p=%d: generated %d < serial %d", p, stP.PairsGenerated, st1.PairsGenerated)
@@ -324,14 +341,20 @@ func TestPairSourceOrderAndDedup(t *testing.T) {
 	set.MustAdd("a", "ACDEFGHIKLM")
 	set.MustAdd("b", "ACDEFGHIKLM")
 	set.MustAdd("c", "CDEFGHIKWWWCDEFGHIK") // motif twice: repeated raw pairs
-	trees, err := suffixtree.Build(set, suffixtree.Options{MinMatch: 3})
+	reg := metrics.New(0, nil)
+	var pairs []PairItem
+	_, err := mpi.RunSim(1, mpi.CostModel{}, func(c *mpi.Comm) {
+		var err error
+		if pairs, err = Enumerate(c, set, 0, Config{Psi: 3, Metrics: reg}, "rr"); err != nil {
+			panic(err)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := newPairSource(trees, 0)
 	var all []PairItem
-	for {
-		batch, done := src.next(2)
+	for rest := pairs; ; {
+		batch, done := nextBatch(&rest, 2)
 		all = append(all, batch...)
 		if done {
 			break
@@ -353,8 +376,8 @@ func TestPairSourceOrderAndDedup(t *testing.T) {
 	if len(all) != 3 { // (a,b), (a,c), (b,c)
 		t.Errorf("got %d pairs, want 3: %v", len(all), all)
 	}
-	if src.raw <= int64(len(all)) {
-		t.Errorf("raw count %d should exceed deduped %d", src.raw, len(all))
+	if raw := reg.Counter("pace_pairs_raw{phase=rr}").Value(); raw <= int64(len(all)) {
+		t.Errorf("raw count %d should exceed deduped %d", raw, len(all))
 	}
 }
 
@@ -413,7 +436,7 @@ func TestRunsOnInprocAndTCP(t *testing.T) {
 	}
 
 	var tcpKeep []bool
-	err = mpi.RunTCP(3, 43000, func(c *mpi.Comm) {
+	err = mpi.RunTCP(3, 0, func(c *mpi.Comm) {
 		k, _, err := RedundancyRemoval(c, set, cfg)
 		if err != nil {
 			panic(err)

@@ -11,10 +11,10 @@ import (
 
 // Binary wire codec for the hot master–worker payloads.
 //
-// Gob spends ~13 bytes per PairItem on field numbers and per-struct
-// framing; a phase ships tens of thousands of them. The binary frames
+// Gob spends bytes on field numbers and per-struct framing for every
+// PairItem, and a phase ships tens of thousands of them. The binary frames
 // below delta-encode consecutive rows with zigzag varints — pair streams
-// are bursts of near-monotone ids and nearby offsets, so most deltas fit
+// are bursts of near-monotone ids and match lengths, so most deltas fit
 // one byte — and ride through the TCP transport's rawFrame envelope (see
 // mpi/codec.go). The encoding is pure layout: decoded messages are
 // byte-for-byte the structs gob would have delivered
@@ -36,8 +36,6 @@ func appendPairs(buf []byte, ps []PairItem) []byte {
 	for _, p := range ps {
 		buf = appendZig(buf, int64(p.A-prev.A))
 		buf = appendZig(buf, int64(p.B-prev.B))
-		buf = appendZig(buf, int64(p.OffA-prev.OffA))
-		buf = appendZig(buf, int64(p.OffB-prev.OffB))
 		buf = appendZig(buf, int64(p.Len-prev.Len))
 		prev = p
 	}
@@ -90,7 +88,7 @@ func (r *wireReader) count(minBytes int) (int, error) {
 }
 
 func (r *wireReader) pairs() ([]PairItem, error) {
-	n, err := r.count(5)
+	n, err := r.count(3)
 	if err != nil {
 		return nil, err
 	}
@@ -100,17 +98,13 @@ func (r *wireReader) pairs() ([]PairItem, error) {
 	out := make([]PairItem, n)
 	var prev PairItem
 	for i := range out {
-		var d [5]int64
+		var d [3]int64
 		for j := range d {
 			if d[j], err = r.zig(); err != nil {
 				return nil, err
 			}
 		}
-		prev = PairItem{
-			A: prev.A + int32(d[0]), B: prev.B + int32(d[1]),
-			OffA: prev.OffA + int32(d[2]), OffB: prev.OffB + int32(d[3]),
-			Len: prev.Len + int32(d[4]),
-		}
+		prev = PairItem{A: prev.A + int32(d[0]), B: prev.B + int32(d[1]), Len: prev.Len + int32(d[2])}
 		out[i] = prev
 	}
 	return out, nil

@@ -18,7 +18,6 @@ func randomWorkerMsg(rng *rand.Rand) WorkerMsg {
 	for i, n := 0, rng.Intn(40); i < n; i++ {
 		m.Pairs = append(m.Pairs, PairItem{
 			A: rng.Int31n(1 << 20), B: rng.Int31n(1 << 20),
-			OffA: rng.Int31n(4096), OffB: rng.Int31n(4096),
 			Len: rng.Int31n(512),
 		})
 	}
@@ -188,8 +187,8 @@ func TestWireMalformedResultRejected(t *testing.T) {
 }
 
 // realisticWorkerMsg models what the phases actually ship: pair streams
-// from the match-length-ordered generator are near-monotone in (A, B)
-// with small offsets, and result batches come back in task order. This
+// from the match-length-ordered generator are near-monotone in (A, B),
+// and result batches come back in task order. This
 // is the traffic shape the delta encoding is designed for.
 func realisticWorkerMsg(rng *rand.Rand, batch int) WorkerMsg {
 	var m WorkerMsg
@@ -198,7 +197,6 @@ func realisticWorkerMsg(rng *rand.Rand, batch int) WorkerMsg {
 		a += int32(rng.Intn(3))
 		m.Pairs = append(m.Pairs, PairItem{
 			A: a, B: a + 1 + int32(rng.Intn(60)),
-			OffA: int32(rng.Intn(300)), OffB: int32(rng.Intn(300)),
 			Len: 8 + int32(rng.Intn(50)),
 		})
 	}
@@ -239,7 +237,7 @@ func TestBinaryWireBytesReduction(t *testing.T) {
 
 	var bin int64
 	received := make([]WorkerMsg, 0, len(batches))
-	err := mpi.RunTCP(2, 43400, func(c *mpi.Comm) {
+	err := mpi.RunTCP(2, 0, func(c *mpi.Comm) {
 		if c.Rank() == 1 {
 			for _, b := range batches {
 				c.Send(0, tagWorker, b)

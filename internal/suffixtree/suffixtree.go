@@ -391,13 +391,6 @@ func (t *SubTree) Stats() TreeStats {
 	return st
 }
 
-// EmitNodePairs enumerates the pairs of node i only (callers drive their
-// own node ordering, e.g. a cross-tree merge). Returns false if fn
-// stopped the enumeration.
-func (t *SubTree) EmitNodePairs(i int, fn func(Pair) bool) bool {
-	return t.emitNodePairs(&t.Nodes[i], fn)
-}
-
 // CountPairs returns the number of pairs ForEachPair would emit.
 func (t *SubTree) CountPairs() int64 {
 	var n int64

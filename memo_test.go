@@ -80,11 +80,12 @@ func TestBdMemoMatchesBuildBd(t *testing.T) {
 					_, err := mpi.RunSim(p, mpi.BlueGeneLike(), func(c *mpi.Comm) {
 						pcfg := tc.pace
 						pcfg.Threads = threads
-						keep, _, err := pace.RedundancyRemoval(c, tc.set, pcfg)
+						pairs, err := pace.Enumerate(c, tc.set, 0, pcfg, "rr")
 						if err != nil {
 							panic(err)
 						}
-						comp, _, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, keep, nil, 0, pcfg)
+						keep, _ := pace.RedundancyRemovalFrom(c, tc.set, pairs, nil, pcfg)
+						comp, _, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, keep, pairs, nil, 0, pcfg)
 						if err != nil {
 							panic(err)
 						}
@@ -166,7 +167,13 @@ func TestBdAlignsEachPairOnce(t *testing.T) {
 			var verdicts []pace.Verdict
 			var comps [][]int
 			_, err = mpi.RunSim(2, mpi.BlueGeneLike(), func(c *mpi.Comm) {
-				comp, _, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, res.Keep, nil, 0, tc.pace)
+				// Replay CCD as the pipeline runs it: over the kept pairs
+				// of the run's one enumeration.
+				pairs, err := pace.Enumerate(c, tc.set, 0, tc.pace, "rr")
+				if err != nil {
+					panic(err)
+				}
+				comp, _, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, res.Keep, pairs, nil, 0, tc.pace)
 				if err != nil {
 					panic(err)
 				}

@@ -85,8 +85,8 @@ func TestMetricsDeterministicAcrossThreads(t *testing.T) {
 			if rep.GaugeValue("pace_index_bytes{phase=rr}") <= 0 {
 				t.Error("no pace_index_bytes exported for rr")
 			}
-			if raw := rep.CounterValue("pace_pairs_raw{phase=rr}"); raw != res.RR.PairsRaw || raw == 0 {
-				t.Errorf("rr raw-pair counter = %d, Stats say %d", raw, res.RR.PairsRaw)
+			if raw := rep.CounterValue("pace_pairs_raw{phase=rr}"); raw < res.RR.PairsGenerated || raw == 0 {
+				t.Errorf("rr raw-pair counter = %d, below the %d pairs generated", raw, res.RR.PairsGenerated)
 			}
 			if rep.GaugeValue(metrics.HeapPeakGauge) <= 0 {
 				t.Error("no pipeline_heap_peak_bytes probe recorded")

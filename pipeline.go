@@ -178,14 +178,17 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) 
 	// so the canonical trace stays thread-invariant).
 	tracer.Instant(trace.CatPipeline, "phase:start", "corpus", int64(set.Len()), "new", int64(set.Len()-newFrom))
 
-	// Phase 1: redundancy removal.
+	// Phase 1: redundancy removal, over the run's one pair enumeration.
+	// Pairs of two prior sequences are left out: the prior holds their
+	// verdicts.
 	tracer.Instant(trace.CatPipeline, "phase:rr", "", 0, "", 0)
 	rrSpan := reg.StartSpan("rr")
-	keep, rrStats, err := pace.RedundancyRemovalFrom(c, set, prior.redundant, newFrom, pcfg)
-	rrSpan.End()
+	pairs, err := pace.Enumerate(c, set, newFrom, pcfg, "rr")
 	if err != nil {
 		return nil, nil, err
 	}
+	keep, rrStats := pace.RedundancyRemovalFrom(c, set, pairs, prior.redundant, pcfg)
+	rrSpan.End()
 	probeHeapPeak(c, reg)
 	res.Keep = keep
 	res.RR = fromPace(rrStats)
@@ -204,12 +207,16 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) 
 		return nil, nil, err
 	}
 
-	// Incremental CCD is sound only while every previously-kept
-	// sequence stays kept: union–find can merge but never split. If a
-	// new arrival demoted an old sequence (contains it), fall back to a
-	// cold CCD for this epoch. The scan runs on every rank over the
-	// broadcast keep mask, so the fallback decision is collective for
-	// free.
+	// Phase 2: connected components over the non-redundant set, replaying
+	// the kept pairs of RR's list. Incremental CCD is sound only while
+	// every previously-kept sequence stays kept: union–find can merge but
+	// never split. If a new arrival demoted an old sequence (contains it),
+	// fall back to a cold CCD for this epoch, which needs the old–old
+	// pairs the list left out, so it enumerates again. The scan runs on
+	// every rank over the broadcast keep mask, so the fallback decision is
+	// collective for free.
+	tracer.Instant(trace.CatPipeline, "phase:ccd", "", 0, "", 0)
+	ccdSpan := reg.StartSpan("ccd")
 	ccPrior, ccNewFrom := prior.uf, newFrom
 	for i := range newFrom {
 		if !prior.redundant[i] && !keep[i] {
@@ -218,14 +225,13 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) 
 				reg.Counter("pipeline_epoch_demotions").Add(1)
 				log.Info("prior sequence demoted by new arrival; cold CCD rebuild", "t", c.Time())
 			}
+			if pairs, err = pace.Enumerate(c, set, 0, pcfg, "ccd"); err != nil {
+				return nil, nil, err
+			}
 			break
 		}
 	}
-
-	// Phase 2: connected components over the non-redundant set.
-	tracer.Instant(trace.CatPipeline, "phase:ccd", "", 0, "", 0)
-	ccdSpan := reg.StartSpan("ccd")
-	comp, ccUF, ccVerdicts, ccStats, err := pace.ConnectedComponentsFrom(c, set, keep, ccPrior, ccNewFrom, pcfg)
+	comp, ccUF, ccVerdicts, ccStats, err := pace.ConnectedComponentsFrom(c, set, keep, pairs, ccPrior, ccNewFrom, pcfg)
 	ccdSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -353,7 +359,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) 
 }
 
 // nextState is the state a run over set commits for the next epoch: the
-// full redundancy verdict, the kept-subset union–find, a family-cache
+// full redundancy verdict, CCD's union–find over set, a family-cache
 // entry per component keyed by keys (family-less components included —
 // their absence of families is itself a reusable result), and memo
 // pruned, in place, to pairs whose two sequences share a final component

@@ -258,7 +258,6 @@ func (f Family) Size() int { return len(f.Members) }
 
 // PhaseStats mirrors the master–worker phase counters.
 type PhaseStats struct {
-	PairsRaw       int64
 	PairsGenerated int64
 	PairsDuplicate int64
 	PairsClosure   int64
@@ -279,7 +278,6 @@ func (s PhaseStats) WorkReduction() float64 {
 
 func fromPace(st pace.Stats) PhaseStats {
 	return PhaseStats{
-		PairsRaw:       st.PairsRaw,
 		PairsGenerated: st.PairsGenerated,
 		PairsDuplicate: st.PairsDuplicate,
 		PairsClosure:   st.PairsClosure,

@@ -92,7 +92,7 @@ func TestThreadsTCPTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *profam.Result
-	err = mpi.RunTCP(3, 43300, func(c *mpi.Comm) {
+	err = mpi.RunTCP(3, 0, func(c *mpi.Comm) {
 		res, err := profam.RunPipelineOn(c, set, cfg)
 		if err != nil {
 			panic(err)
