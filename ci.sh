@@ -13,7 +13,9 @@
 #                       validate the epoch provenance ledger (record count,
 #                       schema round-trip, families digest vs the cold run,
 #                       family-cache hits in epochs 2 and 3) plus the
-#                       per-epoch traces and telemetry series;
+#                       per-epoch traces and telemetry series; then a
+#                       second profamd is SIGTERMed mid-epoch with a 1 ms
+#                       drain budget and must abort that epoch promptly;
 #                       artifacts land in e2e_artifacts/
 #
 # The race pass matters: the hybrid rank×thread execution model runs
@@ -70,6 +72,38 @@ if [ "${1:-}" = "e2e" ]; then
 	}
 	trap cleanup EXIT INT TERM
 
+	# wait_ready waits for the daemon started last to write its address
+	# to $1 and answer /readyz, then sets base to its URL.
+	wait_ready() {
+		i=0
+		while [ ! -s "$1" ]; do
+			i=$((i + 1))
+			[ "$i" -gt 100 ] && { echo "profamd never wrote its address" >&2; exit 1; }
+			kill -0 "$daemon_pid" 2>/dev/null || { echo "profamd died during startup" >&2; exit 1; }
+			sleep 0.1
+		done
+		base="http://$(cat "$1")"
+		i=0
+		while ! curl -sf "$base/readyz" >/dev/null; do
+			i=$((i + 1))
+			[ "$i" -gt 100 ] && { echo "profamd never became ready" >&2; exit 1; }
+			sleep 0.1
+		done
+	}
+
+	# wait_exit waits up to $1 tenths of a second for the daemon to exit
+	# and sets rc to its exit status.
+	wait_exit() {
+		i=0
+		while kill -0 "$daemon_pid" 2>/dev/null; do
+			i=$((i + 1))
+			[ "$i" -gt "$1" ] && { echo "profamd did not exit after SIGTERM" >&2; exit 1; }
+			sleep 0.1
+		done
+		wait "$daemon_pid" 2>/dev/null && rc=0 || rc=$?
+		daemon_pid=""
+	}
+
 	echo "-- build binaries"
 	go build -o "$tmp/profamd" ./cmd/profamd
 	go build -o "$tmp/profam" ./cmd/profam
@@ -93,21 +127,7 @@ if [ "${1:-}" = "e2e" ]; then
 		-ledger "$artifacts/ledger.jsonl" -trace-dir "$artifacts/traces" \
 		>"$artifacts/profamd.stdout" 2>"$artifacts/profamd.log" &
 	daemon_pid=$!
-
-	i=0
-	while [ ! -s "$tmp/addr" ]; do
-		i=$((i + 1))
-		[ "$i" -gt 100 ] && { echo "profamd never wrote its address" >&2; exit 1; }
-		kill -0 "$daemon_pid" 2>/dev/null || { echo "profamd died during startup" >&2; cat "$artifacts/profamd.log" >&2; exit 1; }
-		sleep 0.1
-	done
-	base="http://$(cat "$tmp/addr")"
-	i=0
-	while ! curl -sf "$base/readyz" >/dev/null; do
-		i=$((i + 1))
-		[ "$i" -gt 100 ] && { echo "profamd never became ready" >&2; exit 1; }
-		sleep 0.1
-	done
+	wait_ready "$tmp/addr"
 
 	echo "-- ingest $total sequences in 3 waves"
 	for w in 0 1 2; do
@@ -152,14 +172,7 @@ if [ "${1:-}" = "e2e" ]; then
 
 	echo "-- graceful shutdown"
 	kill -TERM "$daemon_pid"
-	i=0
-	while kill -0 "$daemon_pid" 2>/dev/null; do
-		i=$((i + 1))
-		[ "$i" -gt 300 ] && { echo "profamd did not exit after SIGTERM" >&2; exit 1; }
-		sleep 0.1
-	done
-	wait "$daemon_pid" 2>/dev/null && rc=0 || rc=$?
-	daemon_pid=""
+	wait_exit 300
 	[ "$rc" -eq 0 ] || { echo "profamd exited with status $rc" >&2; cat "$artifacts/profamd.log" >&2; exit 1; }
 	grep -q '^# ' "$artifacts/served_families.txt"
 	[ -s "$artifacts/metrics_final.json" ] || { echo "no final metrics flush" >&2; exit 1; }
@@ -178,7 +191,42 @@ if [ "${1:-}" = "e2e" ]; then
 			|| { echo "ci.sh e2e: epoch $e reused no cached component (components_cached is 0)" >&2; exit 1; }
 	done
 
-	echo "ci.sh: e2e service gate passed ($total sequences, byte-identical families, ledger verified)"
+	# Forced shutdown: a wave waits in the batcher (it would flush only
+	# after an hour), SIGTERM starts the drain, and the 1 ms drain budget
+	# expires while that epoch builds. The epoch must be cancelled
+	# promptly, its submission answered 503 and ledgered as aborted, and
+	# its ranks' metrics must still reach the final report: only pipeline
+	# ranks register mpi_msgs_sent.
+	echo "-- forced shutdown aborts the in-flight epoch"
+	forced="$artifacts/forced"
+	mkdir -p "$forced"
+	"$tmp/profamd" -addr 127.0.0.1:0 -addr-file "$tmp/addr_forced" -p 2 \
+		-batch-wait 1h -drain-timeout 1ms -metrics-out "$forced/metrics_final.json" \
+		-ledger "$forced/ledger.jsonl" \
+		>"$forced/profamd.stdout" 2>"$forced/profamd.log" &
+	daemon_pid=$!
+	wait_ready "$tmp/addr_forced"
+	curl -s -o /dev/null -w '%{http_code}' --data-binary "@$tmp/orfs.fasta" \
+		"$base/v1/sequences" >"$tmp/forced_code" &
+	submit_pid=$!
+	i=0
+	until curl -sf "$base/v1/status" | grep -q '"pending_batch":[1-9]'; do
+		i=$((i + 1))
+		[ "$i" -gt 100 ] && { echo "ci.sh e2e: the forced-shutdown wave never reached the batcher" >&2; exit 1; }
+		sleep 0.1
+	done
+	kill -TERM "$daemon_pid"
+	wait_exit 100
+	wait "$submit_pid" || true
+	code=$(cat "$tmp/forced_code")
+	[ "$code" = 503 ] \
+		|| { echo "ci.sh e2e: the aborted wave answered HTTP $code, want 503" >&2; cat "$forced/profamd.log" >&2; exit 1; }
+	tail -n 1 "$forced/ledger.jsonl" | grep -q '"status":"aborted"' \
+		|| { echo "ci.sh e2e: the last ledger record is not an aborted epoch" >&2; cat "$forced/ledger.jsonl" >&2; exit 1; }
+	grep -q 'mpi_msgs_sent' "$forced/metrics_final.json" \
+		|| { echo "ci.sh e2e: the final metrics lack the aborted epoch's mpi_msgs_sent" >&2; exit 1; }
+
+	echo "ci.sh: e2e service gate passed ($total sequences, byte-identical families, ledger verified, forced shutdown aborted)"
 	exit 0
 fi
 

@@ -181,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Flush the observability artifacts before acting on the run error:
 	// a failed run still exports its last per-rank metrics snapshots and
 	// trace buffers, which is exactly when a timeline is most useful.
-	if err := flushObservability(*metricsOut, *traceOut, res, stdout, stderr, logger); err != nil {
+	if err := flushObservability(*metricsOut, *traceOut, res, runErr, stdout, stderr, logger); err != nil {
 		if runErr != nil {
 			logger.Error("observability flush failed", "err", err)
 			return runErr
@@ -335,25 +335,21 @@ func counterTotal(rep *metrics.Report, base string) int64 {
 
 // flushObservability writes the metrics and trace artifacts. It prefers
 // the merged job-wide report/timeline off a successful Result and falls
-// back to the failed-run stashes (the last snapshot each rank saved on
-// its way out) so a run that dies partway still leaves evidence behind.
-func flushObservability(metricsOut, traceOut string, res *profam.Result, stdout, stderr io.Writer, logger *slog.Logger) error {
+// back to the per-rank snapshots a failed run's *profam.RunError carries
+// (the last state each rank reached) so a run that dies partway still
+// leaves evidence behind.
+func flushObservability(metricsOut, traceOut string, res *profam.Result, runErr error, stdout, stderr io.Writer, logger *slog.Logger) error {
 	var rep *metrics.Report
 	var tl *trace.Timeline
+	var re *profam.RunError
 	if res != nil {
 		rep, tl = res.Metrics, res.Trace
-	}
-	if rep == nil {
-		if snaps := metrics.TakeFailed(); len(snaps) > 0 {
-			rep = metrics.Merge(snaps)
-			logger.Warn("exporting metrics from a failed run's partial snapshots", "ranks", len(snaps))
+	} else if errors.As(runErr, &re) && len(re.Snapshots) > 0 {
+		rep = metrics.Merge(re.Snapshots)
+		if len(re.Traces) > 0 {
+			tl = trace.Merge(re.Traces)
 		}
-	}
-	if tl == nil {
-		if rts := trace.TakeFailed(); len(rts) > 0 {
-			tl = trace.Merge(rts)
-			logger.Warn("exporting trace from a failed run's partial buffers", "ranks", len(rts))
-		}
+		logger.Warn("exporting observability from a failed run's partial state", "ranks", len(re.Snapshots))
 	}
 
 	if metricsOut != "" && rep != nil {

@@ -15,8 +15,8 @@
 //
 // SIGINT/SIGTERM drains gracefully: in-flight batches commit their
 // epochs within -drain-timeout, then the HTTP listener closes. A second
-// signal — or the timeout — aborts the in-flight epoch; its partial
-// metrics are still flushed to -metrics-out via the failed-run stash.
+// signal — or the timeout — cancels the in-flight epoch's context; the
+// failed epoch's per-rank metrics still reach -metrics-out.
 //
 // Observability: -ledger appends one provenance record per epoch (served
 // at GET /v1/epochs and /v1/epochs/{n}), each epoch's trace timeline is
@@ -195,28 +195,27 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 }
 
 // flushMetrics writes the final merged metrics report: the service
-// registry plus any failed-run stashes from aborted epochs.
+// registry plus the per-rank snapshots of failed and aborted epochs.
 func flushMetrics(path string, srv *server.Server, stdout io.Writer, logger *slog.Logger) error {
 	if path == "" {
 		return nil
 	}
-	snaps := append([]metrics.Snapshot{srv.Registry().Snapshot()}, metrics.TakeFailed()...)
-	rep := metrics.Merge(snaps)
-	w := stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	rep := metrics.Merge(append([]metrics.Snapshot{srv.Registry().Snapshot()}, srv.FailedSnapshots()...))
+	if path == "-" {
+		return rep.WriteJSON(stdout)
 	}
-	if err := rep.WriteJSON(w); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if path != "-" {
-		logger.Info("metrics written", "path", path)
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	logger.Info("metrics written", "path", path)
 	return nil
 }
 

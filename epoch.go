@@ -1,19 +1,19 @@
 package profam
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"profam/internal/bipartite"
-	"profam/internal/mpi"
 	"profam/internal/seq"
 	"profam/internal/unionfind"
 )
 
-// ErrAborted is returned by epoch runs cancelled through Config.Abort.
-// The failed run's metrics and trace snapshots are stashed via
-// metrics.StashFailed / trace.StashFailed, exactly like any other
-// pipeline error.
+// ErrAborted is the cause of an epoch run cancelled through RunEpoch's
+// context; the returned error wraps it and the context's cause, and, as
+// for any other failed run, it is a *RunError carrying every rank's last
+// metrics and trace snapshots.
 var ErrAborted = errors.New("profam: run aborted")
 
 // ErrConfigChanged rejects an incremental epoch whose configuration
@@ -72,7 +72,11 @@ func (s *EpochState) Set() *seq.Set { return s.set }
 // next committed state; on any error — including ErrAborted — it is
 // prior, unchanged. Empty names default to "seq<ID>" by union-corpus
 // position, matching Run.
-func RunEpoch(prior *EpochState, names, seqs []string, p int, cfg Config) (*Result, *EpochState, error) {
+//
+// Cancelling ctx aborts the run: every rank blocked in a receive unwinds
+// at once, and each rank also checks ctx before RR, after RR and after
+// CCD. A failed or cancelled run returns a *RunError.
+func RunEpoch(ctx context.Context, prior *EpochState, names, seqs []string, p int, cfg Config) (*Result, *EpochState, error) {
 	if prior == nil {
 		prior = NewEpochState()
 	}
@@ -101,21 +105,9 @@ func RunEpoch(prior *EpochState, names, seqs []string, p int, cfg Config) (*Resu
 		}
 	}
 
-	cfg = cfg.withAutoThreads(p)
-	var res *Result
-	var next *EpochState
-	var rerr error
-	err := mpi.Run(p, func(c *mpi.Comm) {
-		r, n, e := runEpochPipeline(c, union, cfg, prior)
-		if c.Rank() == 0 {
-			res, next, rerr = r, n, e
-		}
-	})
+	res, next, _, err := runJob(ctx, union, p, false, cfg, prior)
 	if err != nil {
 		return nil, prior, err
-	}
-	if rerr != nil {
-		return nil, prior, rerr
 	}
 	next.epoch, next.fingerprint = prior.epoch+1, fp
 	return res, next, nil

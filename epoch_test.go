@@ -1,6 +1,7 @@
 package profam_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -104,7 +105,7 @@ func TestIncrementalMatchesCold(t *testing.T) {
 					var res *profam.Result
 					var prev [][]int
 					for wi, w := range splitWaves(names, seqs, tc.waves) {
-						res, st, err = profam.RunEpoch(st, w[0], w[1], p, cfg)
+						res, st, err = profam.RunEpoch(context.Background(), st, w[0], w[1], p, cfg)
 						if err != nil {
 							t.Fatalf("wave %d: %v", wi, err)
 						}
@@ -175,7 +176,7 @@ func TestIncrementalDemotionFallback(t *testing.T) {
 	var prev [][]int
 	waves := [][2][]string{{rn[:nFrag], rs[:nFrag]}, {rn[nFrag:], rs[nFrag:]}}
 	for wi, w := range waves {
-		res, st, err = profam.RunEpoch(st, w[0], w[1], 1, profam.Config{})
+		res, st, err = profam.RunEpoch(context.Background(), st, w[0], w[1], 1, profam.Config{})
 		if err != nil {
 			t.Fatalf("wave %d: %v", wi, err)
 		}
@@ -204,13 +205,13 @@ func TestEpochFamilyCacheHits(t *testing.T) {
 	names, seqs := setStrings(set)
 	hits := map[int]int64{}
 	for _, p := range []int{1, 3} {
-		_, st, err := profam.RunEpoch(nil, names, seqs, p, profam.Config{})
+		_, st, err := profam.RunEpoch(context.Background(), nil, names, seqs, p, profam.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A second wave of unrelated singletons (random-ish distinct
 		// residues) cannot join any existing component.
-		res, _, err := profam.RunEpoch(st, nil, []string{
+		res, _, err := profam.RunEpoch(context.Background(), st, nil, []string{
 			"MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF", "WWYYAACCDDEEFFGGHHKK",
 		}, p, profam.Config{})
 		if err != nil {
@@ -264,11 +265,11 @@ func TestOneEnumerationPerRun(t *testing.T) {
 	oneIndex("cold RunSet", cold.Metrics)
 
 	names, seqs := setStrings(set)
-	_, st, err := profam.RunEpoch(nil, names, seqs, 2, profam.Config{})
+	_, st, err := profam.RunEpoch(context.Background(), nil, names, seqs, 2, profam.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := profam.RunEpoch(st, nil, []string{"MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF"}, 2, profam.Config{})
+	res, _, err := profam.RunEpoch(context.Background(), st, nil, []string{"MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF"}, 2, profam.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,25 +301,25 @@ func metricValue(rep *metrics.Report, name string) int64 {
 	return rep.Counters[name]
 }
 
-// TestEpochAbort closes the abort channel before the run: the pipeline
-// must return profam.ErrAborted, stash its observability state, and leave the
-// prior epoch state untouched.
+// TestEpochAbort cancels the context before the run: the pipeline must
+// return profam.ErrAborted wrapping the context's cause, as a
+// *profam.RunError carrying its observability state, and leave the prior
+// epoch state untouched.
 func TestEpochAbort(t *testing.T) {
 	set, _ := workload.Generate(workload.Params{
 		Families: 2, MeanFamilySize: 6, MeanLength: 80, Seed: 5,
 	})
 	names, seqs := setStrings(set)
-	_, st, err := profam.RunEpoch(nil, names[:4], seqs[:4], 1, profam.Config{})
+	_, st, err := profam.RunEpoch(context.Background(), nil, names[:4], seqs[:4], 1, profam.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics.TakeFailed() // drain older stashes
 
-	abort := make(chan struct{})
-	close(abort)
-	res, next, err := profam.RunEpoch(st, names[4:], seqs[4:], 2, profam.Config{Abort: abort})
-	if !errors.Is(err, profam.ErrAborted) {
-		t.Fatalf("err = %v, want profam.ErrAborted", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, next, err := profam.RunEpoch(ctx, st, names[4:], seqs[4:], 2, profam.Config{})
+	if !errors.Is(err, profam.ErrAborted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want profam.ErrAborted wrapping context.Canceled", err)
 	}
 	if res != nil {
 		t.Error("aborted epoch returned a result")
@@ -326,19 +327,20 @@ func TestEpochAbort(t *testing.T) {
 	if next != st {
 		t.Error("aborted epoch did not return the prior state unchanged")
 	}
-	if snaps := metrics.TakeFailed(); len(snaps) == 0 {
-		t.Error("aborted epoch stashed no failed-run metrics snapshots")
+	var re *profam.RunError
+	if !errors.As(err, &re) || len(re.Snapshots) == 0 {
+		t.Error("aborted epoch returned no failed-run metrics snapshots")
 	}
 }
 
 // TestEpochConfigChange rejects extending committed state under a
 // different family-affecting config.
 func TestEpochConfigChange(t *testing.T) {
-	_, st, err := profam.RunEpoch(nil, nil, []string{"MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF"}, 1, profam.Config{})
+	_, st, err := profam.RunEpoch(context.Background(), nil, nil, []string{"MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF"}, 1, profam.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, next, err := profam.RunEpoch(st, nil, []string{"WWYYAACCDDEEFFGGHHKK"}, 1, profam.Config{MinFamilySize: 3})
+	_, next, err := profam.RunEpoch(context.Background(), st, nil, []string{"WWYYAACCDDEEFFGGHHKK"}, 1, profam.Config{MinFamilySize: 3})
 	if !errors.Is(err, profam.ErrConfigChanged) {
 		t.Fatalf("err = %v, want profam.ErrConfigChanged", err)
 	}

@@ -5,15 +5,11 @@ import "sync"
 // The live set lets external observers — the CLI's /metrics endpoint and
 // progress ticker — see the registries of a run that is still in flight:
 // the pipeline registers each rank's registry at startup and unregisters
-// it on the way out. The failed graveyard keeps the final snapshots of
-// runs that errored partway, bounded, so cmd/profam can still flush a
-// merged report when it has no Result.
+// it on the way out.
 
 var (
 	liveMu   sync.Mutex
 	liveRegs = map[*Registry]struct{}{}
-	failed   []Snapshot
-	maxDead  = 64 // graveyard bound: one failed 32-rank job, with slack
 )
 
 // RegisterLive adds a registry to the process-wide live set. Nil
@@ -50,25 +46,5 @@ func LiveSnapshots() []Snapshot {
 	for _, r := range regs {
 		out = append(out, r.Snapshot())
 	}
-	return out
-}
-
-// StashFailed records the final per-rank snapshots of a failed run so
-// the report can still be flushed. Older entries are evicted first.
-func StashFailed(snaps []Snapshot) {
-	liveMu.Lock()
-	failed = append(failed, snaps...)
-	if len(failed) > maxDead {
-		failed = append([]Snapshot(nil), failed[len(failed)-maxDead:]...)
-	}
-	liveMu.Unlock()
-}
-
-// TakeFailed drains and returns the failed-run graveyard.
-func TakeFailed() []Snapshot {
-	liveMu.Lock()
-	out := failed
-	failed = nil
-	liveMu.Unlock()
 	return out
 }

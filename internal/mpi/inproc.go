@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -63,8 +64,12 @@ func (b *mailbox) take(from, tag int) Message {
 	for {
 		for _, m := range b.msgs {
 			if m.Tag == abortTag {
-				// A peer rank panicked; propagate so this rank unwinds
-				// too instead of blocking forever.
+				// A peer rank panicked or the job was cancelled;
+				// propagate so this rank unwinds too instead of
+				// blocking forever.
+				if m.From == Any {
+					panic(fmt.Sprintf("mpi: job cancelled: %v", m.Data))
+				}
 				panic(fmt.Sprintf("mpi: job aborted by rank %d: %v", m.From, m.Data))
 			}
 		}
@@ -106,13 +111,21 @@ func (t *inprocTransport) time() float64 {
 	return time.Since(t.job.start).Seconds()
 }
 
-// Run executes f on p ranks as goroutines connected by in-memory
-// mailboxes, blocking until all ranks return. A panic in any rank is
-// recovered and reported as an error (other ranks may then block forever
-// waiting for messages, so Run aborts the job by returning the first
-// error once all surviving ranks finish or the job is poisoned; in
-// practice rank code should not panic).
+// Run is RunContext without cancellation.
 func Run(p int, f func(c *Comm)) error {
+	return RunContext(context.Background(), p, f)
+}
+
+// RunContext executes f on p ranks as goroutines connected by in-memory
+// mailboxes, blocking until all ranks return. A panic in any rank is
+// recovered and reported as an error, and it poisons every mailbox, so
+// a rank blocked in a receive (or entering one later) panics in turn
+// instead of waiting forever for the failed rank; the first error is
+// returned once every rank has unwound. When ctx is done before the job
+// ends, the same poison is posted on its behalf: ranks may then leave
+// the job at different points, since whichever peer still waits on them
+// unwinds too.
+func RunContext(ctx context.Context, p int, f func(c *Comm)) error {
 	if p < 1 {
 		return fmt.Errorf("mpi: need at least 1 rank, got %d", p)
 	}
@@ -120,6 +133,16 @@ func Run(p int, f func(c *Comm)) error {
 	for i := range job.boxes {
 		job.boxes[i] = newMailbox()
 	}
+	poison := func(from int, cause any) {
+		for _, b := range job.boxes {
+			b.put(Message{From: from, Tag: abortTag, Data: cause})
+		}
+	}
+	posted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		defer close(posted)
+		poison(Any, context.Cause(ctx))
+	})
 	errs := make(chan error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -129,21 +152,21 @@ func Run(p int, f func(c *Comm)) error {
 			defer func() {
 				if e := recover(); e != nil {
 					errs <- fmt.Errorf("mpi: rank %d panicked: %v", r, e)
-					// Poison every mailbox so blocked ranks wake with a
-					// recognizable failure instead of deadlocking.
-					for _, b := range job.boxes {
-						b.put(Message{From: r, Tag: abortTag, Data: e})
-					}
+					poison(r, e)
 				}
 			}()
 			f(&Comm{tr: &inprocTransport{job: job, r: r}})
 		}(r)
 	}
 	wg.Wait()
+	if !stop() {
+		<-posted // the cancellation fired: let its poster finish
+	}
 	close(errs)
 	return <-errs // nil if empty
 }
 
-// abortTag poisons mailboxes after a rank panic. It lives in the
-// collective band but below any tag a realistic job would reach.
+// abortTag poisons mailboxes after a rank panic or a cancellation. It
+// lives in the collective band but below any tag a realistic job would
+// reach.
 const abortTag = -1 << 30

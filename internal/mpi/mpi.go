@@ -20,6 +20,8 @@
 // Fatal transport errors surface as panics inside rank code; the Run
 // harnesses recover them and return an error, mirroring MPI's abort
 // semantics without threading error returns through every algorithm.
+// RunContext posts the same abort when its context is done, so a
+// cancelled job unwinds every rank blocked in a receive at once.
 package mpi
 
 import (

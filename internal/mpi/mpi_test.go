@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -123,6 +124,39 @@ func TestInprocPanicPropagates(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "panicked") && !strings.Contains(err.Error(), "aborted") {
 		t.Fatalf("expected panic error, got %v", err)
+	}
+}
+
+// TestRunContextCancelUnblocksRecv cancels a job whose ranks all wait
+// on messages nobody sends: every rank unwinds, and the job reports the
+// cancel. A job that finishes before its context is done is unaffected.
+func TestRunContextCancelUnblocksRecv(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var waiting atomic.Int32
+	go func() {
+		for waiting.Load() < 3 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	done := make(chan error, 1)
+	go func() {
+		done <- RunContext(ctx, 3, func(c *Comm) {
+			waiting.Add(1)
+			c.Recv(Any, 5)
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "cancelled") {
+			t.Fatalf("err = %v, want a cancelled job", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancel did not unblock the ranks")
+	}
+
+	if err := RunContext(context.Background(), 2, func(c *Comm) { c.Barrier() }); err != nil {
+		t.Fatal(err)
 	}
 }
 

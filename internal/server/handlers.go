@@ -137,7 +137,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	if he, ok := err.(*httpError); ok {
 		status = he.status
-	} else if err == ErrClosed || err == profam.ErrAborted {
+	} else if errors.Is(err, ErrClosed) || errors.Is(err, profam.ErrAborted) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})

@@ -29,9 +29,8 @@ type submission struct {
 }
 
 type submitReply struct {
-	epoch  int
-	status int // HTTP status when err != nil
-	err    error
+	epoch int
+	err   error
 }
 
 // Submit queues the sequences and blocks until the epoch containing
@@ -136,7 +135,7 @@ func (s *Server) flush(batch []*submission) {
 	var accepted []*submission
 	var names, seqs []string
 	for _, sub := range batch {
-		reject := func(status int, msg string) { sub.done <- submitReply{status: status, err: &httpError{status, msg}} }
+		reject := func(status int, msg string) { sub.done <- submitReply{err: &httpError{status, msg}} }
 		bad := false
 		mine := make(map[string]bool, len(sub.names))
 		for i, res := range sub.seqs {
@@ -170,7 +169,6 @@ func (s *Server) flush(batch []*submission) {
 	s.building.Store(true)
 	defer s.building.Store(false)
 	pcfg := s.cfg.Pipeline
-	pcfg.Abort = s.abort
 	pcfg.TraceCapacity = s.cfg.TraceCapacity
 	epoch := s.state.Epoch() + 1
 	rec := ledger.Record{
@@ -187,12 +185,22 @@ func (s *Server) flush(batch []*submission) {
 		}
 	}
 	t0 := time.Now()
-	res, next, err := profam.RunEpoch(s.state, names, seqs, s.cfg.Ranks, pcfg)
+	res, next, err := profam.RunEpoch(s.epochCtx, s.state, names, seqs, s.cfg.Ranks, pcfg)
 	build := time.Since(t0)
 	if err != nil {
+		// An aborted epoch answers with its own error, which writeErr
+		// maps to 503; a failed one carries its 503 itself.
 		outcome := ledger.StatusFailed
+		reply := error(&httpError{http.StatusServiceUnavailable, err.Error()})
 		if errors.Is(err, profam.ErrAborted) {
-			outcome = ledger.StatusAborted
+			outcome, reply = ledger.StatusAborted, err
+		}
+		var re *profam.RunError
+		if errors.As(err, &re) {
+			s.failedMu.Lock()
+			s.failed = append(s.failed, re.Snapshots...)
+			s.failed = s.failed[max(0, len(s.failed)-maxFailedSnapshots):]
+			s.failedMu.Unlock()
 		}
 		s.reg.Counter("server_epoch_failures").Add(1)
 		observeOutcome(outcome)
@@ -206,7 +214,7 @@ func (s *Server) flush(batch []*submission) {
 		}
 		s.log.Error("epoch failed", "sequences", len(seqs), "outcome", outcome, "err", err)
 		for _, sub := range accepted {
-			sub.done <- submitReply{status: http.StatusServiceUnavailable, err: err}
+			sub.done <- submitReply{err: reply}
 		}
 		return
 	}

@@ -271,6 +271,25 @@ func TestLedgerRecordsAbortedEpoch(t *testing.T) {
 	}
 }
 
+// TestServerFailedEpochAnswers503 runs an epoch that fails without a
+// cancel (ψ < 1 is refused by the pair index): its submission answers
+// 503, the ledger records it as failed, and its ranks' snapshots are
+// kept for the final metrics report.
+func TestServerFailedEpochAnswers503(t *testing.T) {
+	set := testCorpus(t, 93)
+	s, ts := newTestServer(t, Config{Pipeline: profam.Config{Psi: -1}, Ranks: 2, BatchWait: time.Millisecond})
+	if code, out := post(t, ts.URL+"/v1/sequences", "application/x-fasta", fastaBody(set, 0, set.Len())); code != http.StatusServiceUnavailable {
+		t.Fatalf("failed epoch answered %d (%v), want 503", code, out)
+	}
+	recs := s.Ledger().Records()
+	if len(recs) != 1 || recs[0].Status != ledger.StatusFailed || recs[0].Error == "" {
+		t.Fatalf("ledger after a failed epoch = %+v, want one failed record", recs)
+	}
+	if n := len(s.FailedSnapshots()); n != 2 {
+		t.Errorf("kept %d failed-epoch snapshots, want one per rank (2)", n)
+	}
+}
+
 func setNames(set *seq.Set) []string {
 	names := make([]string, set.Len())
 	for id := range names {

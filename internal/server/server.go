@@ -118,8 +118,12 @@ type Server struct {
 
 	subs     chan *submission
 	stop     chan struct{} // closed when Shutdown begins: unblocks enqueuers
-	abort    chan struct{} // closed on forced shutdown: cancels the in-flight epoch
 	loopDone chan struct{}
+
+	// epochCtx is every epoch's context; a forced Shutdown cancels it,
+	// aborting the in-flight epoch.
+	epochCtx     context.Context
+	cancelEpochs context.CancelFunc
 
 	mu     sync.Mutex
 	closed bool
@@ -136,6 +140,11 @@ type Server struct {
 	traceMu    sync.RWMutex
 	traces     map[int]*trace.Timeline
 	traceOrder []int
+
+	// failed holds the last maxFailedSnapshots per-rank metrics
+	// snapshots of failed and aborted epochs.
+	failedMu sync.Mutex
+	failed   []metrics.Snapshot
 
 	// state and committed are owned by the batcher goroutine.
 	state     *profam.EpochState
@@ -154,12 +163,12 @@ func New(cfg Config) *Server {
 		start:     start,
 		subs:      make(chan *submission, cfg.QueueCap),
 		stop:      make(chan struct{}),
-		abort:     make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		traces:    make(map[int]*trace.Timeline),
 		state:     profam.NewEpochState(),
 		committed: make(map[string]bool),
 	}
+	s.epochCtx, s.cancelEpochs = context.WithCancel(context.Background())
 	// The service registry joins the live set so /metrics merges it with
 	// the per-rank pipeline registries of whatever epoch is in flight.
 	metrics.RegisterLive(s.reg)
@@ -210,6 +219,19 @@ func (s *Server) retainTrace(epoch int, tl *trace.Timeline) {
 	}
 }
 
+// maxFailedSnapshots bounds the failed epochs' snapshots a Server keeps:
+// one failed 32-rank epoch, with slack.
+const maxFailedSnapshots = 64
+
+// FailedSnapshots returns the per-rank metrics snapshots of the most
+// recent failed or aborted epochs, so a final report covers the work
+// they did.
+func (s *Server) FailedSnapshots() []metrics.Snapshot {
+	s.failedMu.Lock()
+	defer s.failedMu.Unlock()
+	return append([]metrics.Snapshot(nil), s.failed...)
+}
+
 // lastEpochSeconds returns the wall-clock duration of the most recent
 // epoch build (0 before the first commit).
 func (s *Server) lastEpochSeconds() float64 {
@@ -219,9 +241,9 @@ func (s *Server) lastEpochSeconds() float64 {
 // Shutdown drains the service: no new submissions are accepted, queued
 // batches are flushed through their epochs, and the call returns once
 // the batcher has exited. If ctx expires first, the in-flight epoch is
-// aborted (profam.ErrAborted; its partial observability state lands in
-// the metrics/trace failed-run stashes) and remaining batches are
-// rejected. Shutdown is idempotent.
+// cancelled: it fails with profam.ErrAborted, its ranks' snapshots join
+// FailedSnapshots, and remaining batches are rejected the same way.
+// Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.closed
@@ -235,6 +257,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.subs)
 	}
 	finish := func() {
+		s.cancelEpochs()
 		s.mu.Lock()
 		if s.stopHealth != nil {
 			s.stopHealth()
@@ -248,13 +271,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		finish()
 		return nil
 	case <-ctx.Done():
-		s.mu.Lock()
-		select {
-		case <-s.abort: // already closed by an earlier forced Shutdown
-		default:
-			close(s.abort)
-		}
-		s.mu.Unlock()
+		s.cancelEpochs()
 		<-s.loopDone
 		finish()
 		return ctx.Err()

@@ -3,39 +3,7 @@ package trace
 import (
 	"context"
 	"log/slog"
-	"sync"
 )
-
-// A bounded graveyard keeps the final per-rank traces of failed runs so
-// cmd/profam can still export a timeline when the pipeline errors
-// partway.
-
-var (
-	failedMu sync.Mutex
-	failed   []RankTrace
-	maxDead  = 64 // graveyard bound: one failed 32-rank job, with slack
-)
-
-// StashFailed records the final per-rank traces of a failed run so they
-// can still be exported. The graveyard is bounded: older entries are
-// evicted first.
-func StashFailed(rts []RankTrace) {
-	failedMu.Lock()
-	failed = append(failed, rts...)
-	if len(failed) > maxDead {
-		failed = append([]RankTrace(nil), failed[len(failed)-maxDead:]...)
-	}
-	failedMu.Unlock()
-}
-
-// TakeFailed drains and returns the failed-run graveyard.
-func TakeFailed() []RankTrace {
-	failedMu.Lock()
-	out := failed
-	failed = nil
-	failedMu.Unlock()
-	return out
-}
 
 // nopHandler is a slog.Handler that discards everything (slog.DiscardHandler
 // arrives in go 1.24; the module targets 1.22).

@@ -221,19 +221,6 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
-func TestLiveAndFailed(t *testing.T) {
-	tr := New(0, 8, nil, nil)
-	tr.Instant(CatMaster, "x", "", 0, "", 0)
-	StashFailed([]RankTrace{tr.Snapshot()})
-	got := TakeFailed()
-	if len(got) != 1 || len(got[0].Events) != 1 {
-		t.Fatalf("failed stash = %+v", got)
-	}
-	if len(TakeFailed()) != 0 {
-		t.Fatal("TakeFailed did not drain")
-	}
-}
-
 func TestNopLogger(t *testing.T) {
 	l := NopLogger()
 	l.Info("discarded", "k", 1)

@@ -1,7 +1,9 @@
 package profam
 
 import (
+	"context"
 	"encoding/binary"
+	"fmt"
 	"maps"
 	"runtime"
 	"time"
@@ -57,7 +59,6 @@ func RegisterWireTypes() {
 	mpi.RegisterType(metrics.Report{})
 	mpi.RegisterType(trace.RankTrace{})
 	mpi.RegisterType(trace.Timeline{})
-	mpi.RegisterType(false) // abort-decision broadcast
 }
 
 // compKey is a component's family-cache key: its member list, encoded
@@ -80,33 +81,15 @@ func compKey(members []int) string {
 // via the family cache. prior is only read. Every rank returns the same
 // *Result; rank 0 also returns the next state over set (nil elsewhere),
 // whose epoch and fingerprint the caller stamps.
-func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) (res *Result, next *EpochState, err error) {
+// reg and tracer are this rank's, from observe. Each rank checks ctx
+// before RR, after RR and after CCD on its own: leaving early is safe,
+// as a cancelled job's transport unwinds the peers blocked on it.
+func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState, reg *metrics.Registry, tracer *trace.Tracer) (res *Result, next *EpochState, err error) {
 	cfg = cfg.withDefaults()
 	if prior == nil {
 		prior = NewEpochState()
 	}
 	newFrom := prior.set.Len()
-
-	// Every rank owns one metrics registry, clocked by its communicator:
-	// virtual seconds under the simulator (deterministic traces),
-	// wall-clock seconds otherwise. The registry is the single reporting
-	// path — phase Stats, transport volume and component counters all
-	// accumulate here and are merged into Result.Metrics at the end.
-	reg := metrics.New(c.Rank(), c.Time)
-	c.AttachMetrics(reg)
-
-	// The tracer shares the registry's clock and rank. Every phase span is
-	// mirrored into it through the span sink, so the trace analyzer and
-	// the metrics report fold the exact same intervals. Comm events hook
-	// in at the transport wrapper; protocol events via pcfg.Trace.
-	var tracer *trace.Tracer
-	if cfg.TraceCapacity > 0 {
-		tracer = trace.New(c.Rank(), cfg.TraceCapacity, c.Time, reg.Counter("trace_dropped"))
-		reg.SetSpanSink(func(sp metrics.SpanRecord) {
-			tracer.Span(trace.CatPhase, sp.Name, sp.Start, sp.End, "", 0, "", 0)
-		})
-		c.AttachTracer(tracer)
-	}
 
 	log := cfg.Logger
 	if log == nil {
@@ -116,30 +99,9 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) 
 
 	// Register the registry with the live set so external observers (the
 	// CLI's /metrics endpoint and progress ticker) can watch the run in
-	// flight. On the way out — error and panic paths included —
-	// unregister, and stash the final metrics and trace snapshots of
-	// failed runs so callers can still flush an observability report when
-	// they get no Result.
+	// flight.
 	metrics.RegisterLive(reg)
-	stash := func() {
-		metrics.StashFailed([]metrics.Snapshot{reg.Snapshot()})
-		if tracer != nil {
-			trace.StashFailed([]trace.RankTrace{tracer.Snapshot()})
-		}
-	}
-	defer func() {
-		metrics.UnregisterLive(reg)
-		if p := recover(); p != nil {
-			// Transport failures surface as panics in rank code; keep that
-			// contract (the mpi harness converts them to errors) but save
-			// the partial observability state first.
-			stash()
-			panic(p)
-		}
-		if err != nil {
-			stash()
-		}
-	}()
+	defer metrics.UnregisterLive(reg)
 
 	pcfg := cfg.paceConfig()
 	pcfg.Metrics = reg
@@ -148,28 +110,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) 
 
 	res = &Result{NumInput: set.Len()}
 
-	// checkAbort is the phase-boundary cancellation point: rank 0 polls
-	// the channel and broadcasts the verdict so every rank leaves the
-	// collective at the same place. With Abort nil it is a no-op — no
-	// extra messages — so existing jobs keep their exact comm pattern.
-	checkAbort := func() error {
-		if cfg.Abort == nil {
-			return nil
-		}
-		aborted := false
-		if c.Rank() == 0 {
-			select {
-			case <-cfg.Abort:
-				aborted = true
-			default:
-			}
-		}
-		if c.Bcast(0, aborted).(bool) {
-			return ErrAborted
-		}
-		return nil
-	}
-	if err = checkAbort(); err != nil {
+	if err = cancelled(ctx); err != nil {
 		return nil, nil, err
 	}
 
@@ -203,7 +144,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) 
 			"aligned", rrStats.PairsAligned, "t", c.Time())
 	}
 
-	if err = checkAbort(); err != nil {
+	if err = cancelled(ctx); err != nil {
 		return nil, nil, err
 	}
 
@@ -245,7 +186,7 @@ func runEpochPipeline(c *mpi.Comm, set *seq.Set, cfg Config, prior *EpochState) 
 			"aligned", ccStats.PairsAligned, "t", c.Time())
 	}
 
-	if err = checkAbort(); err != nil {
+	if err = cancelled(ctx); err != nil {
 		return nil, nil, err
 	}
 
@@ -597,33 +538,95 @@ func memoInside(memo bipartite.Memo, comp []int32, comps [][]int) pace.Verdicts 
 	return out
 }
 
+// observe builds rank c's metrics registry, the run's single reporting
+// path, and when tracing is on its tracer, both clocked by c (virtual
+// seconds under the simulator), and attaches both to c. Every phase
+// span is mirrored into the tracer, so the trace analyzer and the
+// metrics report fold the exact same intervals.
+func observe(c *mpi.Comm, cfg Config) (*metrics.Registry, *trace.Tracer) {
+	reg := metrics.New(c.Rank(), c.Time)
+	c.AttachMetrics(reg)
+	if cfg.TraceCapacity <= 0 {
+		return reg, nil
+	}
+	tracer := trace.New(c.Rank(), cfg.TraceCapacity, c.Time, reg.Counter("trace_dropped"))
+	reg.SetSpanSink(func(sp metrics.SpanRecord) {
+		tracer.Span(trace.CatPhase, sp.Name, sp.Start, sp.End, "", 0, "", 0)
+	})
+	c.AttachTracer(tracer)
+	return reg, tracer
+}
+
+// cancelled returns ErrAborted, wrapping ctx's cause, once ctx is done,
+// and nil before.
+func cancelled(ctx context.Context) error {
+	if ctx.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrAborted, context.Cause(ctx))
+}
+
+// RunError is the error of a run that failed or was cancelled: the
+// cause, with every started rank's last metrics snapshot and, when
+// tracing was on, its trace buffer, so a caller without a Result can
+// still flush an observability report.
+type RunError struct {
+	Err       error
+	Snapshots []metrics.Snapshot
+	Traces    []trace.RankTrace
+}
+
+func (e *RunError) Error() string { return e.Err.Error() }
+
+// Unwrap exposes the cause, so errors.Is(err, ErrAborted) holds for a
+// cancelled run.
+func (e *RunError) Unwrap() error { return e.Err }
+
 // RunPipelineOn executes the pipeline collectively on an existing
 // communicator — for callers managing their own transports, such as a
 // TCP mesh spanning several processes (see mpi.DialMesh). Every rank
 // must call it with the same sequence set and configuration; every rank
 // returns the same result.
 func RunPipelineOn(c *mpi.Comm, set *seq.Set, cfg Config) (*Result, error) {
-	res, _, err := runEpochPipeline(c, set, cfg, nil)
+	reg, tracer := observe(c, cfg)
+	res, _, err := runEpochPipeline(context.Background(), c, set, cfg, nil, reg, tracer)
 	return res, err
 }
 
-// RunSet runs the pipeline over a set the caller already holds — the
-// one body behind every entry point, in-module tools and benchmarks: on
-// p simulated ranks when simulate is true, or on p concurrent ranks
+// RunSet runs the pipeline over a set the caller already holds: on p
+// simulated ranks when simulate is true, or on p concurrent ranks
 // otherwise (p = 1 means serial), returning the rank-0 result and the
 // makespan in seconds (virtual when simulated, wall-clock otherwise).
+// A failed run returns a *RunError.
 //
 // ThreadsPerRank = 0 resolves here: to max(1, NumCPU/p) on the wall
 // clock, and to the paper's single-threaded nodes under simulation, so
 // the reproduced scaling curves stay host-independent unless the caller
 // explicitly opts into hybrid rank×thread modeling.
 func RunSet(set *seq.Set, p int, simulate bool, cfg Config) (*Result, float64, error) {
+	res, _, span, err := runJob(context.Background(), set, p, simulate, cfg, nil)
+	return res, span, err
+}
+
+// runJob is the one body behind RunSet and RunEpoch: it starts p ranks
+// (simulated, or goroutines that ctx cancels), builds each rank's
+// registry and tracer, and runs the pipeline over set on top of prior.
+// It returns rank 0's result and next state and the makespan. On any
+// error it returns a *RunError holding every rank's last snapshots; a
+// job cancelled through ctx reports ErrAborted wrapping ctx's cause,
+// whichever rank noticed first.
+func runJob(ctx context.Context, set *seq.Set, p int, simulate bool, cfg Config, prior *EpochState) (*Result, *EpochState, float64, error) {
+	regs := make([]*metrics.Registry, max(p, 0))
+	tracers := make([]*trace.Tracer, max(p, 0))
 	var res *Result
+	var next *EpochState
 	var rerr error
 	body := func(c *mpi.Comm) {
-		r, _, e := runEpochPipeline(c, set, cfg, nil)
+		reg, tracer := observe(c, cfg)
+		regs[c.Rank()], tracers[c.Rank()] = reg, tracer
+		r, n, e := runEpochPipeline(ctx, c, set, cfg, prior, reg, tracer)
 		if c.Rank() == 0 {
-			res, rerr = r, e
+			res, next, rerr = r, n, e
 		}
 	}
 	var span float64
@@ -635,7 +638,7 @@ func RunSet(set *seq.Set, p int, simulate bool, cfg Config) (*Result, float64, e
 		span, err = mpi.RunSim(p, mpi.BlueGeneLike(), body)
 	} else {
 		cfg = cfg.withAutoThreads(p)
-		err = mpi.Run(p, func(c *mpi.Comm) {
+		err = mpi.RunContext(ctx, p, func(c *mpi.Comm) {
 			body(c)
 			// The wall-clock makespan is the slowest rank's clock; RunSim
 			// reports the virtual one itself, without a collective that
@@ -645,10 +648,23 @@ func RunSet(set *seq.Set, p int, simulate bool, cfg Config) (*Result, float64, e
 			}
 		})
 	}
-	if err != nil {
-		return nil, 0, err
+	if err == nil {
+		err = rerr
 	}
-	return res, span, rerr
+	if err == nil {
+		return res, next, span, nil
+	}
+	if aerr := cancelled(ctx); aerr != nil {
+		err = aerr
+	}
+	re := &RunError{Err: err}
+	for r, reg := range regs { // every rank of a started job ran observe
+		re.Snapshots = append(re.Snapshots, reg.Snapshot())
+		if tracers[r] != nil {
+			re.Traces = append(re.Traces, tracers[r].Snapshot())
+		}
+	}
+	return nil, nil, 0, re
 }
 
 // probeHeapPeak samples the process heap at a phase boundary into the

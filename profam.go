@@ -17,10 +17,14 @@
 //     et al., VLDB 2005) with min-wise independent permutations extracts
 //     arbitrarily-sized dense subgraphs: the protein families.
 //
-// Entry points: Run (serial), RunParallel (goroutine ranks over in-memory
-// message passing), and RunSimulated (deterministic virtual-time
-// simulation of a distributed-memory machine, for scaling studies on a
-// single host).
+// Entry points: Run and RunFASTA (serial), RunParallel (goroutine ranks
+// over in-memory message passing), RunSimulated (deterministic
+// virtual-time simulation of a distributed-memory machine, for scaling
+// studies on a single host), RunSet (any of these over a set the caller
+// already holds), RunEpoch (incremental epochs over a growing corpus,
+// cancelled through a context) and RunPipelineOn (a communicator the
+// caller manages, such as a TCP mesh). A failed run returns a *RunError
+// carrying every rank's last metrics and trace snapshots.
 package profam
 
 import (
@@ -125,16 +129,6 @@ type Config struct {
 	// debug level), stamped with the rank clock — virtual seconds under
 	// RunSimulated. nil discards.
 	Logger *slog.Logger
-
-	// Abort, when non-nil, lets the caller cancel a running job: the
-	// pipeline polls it at phase boundaries (before RR, after RR and
-	// after CCD) and returns ErrAborted once it is closed; phases 3+4 run
-	// to the end once started. The decision is taken on rank 0 and
-	// broadcast, so every rank exits the same phase and the error-path
-	// observability (metrics/trace stashing) still runs collectively. nil
-	// (the default) disables the checks entirely and leaves the message
-	// pattern of existing jobs untouched.
-	Abort <-chan struct{}
 }
 
 func (c Config) withDefaults() Config {

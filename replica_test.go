@@ -1,6 +1,7 @@
 package profam_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -153,7 +154,7 @@ func TestOneAnswerForEveryExecution(t *testing.T) {
 			st := profam.NewEpochState()
 			var res *profam.Result
 			for _, w := range splitWaves(names, seqs, waves) {
-				if res, st, err = profam.RunEpoch(st, w[0], w[1], 2, c); err != nil {
+				if res, st, err = profam.RunEpoch(context.Background(), st, w[0], w[1], 2, c); err != nil {
 					t.Fatalf("seed %d: %d waves: %v", seed, waves, err)
 				}
 			}
