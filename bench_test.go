@@ -408,33 +408,35 @@ func BenchmarkAlignCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineThreads runs the full wall-clock pipeline on two
-// in-process ranks while sweeping ThreadsPerRank, checking that the
-// family list is invariant and reporting the family count.
+// BenchmarkPipelineThreads runs the full wall-clock pipeline on one and
+// on two in-process ranks while sweeping ThreadsPerRank, checking that
+// the family list is invariant and reporting the family count.
 func BenchmarkPipelineThreads(b *testing.B) {
 	set, _ := experiments.SetOfSize(300, 47)
 	var base string
-	for _, th := range threadCounts() {
-		b.Run(fmt.Sprintf("threads=%d", th), func(b *testing.B) {
-			cfg := experiments.PipelineConfig()
-			cfg.ThreadsPerRank = th
-			var fams int
-			for i := 0; i < b.N; i++ {
-				res, _, err := profam.RunSet(set, 2, false, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fams = len(res.Families)
-				if i == 0 {
-					if s := fmt.Sprint(res.Families); base == "" {
-						base = s
-					} else if s != base {
-						b.Fatal("families differ across thread counts")
+	for _, p := range []int{1, 2} {
+		for _, th := range threadCounts() {
+			b.Run(fmt.Sprintf("p=%d/threads=%d", p, th), func(b *testing.B) {
+				cfg := experiments.PipelineConfig()
+				cfg.ThreadsPerRank = th
+				var fams int
+				for i := 0; i < b.N; i++ {
+					res, _, err := profam.RunSet(set, p, false, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					fams = len(res.Families)
+					if i == 0 {
+						if s := fmt.Sprint(res.Families); base == "" {
+							base = s
+						} else if s != base {
+							b.Fatal("families differ across rank and thread counts")
+						}
 					}
 				}
-			}
-			b.ReportMetric(float64(fams), "families")
-		})
+				b.ReportMetric(float64(fams), "families")
+			})
+		}
 	}
 }
 

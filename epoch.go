@@ -96,11 +96,7 @@ func RunEpoch(ctx context.Context, prior *EpochState, names, seqs []string, p in
 	// safe), new arrivals are appended in submission order.
 	union := &seq.Set{Seqs: append(make([]*seq.Sequence, 0, prior.set.Len()+len(seqs)), prior.set.Seqs...)}
 	for i := range seqs {
-		name := names[i]
-		if name == "" {
-			name = fmt.Sprintf("seq%d", union.Len())
-		}
-		if _, err := union.Add(name, seqs[i]); err != nil {
+		if _, err := union.Add(names[i], seqs[i]); err != nil {
 			return nil, prior, err
 		}
 	}

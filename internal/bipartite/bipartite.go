@@ -70,14 +70,6 @@ func (g *Graph) Edges() int {
 	return n
 }
 
-// Degree statistics over left vertices with at least one edge.
-func (g *Graph) MeanLeftDegree() float64 {
-	if g.NLeft == 0 {
-		return 0
-	}
-	return float64(g.Edges()) / float64(g.NLeft)
-}
-
 func (g *Graph) String() string {
 	return fmt.Sprintf("%s graph: %d left, %d right, %d edges", g.Kind, g.NLeft, g.NRight, g.Edges())
 }

@@ -231,11 +231,4 @@ func TestGraphStats(t *testing.T) {
 	if g.Edges() != 3 {
 		t.Errorf("Edges = %d", g.Edges())
 	}
-	if g.MeanLeftDegree() != 1.5 {
-		t.Errorf("MeanLeftDegree = %v", g.MeanLeftDegree())
-	}
-	empty := &Graph{}
-	if empty.MeanLeftDegree() != 0 {
-		t.Error("empty graph degree")
-	}
 }

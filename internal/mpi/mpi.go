@@ -287,21 +287,6 @@ func (c *Comm) Gather(root int, data any) []any {
 	return nil
 }
 
-// ReduceInt64 folds every rank's value with op at root (op must be
-// associative and commutative); other ranks receive 0.
-func (c *Comm) ReduceInt64(root int, v int64, op func(a, b int64) int64) int64 {
-	tag := c.nextCollTag()
-	if c.Rank() == root {
-		acc := v
-		for i := 1; i < c.Size(); i++ {
-			acc = op(acc, c.recv(Any, tag).Data.(int64))
-		}
-		return acc
-	}
-	c.send(root, tag, v)
-	return 0
-}
-
 // MaxFloat64 is a convenience Allreduce-max, used to compute a job's
 // makespan (the maximum per-rank finish time): rank 0 folds every rank's
 // value, then broadcasts the maximum.

@@ -36,7 +36,7 @@ type phaseCounters struct {
 	// those pairs would have cost under the exact full-matrix predicate,
 	// so cells-eliminated = cascadeFullCells − pace_align_cells. The
 	// series only appear with the cascade enabled (created lazily on
-	// first staged outcome), so CCD and an ExactAlign run never grow them.
+	// first staged outcome), so CCD and an exact RR run never grow them.
 	cascadeStage     map[align.Stage]*metrics.Counter
 	cascadeFullCells *metrics.Counter
 	reg              *metrics.Registry
@@ -80,6 +80,27 @@ func (pc *phaseCounters) countStage(stage align.Stage, fullCells int64) {
 		pc.cascadeFullCells = pc.reg.Counter(metrics.Name("pace_cascade_cells_full", "phase", pc.phase))
 	}
 	pc.cascadeFullCells.Add(fullCells)
+}
+
+// tally counts one alignment outcome and hands an aligned one to the
+// state's record. A skipped task, one a replica proved closed, counts as
+// closure-eliminated. Merging is left to the caller: the master merges
+// what its workers found, while on a single rank alignBatch has already
+// merged into the state it aligned against.
+func (pc *phaseCounters) tally(ml masterLogic, r AlignOutcome) {
+	if r.Skipped {
+		pc.closure.Inc()
+		return
+	}
+	pc.aligned.Inc()
+	pc.cells.Add(r.Cells)
+	if r.Stage != 0 {
+		pc.countStage(align.Stage(r.Stage), r.FullCells)
+	}
+	if r.OK {
+		pc.positive.Inc()
+	}
+	ml.record(r)
 }
 
 // read returns the counters' current absolute values.
@@ -162,7 +183,7 @@ func buildTrees(c *mpi.Comm, set *seq.Set, bucketIdx []int, buckets []suffixtree
 	return trees, nil
 }
 
-// masterState is the generic master-side round bookkeeping. All of its
+// masterState is the p ≥ 2 master's round bookkeeping. All of its
 // counting goes straight to the metrics registry through ctr; the Stats
 // a phase returns are read back out of the registry when it ends.
 type masterState struct {
@@ -215,30 +236,22 @@ func (ms *masterState) ingestPairs(pairs []PairItem) int {
 	return len(pairs)
 }
 
-// absorbResults integrates the alignment outcomes of worker rank from
-// (0 on the serial path). A skipped task was closed by the worker's
-// replica: it counts as closure-eliminated and leaves no trace in the
-// state, since the merge that closed it was absorbed before.
+// absorbResults integrates the alignment outcomes of worker rank from.
+// A skipped task was closed by the worker's replica: it leaves no trace
+// in the state, since the merge that closed it was absorbed before.
 func (ms *masterState) absorbResults(results []AlignOutcome, from int) {
 	for _, r := range results {
+		ms.ctr.tally(ms.logic, r)
 		if r.Skipped {
-			ms.ctr.closure.Inc()
 			ms.ctr.workerSkipped.Inc()
 			continue
 		}
-		ms.ctr.aligned.Inc()
-		ms.ctr.cells.Add(r.Cells)
-		if r.Stage != 0 {
-			ms.ctr.countStage(align.Stage(r.Stage), r.FullCells)
-		}
 		if r.OK {
-			ms.ctr.positive.Inc()
 			ms.merges++
-			if ms.logic.merge(r.A, r.B) && from > 0 {
+			if ms.logic.merge(r.A, r.B) {
 				ms.mergeLog = append(ms.mergeLog, loggedMerge{Merge{r.A, r.B}, from})
 			}
 		}
-		ms.logic.record(r)
 	}
 }
 
@@ -429,16 +442,16 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 	}
 }
 
-// alignBatch computes the outcomes for one assigned task batch against
-// the worker's replica of the clustering state. A task the replica
-// proves closed comes back Skipped, without an alignment. The rest align
-// on the rank's goroutine pool in conflict-free waves: a task joins the
-// current wave unless the wave already touches one of its keys, and a
-// task that conflicts first flushes the wave — aligns it, then merges
-// its positive outcomes into the replica in task order. Outcomes in one
-// wave cannot change each other's closed test, so skips and outcomes
-// equal strict one-at-a-time processing for every thread count.
-// Outcomes land at their task's index. Each chunk checks an aligner out
+// alignBatch computes the outcomes for one task batch against the
+// worker's replica of the clustering state, which at p = 1 is the state
+// itself. A task the replica proves closed comes back Skipped, without
+// an alignment. The rest align on the rank's goroutine pool in
+// conflict-free waves: a task joins the current wave unless the wave
+// already touches one of its keys, and a task that conflicts first
+// flushes the wave — aligns it, then merges its positive outcomes into
+// the replica in task order. Outcomes in one wave cannot change each
+// other's closed test, so skips and outcomes equal strict one-at-a-time
+// processing for every thread count. Outcomes land at their task's index. Each chunk checks an aligner out
 // of the cache, recycling DP buffers across chunks and rounds. The
 // summed DP cells are returned so the caller can charge the virtual
 // clock ceil(cells/threads), the perfect-speedup model, along with the
@@ -567,40 +580,41 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, replica masterLogic, p
 	}
 }
 
-// runSerial executes a whole phase on a single rank: pairs are consumed
-// in decreasing match-length order with the same filtering policy.
-func runSerial(c *mpi.Comm, set *seq.Set, ms *masterState, wl workerLogic, pairs []PairItem, cfg Config) {
-	al := align.NewAligner(align.DefaultScoring())
+// runSerial executes a whole phase on a single rank, which is a worker
+// whose replica is the phase state itself: each BatchPairs slice of the
+// longest-first pair list goes through alignBatch on the rank's pool,
+// with the skips and outcomes of one-at-a-time processing. There is no
+// queue, and nothing is dispatched, so no skip counts as a worker skip.
+func runSerial(c *mpi.Comm, set *seq.Set, ml masterLogic, wl workerLogic, pairs []PairItem, cfg Config, ctr *phaseCounters) {
 	tr := cfg.Trace
-	phase := ms.ctr.phase
-	var round int64
-	for {
-		round++
-		ms.ctr.rounds.Inc()
+	phase := ctr.phase
+	threads := max(1, cfg.Threads)
+	cache := pool.NewAlignerCache(align.DefaultScoring())
+	obs := poolObserver(cfg.Metrics, phase, "align")
+	var merges int64
+	for round := int64(1); ; round++ {
+		ctr.rounds.Inc()
 		roundStart := tr.Now()
 		batch, exhausted := nextBatch(&pairs, cfg.BatchPairs)
 		c.Advance(float64(len(batch)) * DefaultCostParams().SecPerPairGen)
-		ms.ctr.generated.Add(int64(len(batch)))
+		ctr.generated.Add(int64(len(batch)))
 		if len(batch) > 0 {
-			ms.ctr.batchPairs.Observe(int64(len(batch)))
+			ctr.batchPairs.Observe(int64(len(batch)))
 		}
-		nops := ms.ingestPairs(batch)
-		c.Advance(float64(nops) * DefaultCostParams().SecPerPairFilter)
-		// One task at a time so each alignment outcome can eliminate
-		// later pending pairs via the closure filter — the reference
-		// that a single worker's replica reproduces exactly.
-		for ms.pending.Len() > 0 {
-			for _, t := range ms.popTasks(1) {
-				out := wl.alignPair(al, set, t)
-				c.Advance(float64(out.Cells) * DefaultCostParams().SecPerCell)
-				ms.absorbResults([]AlignOutcome{out}, 0)
+		c.Advance(float64(len(batch)) * DefaultCostParams().SecPerPairFilter)
+		results, cells, _ := alignBatch(cache, threads, set, wl, ml, batch, obs)
+		c.Advance(float64(pool.CeilDiv(cells, threads)) * DefaultCostParams().SecPerCell)
+		for _, r := range results {
+			ctr.tally(ml, r)
+			if r.OK {
+				merges++
 			}
 		}
-		tr.Count(trace.CatMaster, phase+"/merges", ms.merges)
+		tr.Count(trace.CatMaster, phase+"/merges", merges)
 		tr.Span(trace.CatMaster, phase+"/round", roundStart, tr.Now(),
 			"round", round, "pairs", int64(len(batch)))
-		ms.cfg.Log.Debug("serial round",
-			"phase", phase, "round", round, "merges", ms.merges, "t", c.Time())
+		cfg.Log.Debug("serial round",
+			"phase", phase, "round", round, "merges", merges, "t", c.Time())
 		if exhausted {
 			return
 		}
@@ -674,18 +688,19 @@ func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl wo
 		// direct API callers that don't collect metrics.
 		cfg.Metrics = metrics.New(c.Rank(), c.Time)
 	}
-	ms := newMasterState(ml, cfg, phase)
 	switch {
 	case c.Size() == 1:
+		ctr := newPhaseCounters(cfg.Metrics, phase)
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
-		runSerial(c, set, ms, wl, pairs, cfg)
+		runSerial(c, set, ml, wl, pairs, cfg, &ctr)
 		sp.End()
-		st := ms.ctr.stats()
+		st := ctr.stats()
 		st.PhaseTime = c.Time() - start
 		return st
 	case c.Rank() == 0:
 		// The master owns the clustering state; each worker's own ml
 		// serves as its replica of it.
+		ms := newMasterState(ml, cfg, phase)
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
 		runMaster(c, ms)
 		sp.End()
@@ -713,7 +728,7 @@ func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, er
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	keep, st := redundancyRemoval(c, set, pairs, nil, cfg, start)
+	keep, st := redundancyRemoval(c, set, pairs, nil, cfg, false, start)
 	return keep, st, nil
 }
 
@@ -727,14 +742,16 @@ func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, er
 // boundary included (see DESIGN.md §9). The returned keep mask covers the
 // whole set on all ranks.
 func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config) ([]bool, Stats) {
-	return redundancyRemoval(c, set, pairs, prior, cfg, c.Time())
+	return redundancyRemoval(c, set, pairs, prior, cfg, false, c.Time())
 }
 
-func redundancyRemoval(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config, start float64) ([]bool, Stats) {
+// redundancyRemoval runs RR over pairs; exact swaps the containment
+// cascade for the full-matrix predicate.
+func redundancyRemoval(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config, exact bool, start float64) ([]bool, Stats) {
 	cfg = cfg.withDefaults()
 	ml := &rrMaster{set: set, redundant: make([]bool, set.Len())}
 	copy(ml.redundant, prior)
-	st := runPhase(c, set, pairs, ml, rrWorker{params: cfg.Contain, exact: cfg.ExactAlign}, cfg, "rr", start)
+	st := runPhase(c, set, pairs, ml, rrWorker{params: cfg.Contain, exact: exact}, cfg, "rr", start)
 	keep := make([]bool, set.Len())
 	if c.Rank() == 0 {
 		for i := range keep {

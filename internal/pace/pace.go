@@ -86,14 +86,9 @@ type Config struct {
 	DisableClosureFilter bool
 	// RandomPairOrder makes the master process pending alignments in
 	// FIFO instead of decreasing match-length order; used by the
-	// ablation benchmarks.
+	// ablation benchmarks. A single rank has no master queue: it runs
+	// its longest-first pair list in order either way.
 	RandomPairOrder bool
-	// ExactAlign disables RR's containment cascade and runs every
-	// assigned pair through the full-matrix Contained predicate. Verdicts
-	// are identical either way (the cascade only takes provably-safe
-	// shortcuts); this is the reference arm of the determinism tests.
-	// CCD always runs the exact Overlaps predicate.
-	ExactAlign bool
 	// Metrics receives every phase counter, histogram and span; it is
 	// the single accumulation path behind Stats (which is a read-out of
 	// the registry taken at phase end). Each rank passes its own
@@ -378,7 +373,10 @@ func (m *rrMaster) record(AlignOutcome) {}
 
 type rrWorker struct {
 	params align.ContainParams
-	exact  bool
+	// exact runs the full-matrix Contained predicate instead of the
+	// cascade. Verdicts are identical either way, since the cascade only
+	// takes provably safe shortcuts; the tests set it as their reference.
+	exact bool
 }
 
 // alignPair tests whether the pair's later side is contained in its

@@ -33,16 +33,6 @@ func DefaultThreads(ranks int) int {
 	return t
 }
 
-// Resolve maps a ThreadsPerRank config value to an effective thread
-// count: positive values are used as-is, zero (auto) becomes
-// DefaultThreads(ranks).
-func Resolve(threads, ranks int) int {
-	if threads > 0 {
-		return threads
-	}
-	return DefaultThreads(ranks)
-}
-
 // CeilDiv returns ceil(work/threads), the virtual cost of work units
 // executed with perfect speedup on `threads` threads.
 func CeilDiv(work int64, threads int) int64 {

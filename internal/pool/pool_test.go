@@ -65,13 +65,7 @@ func TestCeilDiv(t *testing.T) {
 	}
 }
 
-func TestResolve(t *testing.T) {
-	if got := Resolve(3, 8); got != 3 {
-		t.Errorf("explicit threads: got %d, want 3", got)
-	}
-	if got := Resolve(0, 1); got != DefaultThreads(1) {
-		t.Errorf("auto threads: got %d, want %d", got, DefaultThreads(1))
-	}
+func TestDefaultThreadsFloor(t *testing.T) {
 	if DefaultThreads(1<<20) != 1 {
 		t.Error("DefaultThreads must never drop below 1")
 	}

@@ -10,24 +10,41 @@ import (
 
 // ReadFASTA parses FASTA-formatted records from r into a new Set.
 // Residue letters outside the amino-acid alphabet are replaced by 'X'
-// (see Clean); records with empty sequences are rejected.
+// (see Clean); records with empty sequences are rejected, and a record
+// with a blank header is named by Add's rule for unnamed sequences.
 func ReadFASTA(r io.Reader) (*Set, error) {
 	set := NewSet()
+	err := ScanFASTA(r, func(name, residues string) error {
+		_, err := set.Add(name, residues)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return set, nil
+}
+
+// ScanFASTA calls fn with each FASTA record of r in order: its header,
+// trimmed and empty when blank, and its residues, cleaned (see Clean).
+// A record with no residues is an error.
+func ScanFASTA(r io.Reader, fn func(name, residues string) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 
 	var name string
 	var body strings.Builder
 	haveRecord := false
+	records := 0
 
 	flush := func() error {
 		if !haveRecord {
 			return nil
 		}
+		records++
 		if body.Len() == 0 {
-			return fmt.Errorf("seq: FASTA record %q has no residues", name)
+			return fmt.Errorf("seq: FASTA record %d (%q) has no residues", records, name)
 		}
-		if _, err := set.Add(name, Clean(body.String())); err != nil {
+		if err := fn(name, Clean(body.String())); err != nil {
 			return err
 		}
 		body.Reset()
@@ -43,27 +60,21 @@ func ReadFASTA(r io.Reader) (*Set, error) {
 		}
 		if line[0] == '>' {
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
 			name = strings.TrimSpace(line[1:])
-			if name == "" {
-				name = fmt.Sprintf("seq%d", set.Len())
-			}
 			haveRecord = true
 			continue
 		}
 		if !haveRecord {
-			return nil, fmt.Errorf("seq: line %d: residue data before first FASTA header", lineno)
+			return fmt.Errorf("seq: line %d: residue data before first FASTA header", lineno)
 		}
 		body.WriteString(line)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return set, nil
+	return flush()
 }
 
 // ReadFASTAFile reads a FASTA file from disk.

@@ -112,10 +112,18 @@ type Set struct {
 // NewSet returns an empty sequence set.
 func NewSet() *Set { return &Set{} }
 
+// UnnamedName is the name of an unnamed sequence with the given ID: its
+// position in the corpus, "seq<id>".
+func UnnamedName(id int) string { return fmt.Sprintf("seq%d", id) }
+
 // Add appends a sequence with the given name and residue string, assigning
-// the next free ID. The residue string must be valid (see Valid); invalid
-// input is rejected with an error so that parse errors surface early.
+// the next free ID; an empty name becomes UnnamedName(ID). The residue
+// string must be valid (see Valid); invalid input is rejected with an
+// error so that parse errors surface early.
 func (t *Set) Add(name, residues string) (*Sequence, error) {
+	if name == "" {
+		name = UnnamedName(len(t.Seqs))
+	}
 	if !Valid(residues) {
 		return nil, fmt.Errorf("seq: sequence %q contains invalid residues or is empty", name)
 	}

@@ -202,15 +202,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		// Anything else is treated as FASTA.
-		set, err := seq.ReadFASTA(body)
+		// Anything else is treated as FASTA. A blank header stays an
+		// empty name, which the batcher names like an unnamed JSON record.
+		err := seq.ScanFASTA(body, func(name, residues string) error {
+			names = append(names, name)
+			seqs = append(seqs, residues)
+			return nil
+		})
 		if err != nil {
 			writeErr(w, bodyErr("FASTA", err))
 			return
-		}
-		for _, sq := range set.Seqs {
-			names = append(names, sq.Name)
-			seqs = append(seqs, string(sq.Res))
 		}
 	}
 	epoch, err := s.Submit(r.Context(), names, seqs)

@@ -123,10 +123,12 @@ func (s *Server) loop() {
 
 // flush validates the batch, runs one incremental epoch over the
 // accepted submissions, publishes the new snapshot, and resolves every
-// reply channel. Rejections (invalid residues; a name already committed,
-// taken by a batch-mate, or repeated within the submission) are
-// per-submission: one bad request cannot poison its batch-mates, and it
-// claims none of its names. Every epoch attempt — committed, failed or
+// reply channel. An unnamed sequence is named seq.UnnamedName of the
+// corpus ID it will get, before the collision check. Rejections
+// (invalid residues; a name already committed, taken by a batch-mate,
+// or repeated within the submission) are per-submission: one bad
+// request cannot poison its batch-mates, and it claims none of its
+// names or IDs. Every epoch attempt — committed, failed or
 // aborted — lands one record in the ledger and one outcome-labeled
 // ingest-latency observation per accepted submission, so provenance and
 // SLO data cover failures too.
@@ -138,28 +140,31 @@ func (s *Server) flush(batch []*submission) {
 		reject := func(status int, msg string) { sub.done <- submitReply{err: &httpError{status, msg}} }
 		bad := false
 		mine := make(map[string]bool, len(sub.names))
+		subNames := make([]string, len(sub.names))
 		for i, res := range sub.seqs {
 			name := sub.names[i]
+			if name == "" {
+				name = seq.UnnamedName(s.state.NumSequences() + len(seqs) + i)
+			}
 			if !seq.Valid(res) {
 				reject(http.StatusBadRequest, fmt.Sprintf("sequence %q has invalid residues or is empty", name))
 				bad = true
 				break
 			}
-			if name != "" && (s.committed[name] || inBatch[name] || mine[name]) {
+			if s.committed[name] || inBatch[name] || mine[name] {
 				reject(http.StatusConflict, fmt.Sprintf("sequence name %q already exists", name))
 				bad = true
 				break
 			}
-			if name != "" {
-				mine[name] = true
-			}
+			mine[name] = true
+			subNames[i] = name
 		}
 		if bad {
 			continue
 		}
 		maps.Copy(inBatch, mine)
 		accepted = append(accepted, sub)
-		names = append(names, sub.names...)
+		names = append(names, subNames...)
 		seqs = append(seqs, sub.seqs...)
 	}
 	if len(accepted) == 0 {

@@ -268,6 +268,56 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestServerNamesUnnamedSequences: an unnamed sequence is named
+// seq<corpus ID> whether it arrives as a JSON record without a name or
+// under a blank FASTA header, and that name takes part in the collision
+// check like an explicit one, so the served corpus never holds a name
+// twice.
+func TestServerNamesUnnamedSequences(t *testing.T) {
+	const r1, r2, r3 = "MKVLWAALLGAGARQWEDD", "GHIKNNPQRSTVWYACDEF", "WWYYAACCDDEEFFGGHHKK"
+	requireNames := func(t *testing.T, s *Server, want ...string) {
+		t.Helper()
+		snap := s.Snapshot()
+		var got []string
+		for _, sq := range snap.Set.Seqs {
+			got = append(got, sq.Name)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || len(snap.IDByName) != len(want) {
+			t.Errorf("served names %v (%d distinct), want %v", got, len(snap.IDByName), want)
+		}
+	}
+	t.Run("json", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{BatchWait: 10 * time.Millisecond})
+		if code, out := post(t, ts.URL+"/v1/sequences", "application/json",
+			strings.NewReader(`{"sequences":[{"residues":"`+r1+`"}]}`)); code != http.StatusOK {
+			t.Fatalf("unnamed sequence = %d (%v), want 200", code, out)
+		}
+		if code, _ := post(t, ts.URL+"/v1/sequences", "application/json",
+			strings.NewReader(`{"sequences":[{"name":"seq0","residues":"`+r2+`"}]}`)); code != http.StatusConflict {
+			t.Errorf("explicit name of an unnamed sequence = %d, want 409", code)
+		}
+		if code, out := post(t, ts.URL+"/v1/sequences", "application/json",
+			strings.NewReader(`{"sequences":[{"name":"seq2","residues":"`+r2+`"},{"residues":"`+r3+`"}]}`)); code != http.StatusConflict {
+			t.Errorf("unnamed sequence landing on a batch-mate's name = %d (%v), want 409", code, out)
+		}
+		requireNames(t, s, "seq0")
+	})
+	t.Run("fasta", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{BatchWait: 10 * time.Millisecond})
+		for _, res := range []string{r1, r2} {
+			if code, out := post(t, ts.URL+"/v1/sequences", "application/x-fasta",
+				strings.NewReader(">\n"+res+"\n")); code != http.StatusOK {
+				t.Fatalf("blank FASTA header = %d (%v), want 200", code, out)
+			}
+		}
+		if code, out := post(t, ts.URL+"/v1/sequences", "application/json",
+			strings.NewReader(`{"sequences":[{"residues":"`+r3+`"}]}`)); code != http.StatusOK {
+			t.Fatalf("unnamed JSON sequence after FASTA = %d (%v), want 200", code, out)
+		}
+		requireNames(t, s, "seq0", "seq1", "seq2")
+	})
+}
+
 // TestServerRejectsOversizedBody checks that a body past maxIngestBytes
 // is refused whole with 413 under both content types: no truncated
 // final record may commit as a shorter sequence.

@@ -391,13 +391,6 @@ func (t *SubTree) Stats() TreeStats {
 	return st
 }
 
-// CountPairs returns the number of pairs ForEachPair would emit.
-func (t *SubTree) CountPairs() int64 {
-	var n int64
-	t.ForEachPair(func(Pair) bool { n++; return true })
-	return n
-}
-
 // Build constructs subtrees for all buckets serially. It is the
 // single-rank convenience path used by tests, examples and the serial
 // pipeline; the distributed path assigns buckets to ranks and calls

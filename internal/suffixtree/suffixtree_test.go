@@ -308,23 +308,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestCountPairs(t *testing.T) {
-	set := seq.NewSet()
-	set.MustAdd("a", "ACDEFGHIK")
-	set.MustAdd("b", "ACDEFGHIK")
-	trees, err := Build(set, Options{MinMatch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, tr := range trees {
-		total += tr.CountPairs()
-	}
-	if total != int64(len(bruteMaximalPairs(set, 3))) {
-		t.Errorf("CountPairs = %d, want %d", total, len(bruteMaximalPairs(set, 3)))
-	}
-}
-
 func BenchmarkBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	set := randomSet(rng, 200, 150)

@@ -109,29 +109,3 @@ func (u *UF) Components() map[int][]int {
 	}
 	return out
 }
-
-// ComponentsMin enumerates only the sets with at least minSize members,
-// as slices of member element IDs. Order of components follows the lowest
-// member ID in each.
-func (u *UF) ComponentsMin(minSize int) [][]int {
-	byRoot := u.Components()
-	// Deterministic order: by smallest member.
-	var roots []int
-	for r, members := range byRoot {
-		if len(members) >= minSize {
-			roots = append(roots, r)
-		}
-	}
-	// members lists are in increasing order already (loop order), so the
-	// first element is the minimum; sort roots by it.
-	for i := 1; i < len(roots); i++ {
-		for j := i; j > 0 && byRoot[roots[j]][0] < byRoot[roots[j-1]][0]; j-- {
-			roots[j], roots[j-1] = roots[j-1], roots[j]
-		}
-	}
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, byRoot[r])
-	}
-	return out
-}

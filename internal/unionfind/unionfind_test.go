@@ -56,24 +56,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestComponentsMin(t *testing.T) {
-	u := New(7)
-	u.Union(1, 5)
-	u.Union(5, 6)
-	u.Union(2, 3)
-	got := u.ComponentsMin(2)
-	if len(got) != 2 {
-		t.Fatalf("got %d components of size>=2, want 2", len(got))
-	}
-	// Ordered by smallest member: {1,5,6} before {2,3}.
-	if got[0][0] != 1 || got[1][0] != 2 {
-		t.Errorf("component order wrong: %v", got)
-	}
-	if len(u.ComponentsMin(4)) != 0 {
-		t.Error("no component has 4 members")
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	u := New(6)
 	u.Union(0, 1)

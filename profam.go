@@ -393,11 +393,7 @@ func setFromStrings(names, seqs []string) (*seq.Set, error) {
 	}
 	set := seq.NewSet()
 	for i := range seqs {
-		name := names[i]
-		if name == "" {
-			name = fmt.Sprintf("seq%d", i)
-		}
-		if _, err := set.Add(name, seqs[i]); err != nil {
+		if _, err := set.Add(names[i], seqs[i]); err != nil {
 			return nil, err
 		}
 	}

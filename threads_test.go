@@ -50,7 +50,9 @@ func TestThreadsPerRankDeterminism(t *testing.T) {
 }
 
 // TestThreadsSerialRankMatchesSeed: the single-rank wall-clock path with
-// intra-rank threading enabled must match the serial reference exactly.
+// intra-rank threading enabled must match the serial reference exactly,
+// in its families and in the pairs each phase aligned, skipped by
+// closure and the DP cells it spent.
 func TestThreadsSerialRankMatchesSeed(t *testing.T) {
 	set, _ := workload.Generate(workload.Params{
 		Families: 3, MeanFamilySize: 9, MeanLength: 90,
@@ -72,6 +74,19 @@ func TestThreadsSerialRankMatchesSeed(t *testing.T) {
 	}
 	if got.NumNonRedundant != want.NumNonRedundant {
 		t.Errorf("NR differs: %d vs %d", got.NumNonRedundant, want.NumNonRedundant)
+	}
+	for _, ph := range []struct {
+		name      string
+		got, want profam.PhaseStats
+	}{{"RR", got.RR, want.RR}, {"CCD", got.CCD, want.CCD}} {
+		g, w := ph.got, ph.want
+		if g.PairsAligned != w.PairsAligned || g.PairsClosure != w.PairsClosure || g.Cells != w.Cells {
+			t.Errorf("%s: 4 threads aligned %d, closure-skipped %d, %d cells; 1 thread %d, %d, %d",
+				ph.name, g.PairsAligned, g.PairsClosure, g.Cells, w.PairsAligned, w.PairsClosure, w.Cells)
+		}
+	}
+	if want.RR.PairsClosure == 0 || want.CCD.PairsClosure == 0 {
+		t.Errorf("closure skipped %d RR and %d CCD pairs; the corpus must exercise both", want.RR.PairsClosure, want.CCD.PairsClosure)
 	}
 }
 
