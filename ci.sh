@@ -16,6 +16,11 @@
 #                       per-epoch traces and telemetry series; then a
 #                       second profamd is SIGTERMed mid-epoch with a 1 ms
 #                       drain budget and must abort that epoch promptly;
+#                       a third ingests the corpus sorted shortest-first,
+#                       so later waves demote kept fragments, and must
+#                       serve the cold run's families, ledger a demotion
+#                       and trace no ccd/index span (a demotion replays
+#                       the pair table, it does not enumerate again);
 #                       artifacts land in e2e_artifacts/
 #
 # The race pass matters: the hybrid rank×thread execution model runs
@@ -226,7 +231,50 @@ if [ "${1:-}" = "e2e" ]; then
 	grep -q 'mpi_msgs_sent' "$forced/metrics_final.json" \
 		|| { echo "ci.sh e2e: the final metrics lack the aborted epoch's mpi_msgs_sent" >&2; exit 1; }
 
-	echo "ci.sh: e2e service gate passed ($total sequences, byte-identical families, ledger verified, forced shutdown aborted)"
+	# Demotions: the same corpus sorted shortest-first, so contained
+	# fragments arrive in an earlier wave than the sequences that contain
+	# them and a later epoch demotes them. That epoch's cold CCD replays
+	# the committed pair table instead of enumerating the corpus again:
+	# no epoch trace may hold a ccd/index span.
+	echo "-- demotion epochs replay the pair table"
+	demo="$artifacts/demotion"
+	mkdir -p "$demo"
+	awk '/^>/{if (name != "") print length(res) "\t" n "\t" name "\t" res; name = $0; res = ""; n++; next}
+		{res = res $0}
+		END{if (name != "") print length(res) "\t" n "\t" name "\t" res}' "$tmp/orfs.fasta" \
+		| sort -t "$(printf '\t')" -k1,1n -k2,2n \
+		| awk -F '\t' '{print $3; print $4}' >"$tmp/sorted.fasta"
+	awk -v per="$per" -v dir="$tmp" \
+		'/^>/{n++} {print > (dir "/sorted" int((n-1)/per) ".fasta")}' "$tmp/sorted.fasta"
+	"$tmp/profamd" -addr 127.0.0.1:0 -addr-file "$tmp/addr_demo" -p 2 \
+		-batch-wait 100ms -ledger "$demo/ledger.jsonl" -trace-dir "$demo/traces" \
+		>"$demo/profamd.stdout" 2>"$demo/profamd.log" &
+	daemon_pid=$!
+	wait_ready "$tmp/addr_demo"
+	for w in 0 1 2; do
+		[ -f "$tmp/sorted$w.fasta" ] || continue
+		curl -sf --data-binary "@$tmp/sorted$w.fasta" "$base/v1/sequences" >/dev/null \
+			|| { echo "sorted wave $w submission failed" >&2; cat "$demo/profamd.log" >&2; exit 1; }
+	done
+	curl -sf "$base/v1/families?format=text" >"$demo/served_families.txt"
+	kill -TERM "$daemon_pid"
+	wait_exit 300
+	[ "$rc" -eq 0 ] || { echo "profamd exited with status $rc" >&2; cat "$demo/profamd.log" >&2; exit 1; }
+	"$tmp/profam" -in "$tmp/sorted.fasta" -p 2 -out "$demo/cold_families.txt" 2>/dev/null
+	if ! diff -u "$demo/cold_families.txt" "$demo/served_families.txt"; then
+		echo "ci.sh e2e: served families differ from the cold run on the shortest-first corpus" >&2
+		exit 1
+	fi
+	grep -q '"demotions":[1-9]' "$demo/ledger.jsonl" \
+		|| { echo "ci.sh e2e: no epoch of the shortest-first corpus demoted a sequence" >&2; cat "$demo/ledger.jsonl" >&2; exit 1; }
+	ls "$demo"/traces/epoch_*.trace.json >/dev/null \
+		|| { echo "ci.sh e2e: the demotion leg persisted no epoch traces" >&2; exit 1; }
+	if grep -l '"ccd/index"' "$demo"/traces/epoch_*.trace.json; then
+		echo "ci.sh e2e: a demotion epoch built a CCD index instead of replaying the pair table" >&2
+		exit 1
+	fi
+
+	echo "ci.sh: e2e service gate passed ($total sequences, byte-identical families, ledger verified, forced shutdown aborted, demotions replayed)"
 	exit 0
 fi
 

@@ -1,11 +1,14 @@
 package profam
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
-	"profam/internal/bipartite"
+	"profam/internal/align"
+	"profam/internal/pace"
 	"profam/internal/seq"
 	"profam/internal/unionfind"
 )
@@ -26,23 +29,105 @@ var ErrConfigChanged = errors.New("profam: config differs from committed epoch s
 // EpochState is the committed clustering state after some number of
 // ingest epochs: the corpus so far plus everything the next epoch needs
 // to avoid reclustering it — redundancy verdicts, the union–find over the
-// whole corpus (redundant sequences are singletons), the family cache (each component's families under its
-// exact member list), and the overlap counts of every aligned pair
-// inside a component. It is the one value that flows between epochs:
-// the pipeline takes the committed state and builds the next one on
-// rank 0, and RunEpoch stamps its epoch number and config fingerprint.
-// It is immutable once returned: RunEpoch never mutates its input state,
-// so an aborted or failed epoch leaves the committed state (and anything
-// serving from it) untouched. The zero of the type is not useful; start
-// from NewEpochState (epoch 0, empty corpus).
+// whole corpus (redundant sequences are singletons), the family cache
+// (each component's families under its exact member list), and the pair
+// table (every promising pair of two kept sequences, with its overlap
+// counts once an alignment computed them). It is the one value that
+// flows between epochs: the pipeline takes the committed state and
+// builds the next one on rank 0, and RunEpoch stamps its epoch number
+// and config fingerprint. It is immutable once returned: RunEpoch never
+// mutates its input state, so an aborted or failed epoch leaves the
+// committed state (and anything serving from it) untouched. The zero of
+// the type is not useful; start from NewEpochState (epoch 0, empty
+// corpus).
 type EpochState struct {
 	set         *seq.Set
 	redundant   []bool
 	uf          *unionfind.UF
 	famCache    map[string][]wireFamily
-	memo        bipartite.Memo
+	table       pairTable
 	epoch       int
 	fingerprint string
+}
+
+// pairTable holds every promising pair of two kept sequences, keyed by
+// its IDs, lower first (DESIGN.md §9): its longest match length, which
+// orders a replay, and the overlap counts of the local alignment of the
+// lower ID against the higher, zero until one has been computed.
+type pairTable map[[2]int32]tableEntry
+
+type tableEntry struct {
+	Len     int32
+	Overlap align.OverlapCounts
+}
+
+// next returns a new table: t's pairs without a redundant side, then
+// CCD's list and its verdicts' counts. In a demotion epoch the list
+// already holds t's surviving pairs (replay), so t adds only their counts.
+func (t pairTable) next(keep []bool, pairs []pace.PairItem, verdicts []pace.Verdict) pairTable {
+	out := make(pairTable, len(t)+len(pairs))
+	for k, e := range t {
+		if keep[k[0]] && keep[k[1]] {
+			out[k] = e
+		}
+	}
+	for _, p := range pairs {
+		e := out[[2]int32{p.A, p.B}]
+		e.Len = p.Len
+		out[[2]int32{p.A, p.B}] = e
+	}
+	out.setCounts(verdicts)
+	return out
+}
+
+// setCounts stores the counts of every verdict.
+func (t pairTable) setCounts(verdicts []pace.Verdict) {
+	for _, v := range verdicts {
+		e := t[[2]int32{v.A, v.B}]
+		e.Overlap = v.Overlap
+		t[[2]int32{v.A, v.B}] = e
+	}
+}
+
+// replay returns pairs with t's pairs added, longest match first, ties
+// by IDs: rank 0's list for a demotion epoch's cold CCD.
+func (t pairTable) replay(pairs []pace.PairItem) []pace.PairItem {
+	for k, e := range t {
+		pairs = append(pairs, pace.PairItem{A: k[0], B: k[1], Len: e.Len})
+	}
+	slices.SortFunc(pairs, func(x, y pace.PairItem) int {
+		return cmp.Or(cmp.Compare(y.Len, x.Len), cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
+	return pairs
+}
+
+// inside lists, per component of comps, t's pairs inside it, given every
+// sequence's component label.
+func (t pairTable) inside(comp []int32, comps [][]int) componentPairs {
+	at := make(map[int32]int, len(comps))
+	for i, members := range comps {
+		at[comp[members[0]]] = i
+	}
+	out := make(componentPairs, len(comps))
+	for k, e := range t {
+		if i, ok := at[comp[k[0]]]; ok && comp[k[0]] == comp[k[1]] {
+			out[i] = append(out[i], pace.Verdict{A: k[0], B: k[1], Overlap: e.Overlap})
+		}
+	}
+	return out
+}
+
+// componentPairs is phase 3's broadcast: the table's pairs inside each
+// component B_d builds.
+type componentPairs [][]pace.Verdict
+
+// WireSize implements mpi.Sized for the simtime cost model.
+func (c componentPairs) WireSize() int {
+	n := 16
+	for _, ps := range c {
+		n += 8 + 24*len(ps)
+	}
+	return n
 }
 
 // NewEpochState returns the empty starting state (epoch 0).

@@ -128,37 +128,47 @@ func TestIncrementalMatchesCold(t *testing.T) {
 	}
 }
 
-// TestIncrementalDemotionFallback arrives fragments before the sequences
-// that contain them: the containing full-length sequences land in a later
-// wave and demote previously-kept fragments, forcing the cold-CCD
-// fallback path. The contract must hold regardless, and committed pair
-// counts stay valid across the demotion: they depend on residues alone.
-func TestIncrementalDemotionFallback(t *testing.T) {
-	set, truth := workload.Generate(workload.Params{
-		Families: 3, MeanFamilySize: 8, MeanLength: 100,
-		Divergence: 0.07, ContainedFrac: 0.4, Singletons: 2, Seed: 1234,
-	})
-	// Arrival order: every contained fragment first, then everything
-	// else. Wave 1 keeps the fragments (their containers are absent);
-	// wave 2 introduces the containers, demoting the fragments.
-	var rn, rs []string
+// fragmentsFirst orders a generated corpus for a demotion: every
+// contained fragment first, then everything else. A first wave of nFrag
+// sequences keeps the fragments (their containers are absent); a later
+// wave introduces the containers, demoting the fragments.
+func fragmentsFirst(t *testing.T, set *seq.Set, truth *workload.Truth) (names, seqs []string, nFrag int) {
+	t.Helper()
 	for _, red := range []bool{true, false} {
 		for id := 0; id < set.Len(); id++ {
 			if truth.Redundant[id] == red {
-				rn = append(rn, set.Get(id).Name)
-				rs = append(rs, string(set.Get(id).Res))
+				names = append(names, set.Get(id).Name)
+				seqs = append(seqs, string(set.Get(id).Res))
+				if red {
+					nFrag++
+				}
 			}
-		}
-	}
-	nFrag := 0
-	for _, red := range truth.Redundant {
-		if red {
-			nFrag++
 		}
 	}
 	if nFrag == 0 {
 		t.Fatal("corpus generated no contained fragments")
 	}
+	return names, seqs, nFrag
+}
+
+// demotionSet is a corpus with many contained fragments.
+func demotionSet() (*seq.Set, *workload.Truth) {
+	return workload.Generate(workload.Params{
+		Families: 3, MeanFamilySize: 8, MeanLength: 100,
+		Divergence: 0.07, ContainedFrac: 0.4, Singletons: 2, Seed: 1234,
+	})
+}
+
+// TestIncrementalDemotionFallback arrives fragments before the sequences
+// that contain them: the containing full-length sequences land in a later
+// wave and demote previously-kept fragments, forcing the cold-CCD
+// fallback path, which replays the committed pair table on rank 0 (its
+// own list at p = 1, the master's ingest at p ≥ 2). The contract must
+// hold regardless, at every rank and thread count, and committed pair
+// counts stay valid across the demotion: they depend on residues alone.
+func TestIncrementalDemotionFallback(t *testing.T) {
+	set, truth := demotionSet()
+	rn, rs, nFrag := fragmentsFirst(t, set, truth)
 
 	cold, err := profam.Run(rn, rs, profam.Config{})
 	if err != nil {
@@ -170,26 +180,33 @@ func TestIncrementalDemotionFallback(t *testing.T) {
 	}
 	want := familiesText(t, coldSet, cold)
 
-	st := profam.NewEpochState()
-	var res *profam.Result
-	var demotions int64
-	var prev [][]int
 	waves := [][2][]string{{rn[:nFrag], rs[:nFrag]}, {rn[nFrag:], rs[nFrag:]}}
-	for wi, w := range waves {
-		res, st, err = profam.RunEpoch(context.Background(), st, w[0], w[1], 1, profam.Config{})
-		if err != nil {
-			t.Fatalf("wave %d: %v", wi, err)
+	for _, p := range []int{1, 2, 3} {
+		for _, threads := range []int{1, 4} {
+			t.Run(fmt.Sprintf("p=%d/threads=%d", p, threads), func(t *testing.T) {
+				cfg := profam.Config{ThreadsPerRank: threads}
+				st := profam.NewEpochState()
+				var res *profam.Result
+				var demotions int64
+				var prev [][]int
+				for wi, w := range waves {
+					res, st, err = profam.RunEpoch(context.Background(), st, w[0], w[1], p, cfg)
+					if err != nil {
+						t.Fatalf("wave %d: %v", wi, err)
+					}
+					demotions += metricValue(res.Metrics, "pipeline_epoch_demotions")
+					requireOnlyNewPairsAligned(t, st.Set(), prev, res, 8)
+					prev = res.Components
+				}
+				got := familiesText(t, st.Set(), res)
+				if got != want {
+					t.Errorf("incremental families differ from cold rebuild under demotion:\n--- cold ---\n%s--- incremental ---\n%s", want, got)
+				}
+				if demotions == 0 {
+					t.Error("no demotion recorded in any wave; the fallback path was not exercised")
+				}
+			})
 		}
-		demotions += metricValue(res.Metrics, "pipeline_epoch_demotions")
-		requireOnlyNewPairsAligned(t, st.Set(), prev, res, 8)
-		prev = res.Components
-	}
-	got := familiesText(t, st.Set(), res)
-	if got != want {
-		t.Errorf("incremental families differ from cold rebuild under demotion:\n--- cold ---\n%s--- incremental ---\n%s", want, got)
-	}
-	if demotions == 0 {
-		t.Error("no demotion recorded in any wave; the fallback path was not exercised")
 	}
 }
 
@@ -231,10 +248,11 @@ func TestEpochFamilyCacheHits(t *testing.T) {
 	}
 }
 
-// TestOneEnumerationPerRun: a cold run and an epoch without demotions
-// build one pair index, RR's, and CCD replays the kept pairs of its list,
-// so no {phase=ccd} index series appears. The standalone CCD phase still
-// enumerates its own kept subset.
+// TestOneEnumerationPerRun: a cold run, an epoch without demotions and
+// an epoch with them each build one pair index, RR's. CCD replays the
+// kept pairs of RR's list, and a demotion's cold CCD the committed pair
+// table, so no {phase=ccd} index series appears. The standalone CCD phase
+// still enumerates its own kept subset.
 func TestOneEnumerationPerRun(t *testing.T) {
 	set, _ := workload.Generate(workload.Params{
 		Families: 4, MeanFamilySize: 10, MeanLength: 100,
@@ -277,6 +295,21 @@ func TestOneEnumerationPerRun(t *testing.T) {
 		t.Fatalf("the second epoch demoted %d sequences; it was meant not to", n)
 	}
 	oneIndex("incremental RunEpoch", res.Metrics)
+
+	dset, truth := demotionSet()
+	dn, ds, nFrag := fragmentsFirst(t, dset, truth)
+	_, st, err = profam.RunEpoch(context.Background(), nil, dn[:nFrag], ds[:nFrag], 2, profam.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err = profam.RunEpoch(context.Background(), st, dn[nFrag:], ds[nFrag:], 2, profam.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := metricValue(res.Metrics, "pipeline_epoch_demotions"); n == 0 {
+		t.Fatal("the fragments-first epoch demoted nothing; it was meant to")
+	}
+	oneIndex("demotion RunEpoch", res.Metrics)
 
 	var chars int64
 	_, err = mpi.RunSim(2, mpi.BlueGeneLike(), func(c *mpi.Comm) {

@@ -13,7 +13,8 @@
 // Edges for B_d are discovered with the same maximal-match filter the
 // clustering phases use (a modified PaCE pass without clustering, per the
 // paper): only pairs sharing a ≥ψ maximal match are tested against the
-// edge similarity cutoff, and a pair whose overlap counts are already
+// edge similarity cutoff. The pipeline hands each component the pairs it
+// enumerated for clustering, and a pair whose overlap counts are already
 // known (from CCD, or an earlier epoch) is not aligned again.
 package bipartite
 
@@ -23,6 +24,7 @@ import (
 
 	"profam/internal/align"
 	"profam/internal/esa"
+	"profam/internal/pace"
 	"profam/internal/seq"
 	"profam/internal/suffixtree"
 )
@@ -100,13 +102,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Memo maps a sequence pair, keyed by its IDs within the set with the
-// lower first, to the overlap counts of the local alignment of the lower
-// against the higher. Those counts are a function of the two residue
-// strings alone, so a memo entry is what B_d would compute for the pair
-// in any component and any epoch that holds both sequences.
-type Memo map[[2]int32]align.OverlapCounts
-
 // BuildStats records the work spent constructing a graph, for the
 // virtual-time accounting and metrics of the distributed pipeline.
 // PairsAligned, PairsReused, Cells and Fresh are B_d quantities; Chars
@@ -114,26 +109,48 @@ type Memo map[[2]int32]align.OverlapCounts
 // shared words kept as left vertices).
 type BuildStats struct {
 	PairsAligned int64 // promising pairs aligned here
-	PairsReused  int64 // promising pairs decided from the memo, without DP
+	PairsReused  int64 // promising pairs decided from known counts, without DP
 	Cells        int64
 	Chars        int64
 	Words        int64
-	// Fresh holds the counts of every pair aligned here, for the caller
-	// to commit to its memo (nil when nothing was aligned).
-	Fresh Memo
+	// Fresh holds every pair aligned here with its counts (nil when
+	// nothing was aligned).
+	Fresh []pace.Verdict
 }
 
 // BuildBd constructs the global-similarity reduction of one connected
-// component. members lists the component's sequence IDs within set.
+// component. members lists the component's sequence IDs within set. It
+// enumerates the component's promising pairs over an index of its own;
+// the pipeline, which already holds them, calls BuildBdFrom.
 func BuildBd(set *seq.Set, members []int, cfg Config) (*Graph, BuildStats, error) {
-	return BuildBdMemo(set, members, cfg, nil)
+	cfg = cfg.withDefaults()
+	sorted := append([]int(nil), members...)
+	sort.Ints(sorted)
+	sub, _ := set.Subset(sorted)
+	trees, err := esa.Build(sub, suffixtree.Options{MinMatch: cfg.Psi})
+	if err != nil {
+		return nil, BuildStats{}, err
+	}
+	var pairs []pace.Verdict
+	seen := map[int64]bool{}
+	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {
+		if key := int64(p.SeqA)<<32 | int64(uint32(p.SeqB)); !seen[key] {
+			seen[key] = true
+			// Sub-IDs ascend with set IDs, so the pair stays lower-first.
+			pairs = append(pairs, pace.Verdict{A: int32(sorted[p.SeqA]), B: int32(sorted[p.SeqB])})
+		}
+		return true
+	})
+	g, st := BuildBdFrom(set, members, pairs, cfg)
+	return g, st, nil
 }
 
-// BuildBdMemo is BuildBd deciding every promising pair that memo holds
-// from its counts under cfg.Edge, and aligning only the others. memo is
-// read-only and may be shared by concurrent calls. The graph is the one
-// BuildBd builds: the memo's counts are those BuildBd would compute.
-func BuildBdMemo(set *seq.Set, members []int, cfg Config, memo Memo) (*Graph, BuildStats, error) {
+// BuildBdFrom is BuildBd over pairs, the component's promising pairs,
+// each once: a pair with counts is decided by cfg.Edge.Accept, and a
+// pair without (zero counts) is aligned. It builds BuildBd's graph,
+// since stored counts are those BuildBd would compute. pairs is only
+// read.
+func BuildBdFrom(set *seq.Set, members []int, pairs []pace.Verdict, cfg Config) (*Graph, BuildStats) {
 	cfg = cfg.withDefaults()
 	m := len(members)
 	g := &Graph{
@@ -146,45 +163,31 @@ func BuildBdMemo(set *seq.Set, members []int, cfg Config, memo Memo) (*Graph, Bu
 	}
 	sorted := append([]int(nil), members...)
 	sort.Ints(sorted)
+	local := make(map[int32]int32, m)
 	for i, id := range sorted {
 		g.LeftSeq[i] = int32(id)
 		g.RightSeq[i] = int32(id)
+		local[int32(id)] = int32(i)
 	}
 
-	sub, _ := set.Subset(sorted)
-	trees, err := esa.Build(sub, suffixtree.Options{MinMatch: cfg.Psi})
-	if err != nil {
-		return nil, BuildStats{}, err
-	}
 	al := align.NewAligner(align.DefaultScoring())
-	seen := map[int64]bool{}
 	var st BuildStats
-	suffixtree.MergedPairs(trees, func(p suffixtree.Pair) bool {
-		key := int64(p.SeqA)<<32 | int64(uint32(p.SeqB))
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		// Sub-IDs ascend with set IDs, so the pair stays lower-first.
-		id := [2]int32{g.LeftSeq[p.SeqA], g.LeftSeq[p.SeqB]}
-		counts, ok := memo[id]
-		if ok {
+	for _, p := range pairs {
+		counts := p.Overlap
+		if counts.LongLen > 0 {
 			st.PairsReused++
 		} else {
 			st.PairsAligned++
-			a, b := sub.Get(int(p.SeqA)).Res, sub.Get(int(p.SeqB)).Res
+			a, b := set.Get(int(p.A)).Res, set.Get(int(p.B)).Res
 			counts = align.CountsOf(al.Align(a, b, align.Local), len(a), len(b))
-			if st.Fresh == nil {
-				st.Fresh = Memo{}
-			}
-			st.Fresh[id] = counts
+			st.Fresh = append(st.Fresh, pace.Verdict{A: p.A, B: p.B, Overlap: counts})
 		}
 		if cfg.Edge.Accept(counts) {
-			g.Adj[p.SeqA] = append(g.Adj[p.SeqA], p.SeqB)
-			g.Adj[p.SeqB] = append(g.Adj[p.SeqB], p.SeqA)
+			i, j := local[p.A], local[p.B]
+			g.Adj[i] = append(g.Adj[i], j)
+			g.Adj[j] = append(g.Adj[j], i)
 		}
-		return true
-	})
+	}
 	// Add a self edge to every non-isolated vertex. In B_d the two sides
 	// duplicate the same sequences, and without (i,i) the out-link sets
 	// of two family members always differ by exactly their own two
@@ -201,7 +204,7 @@ func BuildBdMemo(set *seq.Set, members []int, cfg Config, memo Memo) (*Graph, Bu
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 	}
 	st.Cells = al.Cells
-	return g, st, nil
+	return g, st
 }
 
 // BuildBm constructs the domain-based reduction of one connected

@@ -188,9 +188,11 @@ func buildTrees(c *mpi.Comm, set *seq.Set, bucketIdx []int, buckets []suffixtree
 // a phase returns are read back out of the registry when it ends.
 type masterState struct {
 	pending taskHeap
-	seen    map[int64]bool
-	seqno   int64
-	merges  int64 // positive outcomes absorbed (union-find merges / redundancy marks)
+	// seen maps every pair ingested so far to the longest match length
+	// any rank shipped it with.
+	seen   map[int64]int32
+	seqno  int64
+	merges int64 // positive outcomes absorbed (union-find merges / redundancy marks)
 	// mergeLog lists, in absorb order, every worker outcome that changed
 	// the master state, tagged with the worker that produced it; each
 	// worker's replica is sent the entries of the others.
@@ -208,7 +210,7 @@ type loggedMerge struct {
 func newMasterState(logic masterLogic, cfg Config, phase string) *masterState {
 	return &masterState{
 		pending: taskHeap{fifo: cfg.RandomPairOrder},
-		seen:    make(map[int64]bool),
+		seen:    make(map[int64]int32),
 		ctr:     newPhaseCounters(cfg.Metrics, phase),
 		logic:   logic,
 		cfg:     cfg,
@@ -220,11 +222,12 @@ func newMasterState(logic masterLogic, cfg Config, phase string) *masterState {
 func (ms *masterState) ingestPairs(pairs []PairItem) int {
 	for _, pr := range pairs {
 		key := pairKey(pr.A, pr.B)
-		if ms.seen[key] {
+		if l, dup := ms.seen[key]; dup {
+			ms.seen[key] = max(l, pr.Len)
 			ms.ctr.duplicate.Inc()
 			continue
 		}
-		ms.seen[key] = true
+		ms.seen[key] = pr.Len
 		if ms.logic.closed(pr) {
 			ms.ctr.closure.Inc()
 			continue
@@ -681,8 +684,10 @@ func Enumerate(c *mpi.Comm, set *seq.Set, newFrom int, cfg Config, phase string)
 // elsewhere; callers broadcast what they need), with PhaseTime counted
 // from start on rank 0 to the slowest rank's end. Stats are a read-out of
 // the phase's registry counters — the registry is the one accumulation
-// path.
-func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl workerLogic, cfg Config, phase string, start float64) Stats {
+// path. At p ≥ 2 the master ingests its own list (a demotion's replay)
+// before serving, as it ingests a worker's, and returns what it ingested:
+// each distinct pair with its longest match length.
+func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl workerLogic, cfg Config, phase string, start float64) (Stats, map[int64]int32) {
 	if cfg.Metrics == nil {
 		// Private registry so the counter-backed Stats still work for
 		// direct API callers that don't collect metrics.
@@ -696,21 +701,23 @@ func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl wo
 		sp.End()
 		st := ctr.stats()
 		st.PhaseTime = c.Time() - start
-		return st
+		return st, nil
 	case c.Rank() == 0:
 		// The master owns the clustering state; each worker's own ml
 		// serves as its replica of it.
 		ms := newMasterState(ml, cfg, phase)
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
+		ms.ctr.generated.Add(int64(len(pairs)))
+		c.Advance(float64(ms.ingestPairs(pairs)) * DefaultCostParams().SecPerPairFilter)
 		runMaster(c, ms)
 		sp.End()
 		st := ms.ctr.stats()
 		st.PhaseTime = c.MaxFloat64(c.Time()) - start
-		return st
+		return st, ms.seen
 	default:
 		runWorker(c, set, wl, ml, pairs, cfg, phase)
 		c.MaxFloat64(c.Time())
-		return Stats{}
+		return Stats{}, nil
 	}
 }
 
@@ -751,7 +758,7 @@ func redundancyRemoval(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool
 	cfg = cfg.withDefaults()
 	ml := &rrMaster{set: set, redundant: make([]bool, set.Len())}
 	copy(ml.redundant, prior)
-	st := runPhase(c, set, pairs, ml, rrWorker{params: cfg.Contain, exact: exact}, cfg, "rr", start)
+	st, _ := runPhase(c, set, pairs, ml, rrWorker{params: cfg.Contain, exact: exact}, cfg, "rr", start)
 	keep := make([]bool, set.Len())
 	if c.Rank() == 0 {
 		for i := range keep {
@@ -785,7 +792,7 @@ func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]
 	for i, p := range pairs { // orig ascends, so A < B still holds
 		pairs[i].A, pairs[i].B = int32(orig[p.A]), int32(orig[p.B])
 	}
-	comp, _, _, st, err := connectedComponents(c, set, keep, pairs, nil, 0, cfg, start)
+	comp, _, _, _, st, err := connectedComponents(c, set, keep, pairs, nil, 0, cfg, start)
 	return comp, st, err
 }
 
@@ -800,19 +807,21 @@ func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]
 // partition. Alongside comp it returns, on rank 0 only (nil on other
 // ranks), the resulting union–find over the whole set — redundant
 // sequences stay singletons — so the caller can commit it as the next
-// epoch's prior, and the verdict of every pair the phase aligned. Each
-// verdict's counts are those of the local alignment of the lower ID
-// against the higher one.
-func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, []Verdict, Stats, error) {
+// epoch's prior; every kept–kept pair the phase handled, once and in no
+// particular order (rank 0's own kept pairs at p = 1, the master's
+// de-duplicated ingest at p ≥ 2); and the verdict of every pair the
+// phase aligned. Each verdict's counts are those of the local alignment
+// of the lower ID against the higher one.
+func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, []PairItem, []Verdict, Stats, error) {
 	return connectedComponents(c, set, keep, pairs, prior, newFrom, cfg, c.Time())
 }
 
-func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config, start float64) ([]int32, *unionfind.UF, []Verdict, Stats, error) {
+func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config, start float64) ([]int32, *unionfind.UF, []PairItem, []Verdict, Stats, error) {
 	cfg = cfg.withDefaults()
 	uf := unionfind.New(set.Len())
 	if prior != nil {
 		if prior.Len() != newFrom {
-			return nil, nil, nil, Stats{}, fmt.Errorf("pace: prior union-find covers %d sequences, the prior corpus has %d", prior.Len(), newFrom)
+			return nil, nil, nil, nil, Stats{}, fmt.Errorf("pace: prior union-find covers %d sequences, the prior corpus has %d", prior.Len(), newFrom)
 		}
 		uf = prior.Clone()
 		uf.Extend(set.Len())
@@ -827,7 +836,13 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairIte
 		pairs = kept
 	}
 	ml := &ccMaster{uf: uf, disableFilter: cfg.DisableClosureFilter}
-	st := runPhase(c, set, pairs, ml, ccWorker{params: cfg.Overlap}, cfg, "ccd", start)
+	st, seen := runPhase(c, set, pairs, ml, ccWorker{params: cfg.Overlap}, cfg, "ccd", start)
+	if seen != nil {
+		pairs = make([]PairItem, 0, len(seen))
+		for k, l := range seen {
+			pairs = append(pairs, PairItem{A: int32(k >> 32), B: int32(k), Len: l})
+		}
+	}
 
 	comp := make([]int32, set.Len())
 	if c.Rank() == 0 {
@@ -848,9 +863,9 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairIte
 	comp = c.Bcast(0, comp).([]int32)
 	st = broadcastStats(c, st)
 	if c.Rank() != 0 {
-		return comp, nil, nil, st, nil
+		return comp, nil, nil, nil, st, nil
 	}
-	return comp, uf, ml.verdicts, st, nil
+	return comp, uf, pairs, ml.verdicts, st, nil
 }
 
 // broadcastStats shares the master's stats with all ranks.

@@ -9,7 +9,9 @@
 // lists its "promising pairs" — pairs of sequences sharing a maximal
 // exact match of length ≥ ψ — in decreasing match-length order
 // (Enumerate). A pipeline run enumerates once: RR ships the whole list to
-// the master, CCD the pairs with both sides kept. The master maintains
+// the master, CCD the pairs with both sides kept, and CCD hands those
+// back to the caller, whose pair table feeds phase 3 and a later
+// demotion's cold CCD. The master maintains
 // the global clustering state,
 // filters incoming pairs (duplicate elimination plus the closure test:
 // for CCD, pairs already in one cluster; for RR, pairs whose later side
@@ -187,18 +189,15 @@ type AlignOutcome struct {
 	Overlap align.OverlapCounts
 }
 
-// Verdict is one pair CCD aligned, in original sequence IDs (A < B),
-// with the counts its verdict was read from.
+// Verdict is one pair in original sequence IDs (A < B) with the overlap
+// counts of the local alignment of A against B, which CCD's verdict on
+// it, or a B_d edge, is read from. Counts depend on the two residue
+// strings alone. Zero counts mark a pair not aligned yet: a computed
+// LongLen is the longer sequence's length.
 type Verdict struct {
 	A, B    int32
 	Overlap align.OverlapCounts
 }
-
-// Verdicts is a verdict list as it travels between ranks.
-type Verdicts []Verdict
-
-// WireSize implements mpi.Sized.
-func (v Verdicts) WireSize() int { return 16 + 24*len(v) }
 
 // WorkerMsg is the worker→master payload: the next pair batch and the
 // outcomes of the worker's most recently finished task batch. Every
@@ -249,7 +248,6 @@ func RegisterWireTypes() {
 	mpi.RegisterType([]bool{})
 	mpi.RegisterType([]int32{})
 	mpi.RegisterType(Stats{})
-	mpi.RegisterType(Verdicts{})
 	mpi.RegisterType(float64(0))
 }
 

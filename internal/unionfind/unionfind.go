@@ -98,14 +98,3 @@ func (u *UF) Extend(n int) {
 
 // Same reports whether x and y are in the same set.
 func (u *UF) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
-
-// Components enumerates the sets as a map from representative to the
-// sorted-by-insertion members of that set.
-func (u *UF) Components() map[int][]int {
-	out := make(map[int][]int)
-	for i := range u.parent {
-		r := u.Find(i)
-		out[r] = append(out[r], i)
-	}
-	return out
-}

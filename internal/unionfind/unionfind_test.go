@@ -39,23 +39,6 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	u := New(5)
-	u.Union(0, 2)
-	u.Union(3, 4)
-	comps := u.Components()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
-	total := 0
-	for _, m := range comps {
-		total += len(m)
-	}
-	if total != 5 {
-		t.Errorf("components cover %d elements, want 5", total)
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	u := New(6)
 	u.Union(0, 1)

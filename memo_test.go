@@ -1,7 +1,10 @@
 package profam_test
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"profam"
@@ -64,18 +67,21 @@ func insideComponents(verdicts []pace.Verdict, comps [][]int) int64 {
 	return n
 }
 
-// TestBdMemoMatchesBuildBd: B_d graphs built from CCD's counts equal
-// plain BuildBd graphs adjacency for adjacency, on every component of
-// two corpora at simulated p ∈ {1, 2, 4} × threads ∈ {1, 4}. The memo
-// decides exactly the CCD pairs inside each component, every other
-// enumerated pair is aligned, and the fresh counts are the ones a plain
-// build computes.
+// TestBdMemoMatchesBuildBd: B_d graphs built from CCD's pair list and
+// counts, as the pipeline's pair table feeds them, equal the graphs of
+// the enumerating BuildBd adjacency for adjacency, on every component of
+// two corpora at simulated p ∈ {1, 2, 4} × threads ∈ {1, 4}. The list
+// holds exactly the pairs BuildBd enumerates in each component, aligned
+// or reused; the counts decide exactly the CCD pairs inside each
+// component, and the fresh counts are the ones BuildBd computes.
 func TestBdMemoMatchesBuildBd(t *testing.T) {
 	for _, tc := range memoCases() {
 		for _, p := range []int{1, 2, 4} {
 			for _, threads := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/ranks=%d/threads=%d", tc.name, p, threads), func(t *testing.T) {
+					var list []pace.PairItem
 					var verdicts []pace.Verdict
+					var comp []int32
 					var comps [][]int
 					_, err := mpi.RunSim(p, mpi.BlueGeneLike(), func(c *mpi.Comm) {
 						pcfg := tc.pace
@@ -85,23 +91,29 @@ func TestBdMemoMatchesBuildBd(t *testing.T) {
 							panic(err)
 						}
 						keep, _ := pace.RedundancyRemovalFrom(c, tc.set, pairs, nil, pcfg)
-						comp, _, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, keep, pairs, nil, 0, pcfg)
+						cc, _, l, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, keep, pairs, nil, 0, pcfg)
 						if err != nil {
 							panic(err)
 						}
 						if c.Rank() == 0 {
-							verdicts, comps = v, pace.ComponentsBySize(comp, tc.minComp)
+							list, verdicts, comp, comps = l, v, cc, pace.ComponentsBySize(cc, tc.minComp)
 						}
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					memo := bipartite.Memo{}
+					counts := map[[2]int32]align.OverlapCounts{}
 					for _, v := range verdicts {
 						if v.A >= v.B {
 							t.Fatalf("verdict (%d, %d) is not lower-first", v.A, v.B)
 						}
-						memo[[2]int32{v.A, v.B}] = v.Overlap
+						counts[[2]int32{v.A, v.B}] = v.Overlap
+					}
+					byComp := map[int32][]pace.Verdict{}
+					for _, pr := range list {
+						if l := comp[pr.A]; l == comp[pr.B] {
+							byComp[l] = append(byComp[l], pace.Verdict{A: pr.A, B: pr.B, Overlap: counts[[2]int32{pr.A, pr.B}]})
+						}
 					}
 					var reused int64
 					for _, members := range comps {
@@ -109,12 +121,9 @@ func TestBdMemoMatchesBuildBd(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, st, err := bipartite.BuildBdMemo(tc.set, members, tc.bip, memo)
-						if err != nil {
-							t.Fatal(err)
-						}
+						got, st := bipartite.BuildBdFrom(tc.set, members, byComp[comp[members[0]]], tc.bip)
 						if fmt.Sprint(got.Adj, got.LeftSeq) != fmt.Sprint(plain.Adj, plain.LeftSeq) {
-							t.Fatalf("component of %d: memo-built B_d differs from BuildBd", len(members))
+							t.Fatalf("component of %d: list-fed B_d differs from BuildBd", len(members))
 						}
 						if st.PairsAligned+st.PairsReused != pst.PairsAligned {
 							t.Fatalf("component of %d: %d aligned + %d reused, BuildBd enumerates %d",
@@ -123,23 +132,27 @@ func TestBdMemoMatchesBuildBd(t *testing.T) {
 						if int64(len(st.Fresh)) != st.PairsAligned {
 							t.Fatalf("%d fresh counts for %d aligned pairs", len(st.Fresh), st.PairsAligned)
 						}
-						for k, oc := range st.Fresh {
-							if want := pst.Fresh[k]; oc != want {
-								t.Fatalf("pair %v: fresh counts %+v, BuildBd's %+v", k, oc, want)
+						want := map[[2]int32]align.OverlapCounts{}
+						for _, f := range pst.Fresh {
+							want[[2]int32{f.A, f.B}] = f.Overlap
+						}
+						for _, f := range st.Fresh {
+							if oc := want[[2]int32{f.A, f.B}]; f.Overlap != oc {
+								t.Fatalf("pair (%d, %d): fresh counts %+v, BuildBd's %+v", f.A, f.B, f.Overlap, oc)
 							}
 						}
-						for k, oc := range memo {
-							if want, ok := pst.Fresh[k]; ok && oc != want {
-								t.Fatalf("pair %v: CCD counts %+v, BuildBd's %+v", k, oc, want)
+						for k, oc := range counts {
+							if w, ok := want[k]; ok && oc != w {
+								t.Fatalf("pair %v: CCD counts %+v, BuildBd's %+v", k, oc, w)
 							}
 						}
 						reused += st.PairsReused
 					}
 					if want := insideComponents(verdicts, comps); reused != want {
-						t.Errorf("memo decided %d pairs, CCD aligned %d inside components", reused, want)
+						t.Errorf("counts decided %d pairs, CCD aligned %d inside components", reused, want)
 					}
 					if reused == 0 {
-						t.Error("no pair decided from the memo")
+						t.Error("no pair decided from CCD's counts")
 					}
 				})
 			}
@@ -173,7 +186,7 @@ func TestBdAlignsEachPairOnce(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				comp, _, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, res.Keep, pairs, nil, 0, tc.pace)
+				comp, _, _, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, res.Keep, pairs, nil, 0, tc.pace)
 				if err != nil {
 					panic(err)
 				}
@@ -273,5 +286,87 @@ func requireOnlyNewPairsAligned(t *testing.T, set *seq.Set, prev [][]int, res *p
 	}
 	if aligned > withNew {
 		t.Errorf("B_d aligned %d pairs, only %d have a member new to its component", aligned, withNew)
+	}
+}
+
+// TestPairTableInvariant is the pair table's property test: over random
+// corpora, arrival orders (fragments first forces demotions), wave splits
+// and rank counts, after every RunEpoch wave the committed table holds
+// exactly the pairs of two kept sequences that a cold enumeration of the
+// union corpus lists, every count it stores is that of the local
+// alignment of the lower ID against the higher, and the families equal a
+// cold run's over the union corpus.
+func TestPairTableInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	al := align.NewAligner(align.DefaultScoring())
+	var demotions, known int64
+	for trial := range 6 {
+		set, truth := workload.Generate(workload.Params{
+			Families: 2 + rng.Intn(3), MeanFamilySize: 6 + rng.Intn(6), MeanLength: 80 + rng.Intn(40),
+			Divergence: 0.05 + 0.05*rng.Float64(), ContainedFrac: 0.4 * rng.Float64(),
+			Singletons: rng.Intn(4), Seed: rng.Int63(),
+		})
+		names, seqs := setStrings(set)
+		if trial%2 == 1 && slices.Contains(truth.Redundant, true) {
+			names, seqs, _ = fragmentsFirst(t, set, truth)
+		}
+		p := 1 + rng.Intn(3)
+		waves := splitWaves(names, seqs, 2+rng.Intn(3))
+		t.Run(fmt.Sprintf("trial=%d/p=%d/waves=%d", trial, p, len(waves)), func(t *testing.T) {
+			st := profam.NewEpochState()
+			for wi, w := range waves {
+				res, next, err := profam.RunEpoch(context.Background(), st, w[0], w[1], p, profam.Config{})
+				if err != nil {
+					t.Fatalf("wave %d: %v", wi, err)
+				}
+				st = next
+				demotions += metricValue(res.Metrics, "pipeline_epoch_demotions")
+				union := st.Set()
+				cold, _, err := profam.RunSet(union, 1, false, profam.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if familiesText(t, union, res) != familiesText(t, union, cold) {
+					t.Fatalf("wave %d: families differ from a cold run over the union corpus", wi)
+				}
+				var enumerated []pace.PairItem
+				if _, err := mpi.RunSim(1, mpi.BlueGeneLike(), func(c *mpi.Comm) {
+					if enumerated, err = pace.Enumerate(c, union, 0, pace.Config{Psi: 8}, "rr"); err != nil {
+						panic(err)
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				want := map[[2]int32]bool{}
+				for _, pr := range enumerated {
+					if res.Keep[pr.A] && res.Keep[pr.B] {
+						want[[2]int32{pr.A, pr.B}] = true
+					}
+				}
+				table := profam.PairTable(st)
+				if len(table) != len(want) {
+					t.Errorf("wave %d: table holds %d pairs, the union corpus has %d kept–kept pairs", wi, len(table), len(want))
+				}
+				for k, oc := range table {
+					if !want[k] {
+						t.Fatalf("wave %d: table pair %v is not a kept–kept promising pair", wi, k)
+					}
+					if oc == (align.OverlapCounts{}) {
+						continue
+					}
+					known++
+					a, b := union.Get(int(k[0])).Res, union.Get(int(k[1])).Res
+					if exact := align.CountsOf(al.Align(a, b, align.Local), len(a), len(b)); oc != exact {
+						t.Fatalf("wave %d: pair %v stores counts %+v, its alignment gives %+v", wi, k, oc, exact)
+					}
+				}
+			}
+		})
+	}
+	if demotions == 0 {
+		t.Error("no trial demoted a sequence; the replay was not exercised")
+	}
+	if known == 0 {
+		t.Error("no table pair carried counts")
 	}
 }

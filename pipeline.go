@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"runtime"
 	"time"
 
@@ -34,14 +33,14 @@ type wireFamily struct {
 func (w wireFamily) WireSize() int { return 28 + 4*len(w.Members) }
 
 // familyBatch is one rank's phase 3+4 output: its families and the
-// counts of every pair its B_d builds aligned, for rank 0's memo.
+// counts of every pair its B_d builds aligned, for rank 0's pair table.
 type familyBatch struct {
 	Families []wireFamily
-	Fresh    pace.Verdicts
+	Fresh    []pace.Verdict
 }
 
 func (b familyBatch) WireSize() int {
-	n := b.Fresh.WireSize()
+	n := 16 + 24*len(b.Fresh)
 	for _, f := range b.Families {
 		n += f.WireSize()
 	}
@@ -55,6 +54,7 @@ func (b familyBatch) WireSize() int {
 func RegisterWireTypes() {
 	pace.RegisterWireTypes()
 	mpi.RegisterType(familyBatch{})
+	mpi.RegisterType(componentPairs{})
 	mpi.RegisterType(metrics.Snapshot{})
 	mpi.RegisterType(metrics.Report{})
 	mpi.RegisterType(trace.RankTrace{})
@@ -152,10 +152,10 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 	// the kept pairs of RR's list. Incremental CCD is sound only while
 	// every previously-kept sequence stays kept: union–find can merge but
 	// never split. If a new arrival demoted an old sequence (contains it),
-	// fall back to a cold CCD for this epoch, which needs the old–old
-	// pairs the list left out, so it enumerates again. The scan runs on
-	// every rank over the broadcast keep mask, so the fallback decision is
-	// collective for free.
+	// fall back to a cold CCD for this epoch. It needs the old–old pairs
+	// the list left out, which the prior's pair table holds: rank 0
+	// replays them. The scan runs on every rank over the broadcast keep
+	// mask, so the fallback decision is collective for free.
 	tracer.Instant(trace.CatPipeline, "phase:ccd", "", 0, "", 0)
 	ccdSpan := reg.StartSpan("ccd")
 	ccPrior, ccNewFrom := prior.uf, newFrom
@@ -165,14 +165,12 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 			if c.Rank() == 0 {
 				reg.Counter("pipeline_epoch_demotions").Add(1)
 				log.Info("prior sequence demoted by new arrival; cold CCD rebuild", "t", c.Time())
-			}
-			if pairs, err = pace.Enumerate(c, set, 0, pcfg, "ccd"); err != nil {
-				return nil, nil, err
+				pairs = prior.table.replay(pairs)
 			}
 			break
 		}
 	}
-	comp, ccUF, ccVerdicts, ccStats, err := pace.ConnectedComponentsFrom(c, set, keep, pairs, ccPrior, ccNewFrom, pcfg)
+	comp, ccUF, ccPairs, ccVerdicts, ccStats, err := pace.ConnectedComponentsFrom(c, set, keep, pairs, ccPrior, ccNewFrom, pcfg)
 	ccdSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -211,28 +209,25 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 		reg.Counter("pipeline_components_cached").Add(int64(hits))
 	}
 
-	// Pair memo: B_d decides every pair some earlier alignment already
-	// has counts for, without DP. Rank 0 merges the prior epoch's memo
-	// with this run's CCD verdicts into a new map (the committed state is
-	// immutable) and broadcasts the entries inside the components B_d
-	// will build; B_m aligns nothing, so it skips all of this.
-	//
-	// On rank 0 memo holds every count this epoch knows; elsewhere, the
-	// broadcast entries. B_d builds only read it.
-	var memo bipartite.Memo
+	// Pair table: every kept–kept promising pair, with the counts of any
+	// alignment already computed. Rank 0 builds this epoch's table from
+	// the prior's and CCD's list (the committed table is immutable) and
+	// broadcasts the pairs inside each component B_d will build, so no
+	// rank indexes a component and B_d aligns only pairs without counts.
+	// B_m aligns nothing, so it skips the broadcast.
+	var table pairTable
+	if c.Rank() == 0 {
+		table = prior.table.next(keep, ccPairs, ccVerdicts)
+	}
+	var inside componentPairs
 	if cfg.Reduction == GlobalSimilarity {
-		var inside pace.Verdicts
 		if c.Rank() == 0 {
-			memo = mergeMemo(prior.memo, ccVerdicts)
-			inside = memoInside(memo, comp, missComps)
+			inside = table.inside(comp, missComps)
 		}
-		inside = c.Bcast(0, inside).(pace.Verdicts)
-		if c.Rank() != 0 {
-			memo = mergeMemo(nil, inside)
-		}
+		inside = c.Bcast(0, inside).(componentPairs)
 	}
 
-	local, bggTime, dsdTime, err := buildFamilies(c, set, cfg, reg, tracer, missComps, missIdx, memo)
+	local, bggTime, dsdTime, err := buildFamilies(c, set, cfg, reg, tracer, missComps, missIdx, inside)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -247,9 +242,7 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 		for _, g := range gathered {
 			b := g.(familyBatch)
 			all = append(all, b.Families...)
-			for _, v := range b.Fresh {
-				memo[[2]int32{v.A, v.B}] = v.Overlap
-			}
+			table.setCounts(b.Fresh)
 		}
 		for i, k := range keys {
 			for _, w := range prior.famCache[k] {
@@ -271,7 +264,7 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 	sortFamilies(res.Families)
 
 	if c.Rank() == 0 {
-		next = nextState(set, keep, comp, ccUF, keys, all, memo)
+		next = nextState(set, keep, ccUF, keys, all, table)
 	}
 
 	res.BGGTime = c.MaxFloat64(bggTime)
@@ -302,16 +295,9 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 // nextState is the state a run over set commits for the next epoch: the
 // full redundancy verdict, CCD's union–find over set, a family-cache
 // entry per component keyed by keys (family-less components included —
-// their absence of families is itself a reusable result), and memo
-// pruned, in place, to pairs whose two sequences share a final component
-// — the only pairs a later B_d build can enumerate without a new arrival
-// joining them.
-func nextState(set *seq.Set, keep []bool, comp []int32, uf *unionfind.UF, keys []string, fams []wireFamily, memo bipartite.Memo) *EpochState {
-	for k := range memo {
-		if l := comp[k[0]]; l < 0 || l != comp[k[1]] {
-			delete(memo, k)
-		}
-	}
+// their absence of families is itself a reusable result), and the pair
+// table.
+func nextState(set *seq.Set, keep []bool, uf *unionfind.UF, keys []string, fams []wireFamily, table pairTable) *EpochState {
 	redundant := make([]bool, len(keep))
 	for i, k := range keep {
 		redundant[i] = !k
@@ -324,7 +310,7 @@ func nextState(set *seq.Set, keep []bool, comp []int32, uf *unionfind.UF, keys [
 		k := keys[w.Comp]
 		famCache[k] = append(famCache[k], w)
 	}
-	return &EpochState{set: set, redundant: redundant, uf: uf, famCache: famCache, memo: memo}
+	return &EpochState{set: set, redundant: redundant, uf: uf, famCache: famCache, table: table}
 }
 
 // buildFamilies runs phases 3+4 on this rank's share of comps: per
@@ -333,10 +319,11 @@ func nextState(set *seq.Set, keep []bool, comp []int32, uf *unionfind.UF, keys [
 // cost) and processed independently — no communication, exactly as the
 // paper argues dense subgraphs cannot span components. idx[k] is the
 // index of comps[k] among the epoch's components, stamped on its
-// families. It returns the rank's families with the counts of every pair
+// families, and under B_d inside[k] lists the promising pairs inside
+// comps[k]. It returns the rank's families with the counts of every pair
 // its B_d builds aligned, and the rank's BGG and DSD seconds.
 func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry, tracer *trace.Tracer,
-	comps [][]int, idx []int, memo bipartite.Memo) (out familyBatch, bggTime, dsdTime float64, err error) {
+	comps [][]int, idx []int, inside componentPairs) (out familyBatch, bggTime, dsdTime float64, err error) {
 	tracer.Instant(trace.CatPipeline, "phase:bgg", "", 0, "", 0)
 	mine := bipartite.DistributeComponents(comps, c.Size())[c.Rank()]
 	bcfg := cfg.bipartiteConfig()
@@ -377,7 +364,7 @@ func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry,
 		if cfg.Reduction == DomainBased {
 			g, j.build, j.err = bipartite.BuildBm(set, members, bcfg)
 		} else {
-			g, j.build, j.err = bipartite.BuildBdMemo(set, members, bcfg, memo)
+			g, j.build = bipartite.BuildBdFrom(set, members, inside[mine[i]], bcfg)
 		}
 		if j.err != nil {
 			return
@@ -413,9 +400,7 @@ func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry,
 		build.PairsReused += j.build.PairsReused
 		build.Chars += j.build.Chars
 		build.Words += j.build.Words
-		for k, oc := range j.build.Fresh {
-			out.Fresh = append(out.Fresh, pace.Verdict{A: k[0], B: k[1], Overlap: oc})
-		}
+		out.Fresh = append(out.Fresh, j.build.Fresh...)
 		sh.ShinglesPass1 += j.sh.ShinglesPass1
 		sh.ShinglesPass2 += j.sh.ShinglesPass2
 		sh.Candidates += j.sh.Candidates
@@ -446,8 +431,8 @@ func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry,
 	// Advance is a no-op and the elapsed time of the parallel section
 	// (t1-t0) is apportioned between the phases by the seconds the jobs
 	// measured in each; under simtime that section takes no virtual time.
-	// B_d enumerates every promising pair, reused or aligned; only the
-	// aligned ones cost DP cells.
+	// B_d visits every promising pair of its component, reused or
+	// aligned; only the aligned ones cost DP cells.
 	costs := pace.DefaultCostParams()
 	bggAdv := float64(pool.CeilDiv(build.Cells, threads))*costs.SecPerCell +
 		float64(pool.CeilDiv(build.PairsAligned+build.PairsReused, threads))*costs.SecPerPairGen +
@@ -508,34 +493,6 @@ func shareReports(c *mpi.Comm, reg *metrics.Registry, tracer *trace.Tracer) (*me
 	}
 	timeline := c.Bcast(0, *tl).(trace.Timeline)
 	return &merged, &timeline
-}
-
-// mergeMemo returns a new memo holding prior's entries and the counts of
-// every verdict. A verdict overwrites nothing it disagrees with: both are
-// the counts of the same alignment of the same two residue strings.
-func mergeMemo(prior bipartite.Memo, verdicts []pace.Verdict) bipartite.Memo {
-	memo := make(bipartite.Memo, len(prior)+len(verdicts))
-	maps.Copy(memo, prior)
-	for _, v := range verdicts {
-		memo[[2]int32{v.A, v.B}] = v.Overlap
-	}
-	return memo
-}
-
-// memoInside lists the memo entries whose two sequences lie in one of
-// comps, given the component label of every sequence.
-func memoInside(memo bipartite.Memo, comp []int32, comps [][]int) pace.Verdicts {
-	built := make(map[int32]bool, len(comps))
-	for _, members := range comps {
-		built[comp[members[0]]] = true
-	}
-	out := pace.Verdicts{}
-	for k, oc := range memo {
-		if l := comp[k[0]]; l == comp[k[1]] && built[l] {
-			out = append(out, pace.Verdict{A: k[0], B: k[1], Overlap: oc})
-		}
-	}
-	return out
 }
 
 // observe builds rank c's metrics registry, the run's single reporting
