@@ -41,7 +41,8 @@ func TestPipelineDeterministic(t *testing.T) {
 }
 
 // TestPipelineTCPMatchesSerial runs the complete pipeline over real
-// sockets and requires identical output to the serial reference.
+// sockets and requires identical output to the serial reference. Rank 0
+// alone holds the result: ranks 1 and 2 return nil, nil.
 func TestPipelineTCPMatchesSerial(t *testing.T) {
 	profam.RegisterWireTypes()
 	set, _ := integrationSet()
@@ -56,12 +57,18 @@ func TestPipelineTCPMatchesSerial(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if c.Rank() == 2 {
+		switch {
+		case c.Rank() == 0:
 			got = res
+		case res != nil:
+			panic(fmt.Sprintf("rank %d returned a result", c.Rank()))
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got == nil {
+		t.Fatal("rank 0 returned no result")
 	}
 	if fmt.Sprint(got.Families) != fmt.Sprint(want.Families) {
 		t.Error("TCP pipeline result differs from serial")

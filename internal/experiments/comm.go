@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"profam/internal/metrics"
 	"profam/internal/mpi"
 	"profam/internal/pace"
 )
@@ -26,9 +27,10 @@ func Comm(scale float64) ([]CommRow, error) {
 	var rows []CommRow
 	for _, p := range []int{4, 16, 64, 256} {
 		row := CommRow{N: set.Len(), P: p}
-		var masterSent, masterRecv, masterBytes int64
-		totals := make([]mpi.CommStats, p)
+		regs := make([]*metrics.Registry, p)
 		_, err := mpi.RunSim(p, mpi.BlueGeneLike(), func(c *mpi.Comm) {
+			regs[c.Rank()] = metrics.New(c.Rank(), c.Time)
+			c.AttachMetrics(regs[c.Rank()])
 			keep, _, err := pace.RedundancyRemoval(c, set, pace.Config{Psi: 7})
 			if err != nil {
 				panic(err)
@@ -36,20 +38,18 @@ func Comm(scale float64) ([]CommRow, error) {
 			if _, _, err := pace.ConnectedComponents(c, set, keep, pace.Config{Psi: 7}); err != nil {
 				panic(err)
 			}
-			st := c.Stats()
-			totals[c.Rank()] = st
-			if c.Rank() == 0 {
-				masterSent, masterRecv, masterBytes = st.MsgsSent, st.MsgsRecv, st.BytesSent
-			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		row.MasterMsgs = masterSent + masterRecv
-		row.MasterBytes = masterBytes
-		for _, st := range totals {
-			row.TotalMsgs += st.MsgsSent
-			row.TotalBytes += st.BytesSent
+		count := func(r int, name string) int64 {
+			return regs[r].Counter(metrics.Name(name, "transport", "sim")).Value()
+		}
+		row.MasterMsgs = count(0, "mpi_msgs_sent") + count(0, "mpi_msgs_recv")
+		row.MasterBytes = count(0, "mpi_bytes_sent")
+		for r := range regs {
+			row.TotalMsgs += count(r, "mpi_msgs_sent")
+			row.TotalBytes += count(r, "mpi_bytes_sent")
 		}
 		rows = append(rows, row)
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"testing"
+
+	"profam/internal/metrics"
 )
 
 // codecPayload is a toy BinaryPayload: a slice of small deltas that gob
@@ -58,10 +60,12 @@ func TestBinaryFrameTCPRoundTrip(t *testing.T) {
 	var bytesSent int64
 	err := RunTCP(2, 0, func(c *Comm) {
 		if c.Rank() == 0 {
+			reg := metrics.New(0, c.Time)
+			c.AttachMetrics(reg)
 			for i := 0; i < 4; i++ {
 				c.Send(1, 5, codecPayload{Vals: vals})
 			}
-			bytesSent = c.Stats().BytesSent
+			bytesSent = reg.Counter("mpi_bytes_sent{transport=tcp}").Value()
 			return
 		}
 		for i := 0; i < 4; i++ {

@@ -97,20 +97,11 @@ type transport interface {
 	time() float64
 }
 
-// CommStats counts this rank's communication volume.
-type CommStats struct {
-	MsgsSent  int64
-	BytesSent int64
-	MsgsRecv  int64
-	BytesRecv int64
-}
-
 // Comm is a communicator bound to one rank of a p-rank job.
 // It is used by exactly one goroutine at a time.
 type Comm struct {
 	tr      transport
 	collSeq int
-	stats   CommStats
 
 	// Optional metric handles attached with AttachMetrics; nil-safe.
 	msgsSent, bytesSent *metrics.Counter
@@ -119,10 +110,6 @@ type Comm struct {
 	// Optional event tracer attached with AttachTracer; nil disables.
 	tracer *trace.Tracer
 }
-
-// Stats returns the communication counters accumulated so far (messages
-// from collectives included).
-func (c *Comm) Stats() CommStats { return c.stats }
 
 // AttachMetrics routes this rank's communication volume — messages and
 // bytes sent and received, labeled by transport — into reg. Pass the
@@ -145,8 +132,6 @@ func (c *Comm) AttachTracer(tr *trace.Tracer) { c.tracer = tr }
 // (point-to-point and collectives) goes through them.
 func (c *Comm) send(to, tag int, data any) {
 	nb := int64(c.tr.send(to, tag, data))
-	c.stats.MsgsSent++
-	c.stats.BytesSent += nb
 	c.msgsSent.Inc()
 	c.bytesSent.Add(nb)
 	if c.tracer != nil {
@@ -164,8 +149,6 @@ func (c *Comm) recv(from, tag int) Message {
 	if nb == 0 {
 		nb = int64(payloadBytes(m.Data))
 	}
-	c.stats.MsgsRecv++
-	c.stats.BytesRecv += nb
 	c.msgsRecv.Inc()
 	c.bytesRecv.Add(nb)
 	if c.tracer != nil {
@@ -287,19 +270,20 @@ func (c *Comm) Gather(root int, data any) []any {
 	return nil
 }
 
-// MaxFloat64 is a convenience Allreduce-max, used to compute a job's
+// MaxFloat64 is a reduce-max to rank 0, used for a phase time or a job's
 // makespan (the maximum per-rank finish time): rank 0 folds every rank's
-// value, then broadcasts the maximum.
+// value and returns the maximum; every other rank sends its value and
+// gets it back.
 func (c *Comm) MaxFloat64(v float64) float64 {
 	tag := c.nextCollTag()
-	if c.Rank() == 0 {
-		for i := 1; i < c.Size(); i++ {
-			if x := c.recv(Any, tag).Data.(float64); x > v {
-				v = x
-			}
-		}
-	} else {
+	if c.Rank() != 0 {
 		c.send(0, tag, v)
+		return v
 	}
-	return c.Bcast(0, v).(float64)
+	for i := 1; i < c.Size(); i++ {
+		if x := c.recv(Any, tag).Data.(float64); x > v {
+			v = x
+		}
+	}
+	return v
 }

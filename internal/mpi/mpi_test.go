@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"profam/internal/metrics"
 )
 
 func TestInprocRing(t *testing.T) {
@@ -75,16 +77,26 @@ func TestCollectives(t *testing.T) {
 				} else if all != nil {
 					panic("non-root gather should be nil")
 				}
-				mx := c.MaxFloat64(float64(c.Rank()))
-				if mx != float64(p-1) {
-					panic(fmt.Sprintf("max = %v", mx))
-				}
+				checkReduceMax(c)
 				c.Barrier()
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// checkReduceMax asserts MaxFloat64's reduce semantics: rank 0 gets the
+// maximum, every other rank its own input back.
+func checkReduceMax(c *Comm) {
+	in := float64(c.Rank())
+	want := in
+	if c.Rank() == 0 {
+		want = float64(c.Size() - 1)
+	}
+	if got := c.MaxFloat64(in); got != want {
+		panic(fmt.Sprintf("%s rank %d: MaxFloat64(%v) = %v, want %v", c.tr.name(), c.Rank(), in, got, want))
 	}
 }
 
@@ -336,9 +348,7 @@ func TestSimMasterWorkerScaling(t *testing.T) {
 
 func TestSimCollectives(t *testing.T) {
 	_, err := RunSim(4, BlueGeneLike(), func(c *Comm) {
-		if v := c.MaxFloat64(float64(c.Rank())); v != 3 {
-			panic("allreduce-max under sim wrong")
-		}
+		checkReduceMax(c)
 		c.Barrier()
 	})
 	if err != nil {
@@ -372,9 +382,7 @@ func TestTCPRingAndCollectives(t *testing.T) {
 		if m.Data.(string) != fmt.Sprintf("hello-%d", prev) {
 			panic(fmt.Sprintf("rank %d ring payload %v", c.Rank(), m))
 		}
-		if mx := c.MaxFloat64(float64(c.Rank())); mx != p-1 {
-			panic(fmt.Sprintf("tcp allreduce-max = %v", mx))
-		}
+		checkReduceMax(c)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -498,6 +506,8 @@ func BenchmarkSimPingPong(b *testing.B) {
 
 func TestCommStats(t *testing.T) {
 	err := Run(2, func(c *Comm) {
+		reg := metrics.New(c.Rank(), c.Time)
+		c.AttachMetrics(reg)
 		if c.Rank() == 0 {
 			c.Send(1, 0, []byte("abcd")) // 12 bytes
 			c.Recv(1, 1)
@@ -506,12 +516,13 @@ func TestCommStats(t *testing.T) {
 			c.Send(0, 1, nil)
 		}
 		c.Barrier()
-		st := c.Stats()
-		if st.MsgsSent < 2 || st.MsgsRecv < 2 {
-			panic(fmt.Sprintf("rank %d stats too low: %+v", c.Rank(), st))
+		sent := reg.Counter("mpi_msgs_sent{transport=inproc}").Value()
+		recv := reg.Counter("mpi_msgs_recv{transport=inproc}").Value()
+		if sent < 2 || recv < 2 {
+			panic(fmt.Sprintf("rank %d counts too low: sent %d, recv %d", c.Rank(), sent, recv))
 		}
-		if c.Rank() == 0 && st.BytesSent < 12 {
-			panic(fmt.Sprintf("BytesSent = %d", st.BytesSent))
+		if n := reg.Counter("mpi_bytes_sent{transport=inproc}").Value(); c.Rank() == 0 && n < 12 {
+			panic(fmt.Sprintf("bytes sent = %d", n))
 		}
 	})
 	if err != nil {

@@ -19,9 +19,10 @@ import (
 // phaseCounters are the registry handles behind one phase's Stats — the
 // registry is the single accumulation path; Stats is a read-out of these
 // counters at phase end. All handles are labeled with the phase name
-// ("rr" or "ccd") so both phases coexist in one registry. base holds the
-// counter values at construction, making the read-out a per-call delta
-// even when a caller reuses one registry across phase calls.
+// ("rr" or "ccd") so both phases coexist in one registry. A registry
+// serves at most one call of a phase (the pipeline builds one per run, a
+// nil Config.Metrics gets a private one), so what the counters hold at
+// phase end is the phase's Stats.
 type phaseCounters struct {
 	generated, duplicate    *metrics.Counter
 	closure, aligned        *metrics.Counter
@@ -41,7 +42,6 @@ type phaseCounters struct {
 	cascadeFullCells *metrics.Counter
 	reg              *metrics.Registry
 	phase            string
-	base             Stats
 }
 
 func newPhaseCounters(reg *metrics.Registry, phase string) phaseCounters {
@@ -63,7 +63,6 @@ func newPhaseCounters(reg *metrics.Registry, phase string) phaseCounters {
 		reg:           reg,
 		phase:         phase,
 	}
-	pc.base = pc.read()
 	return pc
 }
 
@@ -103,8 +102,8 @@ func (pc *phaseCounters) tally(ml masterLogic, r AlignOutcome) {
 	ml.record(r)
 }
 
-// read returns the counters' current absolute values.
-func (pc phaseCounters) read() Stats {
+// stats reads the phase's Stats out of its counters.
+func (pc phaseCounters) stats() Stats {
 	return Stats{
 		PairsGenerated: pc.generated.Value(),
 		PairsDuplicate: pc.duplicate.Value(),
@@ -113,20 +112,6 @@ func (pc phaseCounters) read() Stats {
 		PairsPositive:  pc.positive.Value(),
 		Cells:          pc.cells.Value(),
 		Rounds:         pc.rounds.Value(),
-	}
-}
-
-// stats returns the per-call Stats delta accumulated since construction.
-func (pc phaseCounters) stats() Stats {
-	cur := pc.read()
-	return Stats{
-		PairsGenerated: cur.PairsGenerated - pc.base.PairsGenerated,
-		PairsDuplicate: cur.PairsDuplicate - pc.base.PairsDuplicate,
-		PairsClosure:   cur.PairsClosure - pc.base.PairsClosure,
-		PairsAligned:   cur.PairsAligned - pc.base.PairsAligned,
-		PairsPositive:  cur.PairsPositive - pc.base.PairsPositive,
-		Cells:          cur.Cells - pc.base.Cells,
-		Rounds:         cur.Rounds - pc.base.Rounds,
 	}
 }
 
@@ -681,12 +666,12 @@ func Enumerate(c *mpi.Comm, set *seq.Set, newFrom int, cfg Config, phase string)
 
 // runPhase runs the master/worker/serial loops of one phase over this
 // rank's pair list. It returns the master's stats on rank 0 (zero Stats
-// elsewhere; callers broadcast what they need), with PhaseTime counted
-// from start on rank 0 to the slowest rank's end. Stats are a read-out of
-// the phase's registry counters — the registry is the one accumulation
-// path. At p ≥ 2 the master ingests its own list (a demotion's replay)
-// before serving, as it ingests a worker's, and returns what it ingested:
-// each distinct pair with its longest match length.
+// elsewhere), with PhaseTime counted from start on rank 0 to the slowest
+// rank's end. Stats are a read-out of the phase's registry counters —
+// the registry is the one accumulation path. At p ≥ 2 the master ingests
+// its own list (a demotion's replay) before serving, as it ingests a
+// worker's, and returns what it ingested: each distinct pair with its
+// longest match length.
 func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl workerLogic, cfg Config, phase string, start float64) (Stats, map[int64]int32) {
 	if cfg.Metrics == nil {
 		// Private registry so the counter-backed Stats still work for
@@ -727,8 +712,8 @@ func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl wo
 // own enumeration of set: every rank calls it with the same set and
 // config, and every rank returns the same keep mask (keep[id] == false
 // means sequence id is contained in another sequence and should be
-// dropped). Stats are likewise identical on all ranks, and PhaseTime
-// includes the index build.
+// dropped). The phase Stats, whose PhaseTime includes the index build,
+// are rank 0's; every other rank gets zero Stats.
 func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, error) {
 	start := c.Time()
 	pairs, err := Enumerate(c, set, 0, cfg, "rr")
@@ -747,7 +732,7 @@ func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, er
 // leave out only pairs of two prior sequences, settled last epoch, the
 // combined mask equals a cold run's, containment chains across the epoch
 // boundary included (see DESIGN.md §9). The returned keep mask covers the
-// whole set on all ranks.
+// whole set on all ranks; the Stats are rank 0's, zero elsewhere.
 func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config) ([]bool, Stats) {
 	return redundancyRemoval(c, set, pairs, prior, cfg, false, c.Time())
 }
@@ -766,7 +751,7 @@ func redundancyRemoval(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool
 		}
 	}
 	keep = c.Bcast(0, keep).([]bool)
-	return keep, broadcastStats(c, st)
+	return keep, st
 }
 
 // ConnectedComponents executes the paper's CCD phase collectively over
@@ -774,8 +759,8 @@ func redundancyRemoval(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool
 // enumerating the pairs of that kept subset itself, so PhaseTime includes
 // the phase's own index build. It returns comp, where comp[id] is the
 // component label of sequence id (labels are the smallest member ID in
-// the component) or -1 for dropped sequences. All ranks return identical
-// results.
+// the component) or -1 for dropped sequences, identical on all ranks. The
+// phase Stats are rank 0's; every other rank gets zero Stats.
 func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]int32, Stats, error) {
 	start := c.Time()
 	var ids []int
@@ -809,9 +794,10 @@ func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]
 // sequences stay singletons — so the caller can commit it as the next
 // epoch's prior; every kept–kept pair the phase handled, once and in no
 // particular order (rank 0's own kept pairs at p = 1, the master's
-// de-duplicated ingest at p ≥ 2); and the verdict of every pair the
-// phase aligned. Each verdict's counts are those of the local alignment
-// of the lower ID against the higher one.
+// de-duplicated ingest at p ≥ 2); the verdict of every pair the phase
+// aligned; and the phase Stats (zero Stats on other ranks). Each
+// verdict's counts are those of the local alignment of the lower ID
+// against the higher one.
 func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, []PairItem, []Verdict, Stats, error) {
 	return connectedComponents(c, set, keep, pairs, prior, newFrom, cfg, c.Time())
 }
@@ -861,20 +847,10 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairIte
 		}
 	}
 	comp = c.Bcast(0, comp).([]int32)
-	st = broadcastStats(c, st)
 	if c.Rank() != 0 {
 		return comp, nil, nil, nil, st, nil
 	}
 	return comp, uf, pairs, ml.verdicts, st, nil
-}
-
-// broadcastStats shares the master's stats with all ranks.
-func broadcastStats(c *mpi.Comm, st Stats) Stats {
-	if c.Size() == 1 {
-		return st
-	}
-	out := c.Bcast(0, st)
-	return out.(Stats)
 }
 
 // ComponentsBySize groups sequence IDs by component label (ignoring -1)

@@ -247,7 +247,6 @@ func RegisterWireTypes() {
 	registerBinaryCodecs()
 	mpi.RegisterType([]bool{})
 	mpi.RegisterType([]int32{})
-	mpi.RegisterType(Stats{})
 	mpi.RegisterType(float64(0))
 }
 

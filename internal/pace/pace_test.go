@@ -183,6 +183,44 @@ func TestRRParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStatsOnRankZeroOnly: rank 0 alone holds a phase's Stats. At p = 2
+// the worker gets zero Stats from both phases, while rank 0's RR counts
+// the alignments the p = 1 run counts.
+func TestStatsOnRankZeroOnly(t *testing.T) {
+	set, _ := famSet(t)
+	cfg := Config{Psi: 6}
+	var serial Stats
+	var rr, ccd [2]Stats
+	for _, p := range []int{1, 2} {
+		_, err := mpi.RunSim(p, mpi.BlueGeneLike(), func(c *mpi.Comm) {
+			keep, st, err := RedundancyRemoval(c, set, cfg)
+			if err != nil {
+				panic(err)
+			}
+			if p == 1 {
+				serial = st
+				return
+			}
+			rr[c.Rank()] = st
+			if _, ccd[c.Rank()], err = ConnectedComponents(c, set, keep, cfg); err != nil {
+				panic(err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rr[1] != (Stats{}) || ccd[1] != (Stats{}) {
+		t.Errorf("worker stats not zero: RR %+v, CCD %+v", rr[1], ccd[1])
+	}
+	if rr[0].PairsAligned == 0 || rr[0].PairsAligned != serial.PairsAligned {
+		t.Errorf("rank 0 RR aligned %d pairs, the p = 1 run %d", rr[0].PairsAligned, serial.PairsAligned)
+	}
+	if ccd[0].PairsAligned == 0 || ccd[0].PhaseTime <= 0 {
+		t.Errorf("rank 0 CCD stats empty: %+v", ccd[0])
+	}
+}
+
 func TestCCDMatchesBruteForce(t *testing.T) {
 	set, _ := famSet(t)
 	cfg := Config{Psi: 6}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"profam/internal/align"
+	"profam/internal/metrics"
 	"profam/internal/mpi"
 )
 
@@ -239,6 +240,8 @@ func TestBinaryWireBytesReduction(t *testing.T) {
 	received := make([]WorkerMsg, 0, len(batches))
 	err := mpi.RunTCP(2, 0, func(c *mpi.Comm) {
 		if c.Rank() == 1 {
+			reg := metrics.New(1, c.Time)
+			c.AttachMetrics(reg)
 			for _, b := range batches {
 				c.Send(0, tagWorker, b)
 				m := c.Recv(0, tagMaster).Data.(MasterMsg)
@@ -246,7 +249,7 @@ func TestBinaryWireBytesReduction(t *testing.T) {
 					panic("echo mismatch")
 				}
 			}
-			bin = c.Stats().BytesSent
+			bin = reg.Counter("mpi_bytes_sent{transport=tcp}").Value()
 			return
 		}
 		for range batches {

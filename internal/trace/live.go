@@ -17,13 +17,3 @@ func (h nopHandler) WithGroup(string) slog.Handler           { return h }
 // NopLogger returns a logger that discards all records — the default
 // sink wherever a *slog.Logger is optional.
 func NopLogger() *slog.Logger { return slog.New(nopHandler{}) }
-
-// ClockAttr returns a slog attribute carrying the tracer-clock reading,
-// so structured logs and trace events share a timebase (virtual seconds
-// under the simulator).
-func ClockAttr(clock Clock) slog.Attr {
-	if clock == nil {
-		return slog.Float64("t", 0)
-	}
-	return slog.Float64("t", clock())
-}

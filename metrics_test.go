@@ -10,6 +10,29 @@ import (
 	"profam/internal/workload"
 )
 
+// TestRunMessageCounts pins the messages a simulated run sends. Rank 0
+// alone holds a run's outputs, so only values another rank reads cross
+// the wire: an output broadcast coming back shows up here as p−1 more.
+func TestRunMessageCounts(t *testing.T) {
+	set, _ := workload.Generate(workload.Params{
+		Families: 4, MeanFamilySize: 10, MeanLength: 100,
+		Divergence: 0.08, ContainedFrac: 0.15, Singletons: 4, Seed: 7,
+	})
+	cfg := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3}
+	for p, want := range map[int]int64{2: 26, 3: 58, 5: 108} {
+		res, _, err := profam.RunSet(set, p, true, cfg)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if got := res.Metrics.CounterValue("mpi_msgs_sent{transport=sim}"); got != want {
+			t.Errorf("p=%d: %d messages sent, want %d", p, got, want)
+		}
+		if res.BGGTime <= 0 || res.DSDTime <= 0 {
+			t.Errorf("p=%d: BGGTime %v, DSDTime %v not read from the report", p, res.BGGTime, res.DSDTime)
+		}
+	}
+}
+
 // TestMetricsDeterministicAcrossThreads: under the simulator, the merged
 // metrics report must be identical for ThreadsPerRank=1 and =4 once the
 // clock-derived fields are stripped (Canonical). Counters, gauges and

@@ -48,17 +48,17 @@ func (b familyBatch) WireSize() int {
 }
 
 // RegisterWireTypes registers all pipeline payloads with the TCP
-// transport. Callers using DialMesh/RunTCP across processes must invoke
-// it on every rank; the in-process and simulated transports don't need
-// it.
+// transport: what the phases exchange, and the per-rank metrics snapshot
+// and trace buffer gathered at rank 0 (the merged report and timeline
+// never leave it). Callers using DialMesh/RunTCP across processes must
+// invoke it on every rank; the in-process and simulated transports don't
+// need it.
 func RegisterWireTypes() {
 	pace.RegisterWireTypes()
 	mpi.RegisterType(familyBatch{})
 	mpi.RegisterType(componentPairs{})
 	mpi.RegisterType(metrics.Snapshot{})
-	mpi.RegisterType(metrics.Report{})
 	mpi.RegisterType(trace.RankTrace{})
-	mpi.RegisterType(trace.Timeline{})
 }
 
 // compKey is a component's family-cache key: its member list, encoded
@@ -78,9 +78,10 @@ func compKey(members []int) string {
 // touching a new sequence on top of the prior redundancy mask, CCD merges
 // epoch-crossing pairs into a clone of the prior union–find, and
 // components whose member list the prior already built skip phases 3+4
-// via the family cache. prior is only read. Every rank returns the same
-// *Result; rank 0 also returns the next state over set (nil elsewhere),
-// whose epoch and fingerprint the caller stamps.
+// via the family cache. prior is only read. Rank 0 alone holds the run's
+// outputs: it returns the *Result and the next state over set, whose
+// epoch and fingerprint the caller stamps; every other rank returns
+// (nil, nil, nil) once its families and reports are gathered.
 // reg and tracer are this rank's, from observe. Each rank checks ctx
 // before RR, after RR and after CCD on its own: leaving early is safe,
 // as a cancelled job's transport unwinds the peers blocked on it.
@@ -182,6 +183,10 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 		log.Info("connected components done",
 			"components", len(res.Components),
 			"aligned", ccStats.PairsAligned, "t", c.Time())
+		// Work-elimination ratios, the paper's headline heuristic-efficiency
+		// numbers, from the phase Stats rank 0 holds.
+		reg.Gauge(metrics.Name("work_elimination_ratio", "phase", "rr")).Set(res.RR.WorkReduction())
+		reg.Gauge(metrics.Name("work_elimination_ratio", "phase", "ccd")).Set(res.CCD.WorkReduction())
 	}
 
 	if err = cancelled(ctx); err != nil {
@@ -227,31 +232,33 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 		inside = c.Bcast(0, inside).(componentPairs)
 	}
 
-	local, bggTime, dsdTime, err := buildFamilies(c, set, cfg, reg, tracer, missComps, missIdx, inside)
+	local, err := buildFamilies(c, set, cfg, reg, tracer, missComps, missIdx, inside)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Gather families and fresh B_d counts at rank 0, join the cached
-	// families there, and share the final family list. sortFamilies below
-	// is a pure function of the family set, so the cached/recomputed
-	// interleaving cannot perturb the output order.
+	// Gather families and fresh B_d counts, then every rank's metrics and
+	// trace, at rank 0; the other ranks are done. Rank 0 joins the cached
+	// families in. sortFamilies below is a pure function of the family
+	// set, so the cached/recomputed interleaving cannot perturb the
+	// output order.
 	gathered := c.Gather(0, local)
+	res.Metrics, res.Trace = gatherReports(c, reg, tracer)
+	if c.Rank() != 0 {
+		return nil, nil, nil
+	}
 	var all []wireFamily
-	if c.Rank() == 0 {
-		for _, g := range gathered {
-			b := g.(familyBatch)
-			all = append(all, b.Families...)
-			table.setCounts(b.Fresh)
-		}
-		for i, k := range keys {
-			for _, w := range prior.famCache[k] {
-				w.Comp = int32(i)
-				all = append(all, w)
-			}
+	for _, g := range gathered {
+		b := g.(familyBatch)
+		all = append(all, b.Families...)
+		table.setCounts(b.Fresh)
+	}
+	for i, k := range keys {
+		for _, w := range prior.famCache[k] {
+			w.Comp = int32(i)
+			all = append(all, w)
 		}
 	}
-	all = c.Bcast(0, familyBatch{Families: all}).(familyBatch).Families
 
 	res.Families = make([]Family, len(all))
 	for i, w := range all {
@@ -262,32 +269,26 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 		res.Families[i] = f
 	}
 	sortFamilies(res.Families)
+	next = nextState(set, keep, ccUF, keys, all, table)
 
-	if c.Rank() == 0 {
-		next = nextState(set, keep, ccUF, keys, all, table)
-	}
-
-	res.BGGTime = c.MaxFloat64(bggTime)
-	res.DSDTime = c.MaxFloat64(dsdTime)
-
-	// Work-elimination ratios (the paper's headline heuristic-efficiency
-	// numbers) as gauges. Rank 0 holds the merged phase Stats, so it alone
-	// records them; gauge merge takes the max, making the value global.
-	if c.Rank() == 0 {
-		reg.Gauge(metrics.Name("work_elimination_ratio", "phase", "rr")).Set(res.RR.WorkReduction())
-		reg.Gauge(metrics.Name("work_elimination_ratio", "phase", "ccd")).Set(res.CCD.WorkReduction())
-	}
-
-	res.Metrics, res.Trace = shareReports(c, reg, tracer)
-	if c.Rank() == 0 {
-		if res.Trace != nil {
-			log.Info("pipeline done",
-				"families", len(res.Families),
-				"trace_events", res.Trace.NumEvents(), "trace_dropped", res.Trace.Dropped,
-				"t", c.Time())
-		} else {
-			log.Info("pipeline done", "families", len(res.Families), "t", c.Time())
+	// Phases 3+4 time is the slowest rank's: the critical path of the
+	// merged report's bgg and dsd spans, one per rank.
+	for _, ph := range res.Metrics.Phases {
+		switch ph.Name {
+		case "bgg":
+			res.BGGTime = ph.MaxSeconds
+		case "dsd":
+			res.DSDTime = ph.MaxSeconds
 		}
+	}
+
+	if res.Trace != nil {
+		log.Info("pipeline done",
+			"families", len(res.Families),
+			"trace_events", res.Trace.NumEvents(), "trace_dropped", res.Trace.Dropped,
+			"t", c.Time())
+	} else {
+		log.Info("pipeline done", "families", len(res.Families), "t", c.Time())
 	}
 	return res, next, nil
 }
@@ -321,9 +322,10 @@ func nextState(set *seq.Set, keep []bool, uf *unionfind.UF, keys []string, fams 
 // index of comps[k] among the epoch's components, stamped on its
 // families, and under B_d inside[k] lists the promising pairs inside
 // comps[k]. It returns the rank's families with the counts of every pair
-// its B_d builds aligned, and the rank's BGG and DSD seconds.
+// its B_d builds aligned, and records the rank's BGG and DSD seconds as
+// the bgg and dsd spans of reg.
 func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry, tracer *trace.Tracer,
-	comps [][]int, idx []int, inside componentPairs) (out familyBatch, bggTime, dsdTime float64, err error) {
+	comps [][]int, idx []int, inside componentPairs) (out familyBatch, err error) {
 	tracer.Instant(trace.CatPipeline, "phase:bgg", "", 0, "", 0)
 	mine := bipartite.DistributeComponents(comps, c.Size())[c.Rank()]
 	bcfg := cfg.bipartiteConfig()
@@ -393,7 +395,7 @@ func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry,
 	for i := range jobs {
 		j := &jobs[i]
 		if j.err != nil {
-			return familyBatch{}, 0, 0, j.err
+			return familyBatch{}, j.err
 		}
 		build.Cells += j.build.Cells
 		build.PairsAligned += j.build.PairsAligned
@@ -447,8 +449,8 @@ func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry,
 		bggShare = bggS / (bggS + dsdS)
 	}
 	wall := t1 - t0
-	bggTime = (t2 - t1) + wall*bggShare
-	dsdTime = (t3 - t2) + wall*(1-bggShare)
+	bggTime := (t2 - t1) + wall*bggShare
+	dsdTime := (t3 - t2) + wall*(1-bggShare)
 	// Phases 3+4 interleave inside the per-component jobs, so their
 	// spans are recorded from the apportionment rather than bracketed
 	// directly.
@@ -456,21 +458,21 @@ func buildFamilies(c *mpi.Comm, set *seq.Set, cfg Config, reg *metrics.Registry,
 	tracer.Instant(trace.CatPipeline, "phase:dsd", "", 0, "", 0)
 	reg.RecordSpan("dsd", t0+bggTime, t0+bggTime+dsdTime)
 	probeHeapPeak(c, reg)
-	return out, bggTime, dsdTime, nil
+	return out, nil
 }
 
-// shareReports folds every rank's registry, and its tracer when tracing
-// is on, into the job-wide report and timeline that every rank returns.
-// Each rank snapshots its registry after the last data collective, so the
-// transport counters cover the family exchange; the metrics
-// gather/broadcast itself is necessarily outside its own accounting.
-// Traces are gathered strictly after the metrics exchange, so its comm
+// gatherReports folds every rank's registry, and its tracer when tracing
+// is on, into the job-wide report and timeline on rank 0; every other
+// rank gets nil. Each rank snapshots its registry after the last data
+// collective, so the transport counters cover the family exchange; the
+// metrics gather itself is necessarily outside its own accounting.
+// Traces are gathered strictly after the metrics, so that gather's comm
 // events are traced, while each rank's snapshot right before sending
-// excludes the trace exchange's own messages on every rank,
+// excludes the trace gather's own messages on every rank,
 // deterministically.
-func shareReports(c *mpi.Comm, reg *metrics.Registry, tracer *trace.Tracer) (*metrics.Report, *trace.Timeline) {
+func gatherReports(c *mpi.Comm, reg *metrics.Registry, tracer *trace.Tracer) (*metrics.Report, *trace.Timeline) {
 	gathered := c.Gather(0, reg.Snapshot())
-	rep := &metrics.Report{}
+	var rep *metrics.Report
 	if c.Rank() == 0 {
 		snaps := make([]metrics.Snapshot, len(gathered))
 		for i, s := range gathered {
@@ -478,21 +480,18 @@ func shareReports(c *mpi.Comm, reg *metrics.Registry, tracer *trace.Tracer) (*me
 		}
 		rep = metrics.Merge(snaps)
 	}
-	merged := c.Bcast(0, *rep).(metrics.Report)
 	if tracer == nil {
-		return &merged, nil
+		return rep, nil
 	}
 	gathered = c.Gather(0, tracer.Snapshot())
-	tl := &trace.Timeline{}
-	if c.Rank() == 0 {
-		rts := make([]trace.RankTrace, len(gathered))
-		for i, s := range gathered {
-			rts[i] = s.(trace.RankTrace)
-		}
-		tl = trace.Merge(rts)
+	if c.Rank() != 0 {
+		return nil, nil
 	}
-	timeline := c.Bcast(0, *tl).(trace.Timeline)
-	return &merged, &timeline
+	rts := make([]trace.RankTrace, len(gathered))
+	for i, s := range gathered {
+		rts[i] = s.(trace.RankTrace)
+	}
+	return rep, trace.Merge(rts)
 }
 
 // observe builds rank c's metrics registry, the run's single reporting
@@ -542,8 +541,9 @@ func (e *RunError) Unwrap() error { return e.Err }
 // RunPipelineOn executes the pipeline collectively on an existing
 // communicator — for callers managing their own transports, such as a
 // TCP mesh spanning several processes (see mpi.DialMesh). Every rank
-// must call it with the same sequence set and configuration; every rank
-// returns the same result.
+// must call it with the same sequence set and configuration. Rank 0, as
+// an MPI root, alone holds the outputs: it returns the Result, and every
+// other rank returns nil, nil.
 func RunPipelineOn(c *mpi.Comm, set *seq.Set, cfg Config) (*Result, error) {
 	reg, tracer := observe(c, cfg)
 	res, _, err := runEpochPipeline(context.Background(), c, set, cfg, nil, reg, tracer)

@@ -282,7 +282,8 @@ func fromPace(st pace.Stats) PhaseStats {
 	}
 }
 
-// Result is the pipeline's complete output.
+// Result is the pipeline's complete output. Rank 0 assembles it and
+// alone holds it; the other ranks of a run return none.
 type Result struct {
 	// Input and non-redundant sequence counts.
 	NumInput, NumNonRedundant int
@@ -298,20 +299,21 @@ type Result struct {
 	RR  PhaseStats // redundancy removal
 	CCD PhaseStats // connected-component detection
 	// BGGTime and DSDTime are the bipartite-generation and
-	// dense-subgraph phase times in seconds.
+	// dense-subgraph phase times in seconds: the slowest rank's, read
+	// from the bgg and dsd rows of Metrics.
 	BGGTime, DSDTime float64
 
 	// Metrics is the job-wide observability report: every counter, gauge,
 	// histogram and phase span from all ranks, merged (counters summed,
-	// gauges maxed, histograms merged, spans folded per phase). Identical
-	// on every rank. Times are virtual seconds under RunSimulated and
+	// gauges maxed, histograms merged, spans folded per phase), assembled
+	// on rank 0. Times are virtual seconds under RunSimulated and
 	// wall-clock seconds otherwise; Metrics.Canonical() strips the
 	// clock-derived fields, leaving the thread-count-independent part.
 	Metrics *metrics.Report
 
 	// Trace is the job-wide event timeline, present only when
 	// Config.TraceCapacity > 0: every rank's protocol and comm events,
-	// merged in rank order and identical on every rank. Export with
+	// merged in rank order on rank 0. Export with
 	// trace.WriteChromeJSON, analyze with trace.Analyze;
 	// Trace.Canonical() is the thread-count-independent form.
 	Trace *trace.Timeline
