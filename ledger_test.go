@@ -1,0 +1,145 @@
+package profam_test
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"profam"
+	"profam/internal/ledger"
+	"profam/internal/workload"
+)
+
+var updateLedger = flag.Bool("update", false, "rewrite testdata/work_ledger.json from this run")
+
+// ledgerPath is the checked-in work ledger TestWorkLedger compares with.
+const ledgerPath = "testdata/work_ledger.json"
+
+// ledgerShape is one batch workload shape of the benchmark, scaled down
+// so each run takes well under a second.
+type ledgerShape struct {
+	name   string
+	params workload.Params
+	cfg    func(*profam.Config)
+}
+
+func ledgerShapes() []ledgerShape {
+	return []ledgerShape{
+		{name: "bd_families", params: workload.Params{
+			Families: 2, MeanFamilySize: 40, MeanLength: 130, Divergence: 0.10,
+			IndelRate: 0.005, ContainedFrac: 0.15, UniformSizes: true, Singletons: 4, Seed: 11,
+		}},
+		{name: "redundant_short", params: workload.Params{
+			Families: 12, MeanFamilySize: 40, MeanLength: 32, Divergence: 0.004,
+			IndelRate: 0.001, Subfamilies: 1, ContainedFrac: 0.5, UniformSizes: true, Singletons: 12, Seed: 12,
+		}, cfg: func(c *profam.Config) { c.Psi, c.MinComponentSize, c.MinFamilySize = 6, 3, 3 }},
+		{name: "bm_domains", params: workload.Params{
+			Families: 1, MeanFamilySize: 2, DomainFamilies: 4, DomainSize: 12,
+			MeanLength: 130, UniformSizes: true, Seed: 13,
+		}, cfg: func(c *profam.Config) { c.Reduction = profam.DomainBased }},
+	}
+}
+
+// ledgerCounters are the work counters the ledger records, by name
+// without labels: each is kept under every label set the run reports.
+var ledgerCounters = map[string]bool{
+	"pace_pairs_generated": true, "pace_pairs_duplicate": true, "pace_pairs_closure": true,
+	"pace_pairs_worker_skipped": true, "pace_pairs_aligned": true, "pace_pairs_positive": true,
+	"pace_align_cells": true, "pace_index_chars": true,
+	"bgg_pairs_aligned": true, "bgg_pairs_reused": true, "bgg_align_cells": true,
+	"dsd_work_ops":  true,
+	"mpi_msgs_sent": true, "mpi_bytes_sent": true,
+}
+
+// ledgerLeg is one run's entry: its work counters and the digest of its
+// canonical family listing.
+type ledgerLeg struct {
+	Counters       map[string]int64 `json:"counters"`
+	FamiliesDigest string           `json:"families_digest"`
+}
+
+// TestWorkLedger pins every run's work: the canonical counters of the
+// three batch workload shapes at p = 1 in process and at simulated p = 2
+// and 8, one thread per rank, default cost model. Work counters are
+// deterministic functions of (corpus, config), so any change here is a
+// change in the work the program does; a change that claims none must
+// leave the file as it is. Rewrite it with `go test -run TestWorkLedger
+// -update` and say which numbers moved and why.
+func TestWorkLedger(t *testing.T) {
+	got := map[string]ledgerLeg{}
+	for _, sh := range ledgerShapes() {
+		set, _ := workload.Generate(sh.params)
+		cfg := profam.Config{ThreadsPerRank: 1}
+		if sh.cfg != nil {
+			sh.cfg(&cfg)
+		}
+		for _, p := range []int{1, 2, 8} {
+			res, _, err := profam.RunSet(set, p, p > 1, cfg)
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", sh.name, p, err)
+			}
+			leg := ledgerLeg{Counters: map[string]int64{}}
+			for name, v := range res.Metrics.Canonical().Counters {
+				if base, _, _ := strings.Cut(name, "{"); ledgerCounters[base] {
+					leg.Counters[name] = v
+				}
+			}
+			if leg.FamiliesDigest, err = ledger.FamiliesDigest(set, res); err != nil {
+				t.Fatal(err)
+			}
+			got[fmt.Sprintf("%s/p=%d", sh.name, p)] = leg
+		}
+	}
+
+	if *updateLedger {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ledgerPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatalf("%v (create it with -update)", err)
+	}
+	var want map[string]ledgerLeg
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", ledgerPath, err)
+	}
+	for _, leg := range sortedKeys(want, got) {
+		w, g := want[leg], got[leg]
+		if w.FamiliesDigest != g.FamiliesDigest {
+			t.Errorf("%s: families digest %q, ledger has %q", leg, g.FamiliesDigest, w.FamiliesDigest)
+		}
+		for _, name := range sortedKeys(w.Counters, g.Counters) {
+			wv, inW := w.Counters[name]
+			gv, inG := g.Counters[name]
+			if wv != gv || inW != inG {
+				t.Errorf("%s: %s = %d (present %v), ledger has %d (present %v)", leg, name, gv, inG, wv, inW)
+			}
+		}
+	}
+}
+
+// sortedKeys is the sorted union of the maps' keys.
+func sortedKeys[V any](ms ...map[string]V) []string {
+	seen := map[string]bool{}
+	var keys []string
+	for _, m := range ms {
+		for k := range m {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
