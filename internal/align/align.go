@@ -130,8 +130,11 @@ type Aligner struct {
 
 	// two rolling rows of scores per state
 	m0, m1, x0, x1, y0, y1 []int32
-	trace                  []byte // (lenA+1) * (lenB+1); allocated lazily by Align only
+	trace                  []byte // (lenA+1) * (lenB+1); allocated lazily by the traced kernels only
 	stride                 int
+
+	// the counts kernels' two rolling rows, states interleaved per column
+	c0, c1 []gotohCell
 
 	// Cells counts DP cells computed across the Aligner's lifetime; the
 	// pipeline uses it as the machine-independent work measure that the
@@ -183,6 +186,11 @@ func (al *Aligner) growRows(m int) {
 
 func (al *Aligner) grow(n, m int) {
 	al.growRows(m)
+	al.growTrace(n, m)
+}
+
+// growTrace sizes the (n+1)·(m+1) trace matrix.
+func (al *Aligner) growTrace(n, m int) {
 	need := (n + 1) * (m + 1)
 	if cap(al.trace) < need {
 		al.trace = make([]byte, geomCap(need, cap(al.trace)))

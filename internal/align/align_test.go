@@ -180,25 +180,25 @@ func TestContainedPredicate(t *testing.T) {
 	p := DefaultContainParams()
 	inner := []byte("MKWVTFISLLFLFSSAYSRGVFRRDTHKSEIAHRFKDLGE")
 	outer := append(append([]byte("DEGHIKLMNP"), inner...), []byte("QRSTVWYACD")...)
-	if ok, _ := al.Contained(inner, outer, p); !ok {
+	if !al.Contained(inner, outer, p) {
 		t.Error("exact substring not detected as contained")
 	}
 	// One mismatch in 40 residues: 97.5 % identity, still contained.
 	mut := append([]byte(nil), inner...)
 	mut[20] = 'W'
-	if ok, _ := al.Contained(mut, outer, p); !ok {
+	if !al.Contained(mut, outer, p) {
 		t.Error("97.5%-identical substring not detected as contained")
 	}
 	// Heavily mutated: not contained.
 	for i := 0; i < len(mut); i += 3 {
 		mut[i] = 'P'
 	}
-	if ok, _ := al.Contained(mut, outer, p); ok {
+	if al.Contained(mut, outer, p) {
 		t.Error("heavily mutated sequence wrongly contained")
 	}
 	// Longer than container: short-circuit false.
 	long := append(append([]byte(nil), outer...), 'A')
-	if ok, _ := al.Contained(long, outer, p); ok {
+	if al.Contained(long, outer, p) {
 		t.Error("longer sequence cannot be contained")
 	}
 }
@@ -212,12 +212,12 @@ func TestOverlapsPredicate(t *testing.T) {
 	for i := 5; i < len(b); i += 10 {
 		b[i] = 'G'
 	}
-	if ok, _ := al.Overlaps(a, b, p); !ok {
+	if !al.Overlaps(a, b, p) {
 		t.Error("near-identical sequences do not overlap")
 	}
 	// Short common region in long sequences: fails 80 % coverage.
 	longA := append(append([]byte(strings.Repeat("K", 60)), a[:20]...), []byte(strings.Repeat("E", 60))...)
-	if ok, _ := al.Overlaps(longA, a, p); ok {
+	if al.Overlaps(longA, a, p) {
 		t.Error("short shared region should fail the coverage test")
 	}
 }
@@ -307,6 +307,21 @@ func TestCellsAccounting(t *testing.T) {
 	if al.Cells != 24 {
 		t.Errorf("Cells = %d, want 24", al.Cells)
 	}
+	al.LocalCounts([]byte("AAA"), []byte("CCCCC"))
+	if al.Cells != 39 {
+		t.Errorf("Cells = %d after LocalCounts, want 39", al.Cells)
+	}
+	al.Contained([]byte("AAA"), []byte("CCCC"), DefaultContainParams())
+	if al.Cells != 51 {
+		t.Errorf("Cells = %d after Contained, want 51", al.Cells)
+	}
+	// Contained skips the DP when a is the longer side, and fitting an
+	// empty sequence is the empty alignment; neither charges a cell.
+	al.Contained([]byte("AAAAA"), []byte("CCCC"), DefaultContainParams())
+	al.Contained(nil, []byte("CCCC"), DefaultContainParams())
+	if al.Cells != 51 {
+		t.Errorf("Cells = %d after DP-free Contained calls, want 51", al.Cells)
+	}
 }
 
 func TestFormatShape(t *testing.T) {
@@ -327,6 +342,55 @@ func BenchmarkLocalFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		al.Align(x, y, Local)
+	}
+}
+
+// BenchmarkLocalCounts times the Definition-2 kernel against its oracle
+// on a related pair, as B_d's are: a 200-residue sequence and a 30 %
+// mutant of it.
+func BenchmarkLocalCounts(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	x := randSeq(rng, 200)
+	y := mutate(rng, x, 0.3)
+	benchCells(b, len(x)*len(y), map[string]func(al *Aligner){
+		"kernel": func(al *Aligner) { countsSink = al.LocalCounts(x, y) },
+		"align":  func(al *Aligner) { countsSink = CountsOf(al.Align(x, y, Local), len(x), len(y)) },
+	})
+}
+
+// BenchmarkFitCounts times the Definition-1 kernel against its oracle on
+// a 180-residue near-copy fragment of a 200-residue sequence.
+func BenchmarkFitCounts(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	y := randSeq(rng, 200)
+	x := mutate(rng, y[10:190], 0.02)
+	benchCells(b, len(x)*len(y), map[string]func(al *Aligner){
+		"kernel": func(al *Aligner) { fitSink, _, _ = al.fitCounts(x, y) },
+		"align":  func(al *Aligner) { fitSink = al.Align(x, y, Fit).Matches },
+	})
+}
+
+// The benchmarks' results land here, so no call is optimised away.
+var (
+	countsSink OverlapCounts
+	fitSink    int
+)
+
+// benchCells runs each variant as a sub-benchmark reporting ns per DP
+// cell.
+func benchCells(b *testing.B, cells int, variants map[string]func(al *Aligner)) {
+	for _, name := range []string{"kernel", "align"} {
+		run := variants[name]
+		b.Run(name, func(b *testing.B) {
+			al := NewAligner(nil)
+			run(al) // warm the scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(al)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+		})
 	}
 }
 

@@ -55,6 +55,26 @@ func TestLocalScoreAllocs(t *testing.T) {
 	}
 }
 
+// TestCountsAllocs: once the scratch rows and trace are warm, the
+// predicates' kernels allocate nothing; they build no edit path.
+func TestCountsAllocs(t *testing.T) {
+	al := NewAligner(nil)
+	rng := rand.New(rand.NewSource(36))
+	a := randomResidues(rng, 200)
+	b := mutate(rng, a, 0.3)
+	frag := mutate(rng, a[10:190], 0.02)
+	warm := map[string]func(){
+		"LocalCounts": func() { al.LocalCounts(a, b) },
+		"fitCounts":   func() { al.fitCounts(frag, a) },
+	}
+	for name, fn := range warm {
+		fn() // warm the scratch buffers
+		if n := testing.AllocsPerRun(50, fn); n > 0 {
+			t.Errorf("warm %s allocates %.1f objects per call, want 0", name, n)
+		}
+	}
+}
+
 // TestAlignAllocsSteadyState: warm full alignments may allocate only the
 // returned edit-op path, never DP rows or the trace matrix.
 func TestAlignAllocsSteadyState(t *testing.T) {
@@ -72,7 +92,8 @@ func TestAlignAllocsSteadyState(t *testing.T) {
 
 // TestScoreKernelsLazyTrace: the score-only kernels must never touch the
 // O(n·m) trace matrix — a rejected pair costs O(m) scratch, not a full
-// traceback allocation. Only Align is allowed to materialize the trace.
+// traceback allocation. Only the traced kernels (Align and the counts
+// kernels) are allowed to materialize the trace.
 func TestScoreKernelsLazyTrace(t *testing.T) {
 	al := NewAligner(nil)
 	rng := rand.New(rand.NewSource(7))

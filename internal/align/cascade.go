@@ -15,8 +15,8 @@ import "math"
 //  1. Prefilter (zero DP cells): the residue-composition match bound.
 //  2. Banded DP (O(band·n) cells): a max-matches DP over the diagonal
 //     band that any accepting Definition-1 alignment provably occupies.
-//  3. The unchanged exact DP from predicates.go, for every pair the
-//     first two stages cannot decide — in particular every positive.
+//  3. The exact fit kernel Contained runs, for every pair the first
+//     two stages cannot decide — in particular every positive.
 //
 // Definition 2 has no cascade: no stage ever decided an overlap verdict
 // on any corpus the repository measures, so Overlaps runs directly.
@@ -174,12 +174,13 @@ func (al *Aligner) fitMatchesPossible(a, b []byte, dlo, dhi, req int) bool {
 
 // ContainedCascade computes Contained(a, b, p)'s verdict through the
 // cascade: zero-DP prefilters, then a certified banded reject, then —
-// only when no cheap stage can prove the verdict — the exact Align that
-// Contained itself runs. The verdict is always identical to Contained's;
-// only the amount of DP work differs. The returned Stage reports which
-// stage decided. The seed is accepted for interface symmetry; the
-// Definition-1 band is pinned by the fit geometry itself (lengths and
-// the identity threshold), which is tighter than any seed anchor.
+// only when no cheap stage can prove the verdict — the exact fit kernel
+// that Contained itself runs. The verdict is always identical to
+// Contained's; only the amount of DP work differs. The returned Stage
+// reports which stage decided. The seed is accepted for interface
+// symmetry; the Definition-1 band is pinned by the fit geometry itself
+// (lengths and the identity threshold), which is tighter than any seed
+// anchor.
 func (al *Aligner) ContainedCascade(a, b []byte, p ContainParams, seed SeedMatch) (bool, Stage) {
 	_ = seed
 	n, m := len(a), len(b)
@@ -213,8 +214,7 @@ func (al *Aligner) ContainedCascade(a, b []byte, p ContainParams, seed SeedMatch
 			}
 		}
 	}
-	ok, _ := al.Contained(a, b, p)
-	return ok, StageFull
+	return al.Contained(a, b, p), StageFull
 }
 
 // OverlapsCascade is Overlaps with a Stage result. It exists for the
@@ -222,6 +222,5 @@ func (al *Aligner) ContainedCascade(a, b []byte, p ContainParams, seed SeedMatch
 // Definition 2 has no cheap stages: every pair runs the exact local
 // alignment, so the stage is always StageFull and the seed is ignored.
 func (al *Aligner) OverlapsCascade(a, b []byte, p OverlapParams, seed SeedMatch) (bool, Stage) {
-	ok, _ := al.Overlaps(a, b, p)
-	return ok, StageFull
+	return al.Overlaps(a, b, p), StageFull
 }

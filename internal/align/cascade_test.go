@@ -162,7 +162,7 @@ func TestContainedCascadeMatchesExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := pairKinds(rng)
 		a, b, sm := shorterFirst(a, b, randSeedFor(rng, a, b))
-		wantOK, _ := exact.Contained(a, b, p)
+		wantOK := exact.Contained(a, b, p)
 		gotOK, _ := al.ContainedCascade(a, b, p, sm)
 		return wantOK == gotOK
 	}
@@ -182,7 +182,7 @@ func TestCascadeLooseThresholds(t *testing.T) {
 		a, b := pairKinds(rng)
 		a, b, seed := shorterFirst(a, b, randSeedFor(rng, a, b))
 		for _, p := range params {
-			want, _ := exact.Contained(a, b, p)
+			want := exact.Contained(a, b, p)
 			got, _ := al.ContainedCascade(a, b, p, seed)
 			if want != got {
 				t.Fatalf("contain params %+v: cascade %v != exact %v", p, got, want)
@@ -212,7 +212,7 @@ func TestCascadeStages(t *testing.T) {
 	a := bytes.Repeat([]byte("AC"), 30)
 	b := bytes.Repeat([]byte("WY"), 35)
 	ok, st := al.ContainedCascade(a, b, cp, SeedMatch{})
-	wantOK, _ := exact.Contained(a, b, cp)
+	wantOK := exact.Contained(a, b, cp)
 	check("contain/prefilter", ok, wantOK, st, StagePrefilter)
 
 	// Same composition, reversed order: composition passes, and the
@@ -223,14 +223,14 @@ func TestCascadeStages(t *testing.T) {
 		rev[len(a)-1-i] = c
 	}
 	ok, st = al.ContainedCascade(a, rev, cp, SeedMatch{})
-	wantOK, _ = exact.Contained(a, rev, cp)
+	wantOK = exact.Contained(a, rev, cp)
 	check("contain/banded", ok, wantOK, st, StageBanded)
 
 	// A genuinely contained pair must reach the full DP and accept.
 	inner := bytes.Repeat([]byte("MKWVTFISLL"), 6)
 	outer := append(append([]byte("HHHHH"), inner...), []byte("GGGGG")...)
 	ok, st = al.ContainedCascade(inner, outer, cp, SeedMatch{Len: len(inner)})
-	wantOK, _ = exact.Contained(inner, outer, cp)
+	wantOK = exact.Contained(inner, outer, cp)
 	if !wantOK {
 		t.Fatal("test setup: expected exact containment")
 	}
@@ -270,7 +270,7 @@ func TestCascadeCheaper(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a, b := comparablePair()
 		a, b, seed := shorterFirst(a, b, randSeedFor(rng, a, b))
-		wantOK, _ := exact.Contained(a, b, cp)
+		wantOK := exact.Contained(a, b, cp)
 		gotOK, _ := casc.ContainedCascade(a, b, cp, seed)
 		if wantOK != gotOK {
 			t.Fatalf("pair %d: cascade %v != exact %v", i, gotOK, wantOK)

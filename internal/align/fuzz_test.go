@@ -27,8 +27,9 @@ func resultOverlaps(r Result, la, lb int, p OverlapParams) bool {
 
 // FuzzAlignCascade cross-checks the anchored banded kernel and the
 // containment cascade against the exact full-matrix reference on
-// arbitrary residue strings and arbitrary (possibly bogus) seeds, and
-// the count-based overlap verdict against the Result-based one.
+// arbitrary residue strings and arbitrary (possibly bogus) seeds, the
+// counts kernels against Align in both argument orders, and the
+// count-based overlap verdict against the Result-based one.
 func FuzzAlignCascade(f *testing.F) {
 	f.Add("ACDEFGHIK", "ACDEFGWIK", 0, 0, 5)
 	f.Add("MKWVTFISLLFLFSSAYS", "KWVTFISLL", 1, 0, 9)
@@ -53,9 +54,13 @@ func FuzzAlignCascade(f *testing.F) {
 			t.Fatalf("narrow anchored band=%d escapes [0,%d]", got, localFull)
 		}
 
+		// Counts are not symmetric, so each order is its own case.
+		checkCounts(t, al, exact, a, b)
+		checkCounts(t, al, exact, b, a)
+
 		cp := DefaultContainParams()
 		short, long, shortSeed := shorterFirst(a, b, seed)
-		wantC, _ := exact.Contained(short, long, cp)
+		wantC := exact.Contained(short, long, cp)
 		gotC, _ := al.ContainedCascade(short, long, cp, shortSeed)
 		if wantC != gotC {
 			t.Fatalf("ContainedCascade=%v, exact=%v", gotC, wantC)
@@ -74,7 +79,7 @@ func FuzzAlignCascade(f *testing.F) {
 			if got := p.Accept(counts); got != want {
 				t.Fatalf("%+v: Accept(%+v)=%v, Result verdict=%v", p, counts, got, want)
 			}
-			if got, _ := al.Overlaps(a, b, p); got != want {
+			if got := al.Overlaps(a, b, p); got != want {
 				t.Fatalf("%+v: Overlaps=%v, Result verdict=%v", p, got, want)
 			}
 		}

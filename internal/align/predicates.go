@@ -34,36 +34,31 @@ func DefaultOverlapParams() OverlapParams {
 
 // Contained reports whether sequence a is contained in sequence b per
 // Definition 1: a fit alignment of a into b whose overlapping region has
-// identity ≥ p.MinIdentity and covers ≥ p.MinCoverage of a.
-// The returned Result is the alignment that was evaluated.
-func (al *Aligner) Contained(a, b []byte, p ContainParams) (bool, Result) {
+// identity ≥ p.MinIdentity and covers ≥ p.MinCoverage of a. The fit
+// kernel decides it from the alignment's counts; Align(a, b, Fit) is its
+// oracle.
+func (al *Aligner) Contained(a, b []byte, p ContainParams) bool {
 	if len(a) > len(b) {
 		// A longer sequence can never be 95 % covered inside a shorter
 		// one (gaps only hurt); skip the DP.
-		return false, Result{Mode: Fit}
+		return false
 	}
-	r := al.Align(a, b, Fit)
-	if r.Cols == 0 {
-		return false, r
+	matches, cols, coveredA := al.fitCounts(a, b)
+	if cols == 0 {
+		return false
 	}
-	coveredA := r.EndA - r.StartA
+	identity := float64(matches) / float64(cols)
 	cov := float64(coveredA) / float64(len(a))
-	return r.Identity() >= p.MinIdentity && cov >= p.MinCoverage, r
+	return identity >= p.MinIdentity && cov >= p.MinCoverage
 }
 
 // EitherContained reports containment in either direction and, when true,
 // which sequence is the redundant (contained) one: 0 for a, 1 for b.
 func (al *Aligner) EitherContained(a, b []byte, p ContainParams) (contained bool, which int) {
 	if len(a) <= len(b) {
-		if ok, _ := al.Contained(a, b, p); ok {
-			return true, 0
-		}
-		return false, 0
+		return al.Contained(a, b, p), 0
 	}
-	if ok, _ := al.Contained(b, a, p); ok {
-		return true, 1
-	}
-	return false, 1
+	return al.Contained(b, a, p), 1
 }
 
 // OverlapCounts are the exact integer ingredients of a Definition-2
@@ -104,7 +99,6 @@ func (p OverlapParams) Accept(c OverlapCounts) bool {
 // Overlaps reports whether a and b overlap per Definition 2: a local
 // alignment with similarity ≥ p.MinSimilarity spanning at least
 // p.MinLongCoverage of the longer sequence.
-func (al *Aligner) Overlaps(a, b []byte, p OverlapParams) (bool, Result) {
-	r := al.Align(a, b, Local)
-	return p.Accept(CountsOf(r, len(a), len(b))), r
+func (al *Aligner) Overlaps(a, b []byte, p OverlapParams) bool {
+	return p.Accept(al.LocalCounts(a, b))
 }

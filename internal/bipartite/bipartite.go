@@ -179,7 +179,7 @@ func BuildBdFrom(set *seq.Set, members []int, pairs []pace.Verdict, cfg Config) 
 		} else {
 			st.PairsAligned++
 			a, b := set.Get(int(p.A)).Res, set.Get(int(p.B)).Res
-			counts = align.CountsOf(al.Align(a, b, align.Local), len(a), len(b))
+			counts = al.LocalCounts(a, b)
 			st.Fresh = append(st.Fresh, pace.Verdict{A: p.A, B: p.B, Overlap: counts})
 		}
 		if cfg.Edge.Accept(counts) {

@@ -110,7 +110,7 @@ func TestBuildBdEdgesMatchPredicate(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
-			ok, _ := al.Overlaps(set.Get(i).Res, set.Get(j).Res, p)
+			ok := al.Overlaps(set.Get(i).Res, set.Get(j).Res, p)
 			if has(i, j) && !ok {
 				t.Errorf("edge %d-%d fails the overlap predicate", i, j)
 			}

@@ -128,7 +128,7 @@ func Run(set *seq.Set, cfg Config) Result {
 			continue
 		}
 		res.Alignments++
-		if ok, _ := al.Overlaps(set.Get(i).Res, set.Get(j).Res, cfg.Edge); ok {
+		if al.Overlaps(set.Get(i).Res, set.Get(j).Res, cfg.Edge) {
 			adj[i] = append(adj[i], j)
 			adj[j] = append(adj[j], i)
 		}

@@ -384,7 +384,7 @@ func (w rrWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOu
 	before := al.Cells
 	out := AlignOutcome{A: p.A, B: p.B, FullCells: int64(len(a)) * int64(len(b))}
 	if w.exact {
-		out.OK, _ = al.Contained(a, b, w.params)
+		out.OK = al.Contained(a, b, w.params)
 	} else {
 		ok, stage := al.ContainedCascade(a, b, w.params, align.SeedMatch{})
 		out.OK, out.Stage = ok, int8(stage)
@@ -422,8 +422,7 @@ type ccWorker struct {
 func (w ccWorker) alignPair(al *align.Aligner, set *seq.Set, p PairItem) AlignOutcome {
 	a, b := set.Get(int(p.A)).Res, set.Get(int(p.B)).Res
 	before := al.Cells
-	out := AlignOutcome{A: p.A, B: p.B,
-		Overlap: align.CountsOf(al.Align(a, b, align.Local), len(a), len(b))}
+	out := AlignOutcome{A: p.A, B: p.B, Overlap: al.LocalCounts(a, b)}
 	out.OK = w.params.Accept(out.Overlap)
 	out.Cells = al.Cells - before
 	return out

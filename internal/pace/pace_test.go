@@ -92,7 +92,7 @@ func bruteComponents(set *seq.Set, keep []bool, cfg Config) []int32 {
 			return true
 		}
 		seen[key] = true
-		if ok, _ := al.Overlaps(set.Get(int(p.SeqA)).Res, set.Get(int(p.SeqB)).Res, cfg.Overlap); ok {
+		if al.Overlaps(set.Get(int(p.SeqA)).Res, set.Get(int(p.SeqB)).Res, cfg.Overlap) {
 			uf.Union(int(p.SeqA), int(p.SeqB))
 		}
 		return true

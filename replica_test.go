@@ -55,9 +55,9 @@ func withChains(t *testing.T, set *seq.Set, rng *rand.Rand) (*seq.Set, []chainID
 	var links [3][3]string
 	for i := range links {
 		a, b, c := containmentChain(rng)
-		okAB, _ := al.Contained([]byte(a), []byte(b), p)
-		okBC, _ := al.Contained([]byte(b), []byte(c), p)
-		okAC, _ := al.Contained([]byte(a), []byte(c), p)
+		okAB := al.Contained([]byte(a), []byte(b), p)
+		okBC := al.Contained([]byte(b), []byte(c), p)
+		okAC := al.Contained([]byte(a), []byte(c), p)
 		if !okAB || !okBC || okAC {
 			t.Fatalf("chain %d is not a chain: a⊂b %v, b⊂c %v, a⊂c %v", i, okAB, okBC, okAC)
 		}
