@@ -1,9 +1,11 @@
 package profam_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -11,6 +13,7 @@ import (
 
 	"profam"
 	"profam/internal/ledger"
+	"profam/internal/seq"
 	"profam/internal/workload"
 )
 
@@ -44,6 +47,27 @@ func ledgerShapes() []ledgerShape {
 	}
 }
 
+// randomArrival is the fragments-heavy corpus in a random arrival order:
+// a fragment often arrives before the sequence that contains it, so
+// many epochs demote a kept sequence.
+func randomArrival() (names, seqs []string) {
+	set, _ := workload.Generate(workload.Params{Families: 30, MeanFamilySize: 12, UniformSizes: true, MeanLength: 130, Seed: 3})
+	names, seqs = setStrings(set)
+	rand.New(rand.NewSource(1)).Shuffle(len(seqs), func(i, j int) {
+		names[i], names[j] = names[j], names[i]
+		seqs[i], seqs[j] = seqs[j], seqs[i]
+	})
+	return names, seqs
+}
+
+// randomArrivalWaves cuts randomArrival into a 120-sequence first epoch
+// and 30-sequence waves.
+func randomArrivalWaves() [][2][]string {
+	names, seqs := randomArrival()
+	waves := [][2][]string{{names[:120], seqs[:120]}}
+	return append(waves, splitWaves(names[120:], seqs[120:], (len(seqs)-120+29)/30)...)
+}
+
 // ledgerCounters are the work counters the ledger records, by name
 // without labels: each is kept under every label set the run reports.
 var ledgerCounters = map[string]bool{
@@ -62,9 +86,26 @@ type ledgerLeg struct {
 	FamiliesDigest string           `json:"families_digest"`
 }
 
+// newLedgerLeg is the entry of res, a run over set.
+func newLedgerLeg(t *testing.T, set *seq.Set, res *profam.Result) ledgerLeg {
+	t.Helper()
+	leg := ledgerLeg{Counters: map[string]int64{}}
+	for name, v := range res.Metrics.Canonical().Counters {
+		if base, _, _ := strings.Cut(name, "{"); ledgerCounters[base] {
+			leg.Counters[name] = v
+		}
+	}
+	var err error
+	if leg.FamiliesDigest, err = ledger.FamiliesDigest(set, res); err != nil {
+		t.Fatal(err)
+	}
+	return leg
+}
+
 // TestWorkLedger pins every run's work: the canonical counters of the
 // three batch workload shapes at p = 1 in process and at simulated p = 2
-// and 8, one thread per rank, default cost model. Work counters are
+// and 8, one thread per rank, default cost model, and of every epoch of
+// the random-arrival session at p = 1 in process. Work counters are
 // deterministic functions of (corpus, config), so any change here is a
 // change in the work the program does; a change that claims none must
 // leave the file as it is. Rewrite it with `go test -run TestWorkLedger
@@ -82,17 +123,17 @@ func TestWorkLedger(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", sh.name, p, err)
 			}
-			leg := ledgerLeg{Counters: map[string]int64{}}
-			for name, v := range res.Metrics.Canonical().Counters {
-				if base, _, _ := strings.Cut(name, "{"); ledgerCounters[base] {
-					leg.Counters[name] = v
-				}
-			}
-			if leg.FamiliesDigest, err = ledger.FamiliesDigest(set, res); err != nil {
-				t.Fatal(err)
-			}
-			got[fmt.Sprintf("%s/p=%d", sh.name, p)] = leg
+			got[fmt.Sprintf("%s/p=%d", sh.name, p)] = newLedgerLeg(t, set, res)
 		}
+	}
+	st := profam.NewEpochState()
+	for k, w := range randomArrivalWaves() {
+		res, next, err := profam.RunEpoch(context.Background(), st, w[0], w[1], 1, profam.Config{ThreadsPerRank: 1})
+		if err != nil {
+			t.Fatalf("random_arrival epoch %d: %v", k+1, err)
+		}
+		st = next
+		got[fmt.Sprintf("random_arrival/p=1/epoch=%d", k+1)] = newLedgerLeg(t, st.Set(), res)
 	}
 
 	if *updateLedger {
