@@ -19,8 +19,10 @@
 #                       a third ingests the corpus sorted shortest-first,
 #                       so later waves demote kept fragments, and must
 #                       serve the cold run's families, ledger a demotion
-#                       and trace no ccd/index span (a demotion replays
-#                       the pair table, it does not enumerate again);
+#                       and trace no ccd/index span (every epoch seeds
+#                       CCD from the pair table's stored positives and
+#                       replays its count-less pairs the seed leaves
+#                       apart; none enumerates again);
 #                       artifacts land in e2e_artifacts/
 #
 # The race pass matters: the hybrid rank×thread execution model runs
@@ -233,9 +235,11 @@ if [ "${1:-}" = "e2e" ]; then
 
 	# Demotions: the same corpus sorted shortest-first, so contained
 	# fragments arrive in an earlier wave than the sequences that contain
-	# them and a later epoch demotes them. That epoch's cold CCD replays
-	# the committed pair table instead of enumerating the corpus again:
-	# no epoch trace may hold a ccd/index span.
+	# them and a later epoch demotes them. That epoch's CCD is every
+	# epoch's: seeded from the committed pair table's stored positives,
+	# it replays the table's count-less pairs the seed leaves apart
+	# instead of enumerating the corpus again, so no epoch trace may hold
+	# a ccd/index span.
 	echo "-- demotion epochs replay the pair table"
 	demo="$artifacts/demotion"
 	mkdir -p "$demo"

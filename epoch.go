@@ -28,22 +28,20 @@ var ErrConfigChanged = errors.New("profam: config differs from committed epoch s
 
 // EpochState is the committed clustering state after some number of
 // ingest epochs: the corpus so far plus everything the next epoch needs
-// to avoid reclustering it — redundancy verdicts, the union–find over the
-// whole corpus (redundant sequences are singletons), the family cache
-// (each component's families under its exact member list), and the pair
-// table (every promising pair of two kept sequences, with its overlap
-// counts once an alignment computed them). It is the one value that
-// flows between epochs: the pipeline takes the committed state and
-// builds the next one on rank 0, and RunEpoch stamps its epoch number
-// and config fingerprint. It is immutable once returned: RunEpoch never
-// mutates its input state, so an aborted or failed epoch leaves the
-// committed state (and anything serving from it) untouched. The zero of
-// the type is not useful; start from NewEpochState (epoch 0, empty
-// corpus).
+// to avoid reclustering it — redundancy verdicts, the family cache (each
+// component's families under its exact member list), and the pair table
+// (every promising pair of two kept sequences, with its overlap counts
+// once an alignment computed them), whose stored positives seed the next
+// epoch's clustering. It is the one value that flows between epochs: the
+// pipeline takes the committed state and builds the next one on rank 0,
+// and RunEpoch stamps its epoch number and config fingerprint. It is
+// immutable once returned: RunEpoch never mutates its input state, so an
+// aborted or failed epoch leaves the committed state (and anything
+// serving from it) untouched. The zero of the type is not useful; start
+// from NewEpochState (epoch 0, empty corpus).
 type EpochState struct {
 	set         *seq.Set
 	redundant   []bool
-	uf          *unionfind.UF
 	famCache    map[string][]wireFamily
 	table       pairTable
 	epoch       int
@@ -62,8 +60,9 @@ type tableEntry struct {
 }
 
 // next returns a new table: t's pairs without a redundant side, then
-// CCD's list and its verdicts' counts. In a demotion epoch the list
-// already holds t's surviving pairs (replay), so t adds only their counts.
+// CCD's list and its verdicts' counts. The list holds the pairs with a
+// new side and the pairs of t that seed left open, whose entries it
+// leaves as they are but for their counts.
 func (t pairTable) next(keep []bool, pairs []pace.PairItem, verdicts []pace.Verdict) pairTable {
 	out := make(pairTable, len(t)+len(pairs))
 	for k, e := range t {
@@ -89,16 +88,28 @@ func (t pairTable) setCounts(verdicts []pace.Verdict) {
 	}
 }
 
-// replay returns pairs with t's pairs added, longest match first, ties
-// by IDs: rank 0's list for a demotion epoch's cold CCD.
-func (t pairTable) replay(pairs []pace.PairItem) []pace.PairItem {
+// seed returns a union–find over n sequences that joins every kept–kept
+// pair of t whose stored counts pass overlap, and the kept–kept pairs of
+// t without counts that it leaves in two sets, longest match first, ties
+// by IDs: those are the only pairs of t whose verdict can still change
+// the partition, so an epoch's CCD replays them (DESIGN.md §9).
+func (t pairTable) seed(n int, keep []bool, overlap align.OverlapParams) (*unionfind.UF, []pace.PairItem) {
+	uf := unionfind.New(n)
 	for k, e := range t {
-		pairs = append(pairs, pace.PairItem{A: k[0], B: k[1], Len: e.Len})
+		if keep[k[0]] && keep[k[1]] && overlap.Accept(e.Overlap) {
+			uf.Union(int(k[0]), int(k[1]))
+		}
 	}
-	slices.SortFunc(pairs, func(x, y pace.PairItem) int {
+	var open []pace.PairItem
+	for k, e := range t {
+		if keep[k[0]] && keep[k[1]] && e.Overlap.LongLen == 0 && !uf.Same(int(k[0]), int(k[1])) {
+			open = append(open, pace.PairItem{A: k[0], B: k[1], Len: e.Len})
+		}
+	}
+	slices.SortFunc(open, func(x, y pace.PairItem) int {
 		return cmp.Or(cmp.Compare(y.Len, x.Len), cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
-	return pairs
+	return uf, open
 }
 
 // inside lists, per component of comps, t's pairs inside it, given every

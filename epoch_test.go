@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"profam"
+	"profam/internal/align"
 	"profam/internal/metrics"
 	"profam/internal/mpi"
 	"profam/internal/pace"
@@ -161,11 +162,12 @@ func demotionSet() (*seq.Set, *workload.Truth) {
 
 // TestIncrementalDemotionFallback arrives fragments before the sequences
 // that contain them: the containing full-length sequences land in a later
-// wave and demote previously-kept fragments, forcing the cold-CCD
-// fallback path, which replays the committed pair table on rank 0 (its
-// own list at p = 1, the master's ingest at p ≥ 2). The contract must
-// hold regardless, at every rank and thread count, and committed pair
-// counts stay valid across the demotion: they depend on residues alone.
+// wave and demote previously-kept fragments. The demoted fragments' table
+// pairs go, so the stored positives left seed CCD and rank 0 replays the
+// count-less table pairs they leave apart (its own list at p = 1, the
+// master's ingest at p ≥ 2). The contract must hold regardless, at every
+// rank and thread count, and committed pair counts stay valid across the
+// demotion: they depend on residues alone.
 func TestIncrementalDemotionFallback(t *testing.T) {
 	set, truth := demotionSet()
 	rn, rs, nFrag := fragmentsFirst(t, set, truth)
@@ -210,6 +212,56 @@ func TestIncrementalDemotionFallback(t *testing.T) {
 	}
 }
 
+// TestEpochCCDAlignsOnlyOpenPairs bounds every epoch's CCD work on the
+// random-arrival session, demotion epochs included: CCD aligns only
+// pairs whose verdict the committed pair table does not hold, that is
+// the kept–kept table pairs without counts and the kept–kept pairs with
+// a new side. A pair the table holds counts for is decided by them.
+func TestEpochCCDAlignsOnlyOpenPairs(t *testing.T) {
+	waves := randomArrivalWaves()
+	for _, p := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			st := profam.NewEpochState()
+			var demotions int64
+			for wi, w := range waves {
+				prior := profam.PairTable(st)
+				newFrom := st.NumSequences()
+				res, next, err := profam.RunEpoch(context.Background(), st, w[0], w[1], p, profam.Config{})
+				if err != nil {
+					t.Fatalf("wave %d: %v", wi, err)
+				}
+				st = next
+				demotions += metricValue(res.Metrics, "pipeline_epoch_demotions")
+				var open int64
+				for k, oc := range prior {
+					if res.Keep[k[0]] && res.Keep[k[1]] && oc == (align.OverlapCounts{}) {
+						open++
+					}
+				}
+				var fresh []pace.PairItem
+				if _, err := mpi.RunSim(1, mpi.BlueGeneLike(), func(c *mpi.Comm) {
+					if fresh, err = pace.Enumerate(c, st.Set(), newFrom, pace.Config{Psi: 8}, "rr"); err != nil {
+						panic(err)
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for _, pr := range fresh {
+					if res.Keep[pr.A] && res.Keep[pr.B] {
+						open++
+					}
+				}
+				if res.CCD.PairsAligned > open {
+					t.Errorf("wave %d: CCD aligned %d pairs, only %d lack a stored verdict", wi, res.CCD.PairsAligned, open)
+				}
+			}
+			if demotions == 0 {
+				t.Error("no wave demoted a sequence")
+			}
+		})
+	}
+}
+
 // TestEpochFamilyCacheHits checks that a wave touching none of the
 // existing components reuses their cached families rather than
 // recomputing phases 3+4, and that the hits are counted once per job:
@@ -250,9 +302,9 @@ func TestEpochFamilyCacheHits(t *testing.T) {
 
 // TestOneEnumerationPerRun: a cold run, an epoch without demotions and
 // an epoch with them each build one pair index, RR's. CCD replays the
-// kept pairs of RR's list, and a demotion's cold CCD the committed pair
-// table, so no {phase=ccd} index series appears. The standalone CCD phase
-// still enumerates its own kept subset.
+// kept pairs of RR's list, and in a demotion epoch also the committed
+// table's open pairs, so no {phase=ccd} index series appears. The
+// standalone CCD phase still enumerates its own kept subset.
 func TestOneEnumerationPerRun(t *testing.T) {
 	set, _ := workload.Generate(workload.Params{
 		Families: 4, MeanFamilySize: 10, MeanLength: 100,

@@ -2,7 +2,6 @@ package pace
 
 import (
 	"container/heap"
-	"fmt"
 	"sort"
 
 	"profam/internal/align"
@@ -669,9 +668,9 @@ func Enumerate(c *mpi.Comm, set *seq.Set, newFrom int, cfg Config, phase string)
 // elsewhere), with PhaseTime counted from start on rank 0 to the slowest
 // rank's end. Stats are a read-out of the phase's registry counters —
 // the registry is the one accumulation path. At p ≥ 2 the master ingests
-// its own list (a demotion's replay) before serving, as it ingests a
-// worker's, and returns what it ingested: each distinct pair with its
-// longest match length.
+// its own list (the pair-table pairs an epoch replays) before serving,
+// as it ingests a worker's, and returns what it ingested: each distinct
+// pair with its longest match length.
 func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl workerLogic, cfg Config, phase string, start float64) (Stats, map[int64]int32) {
 	if cfg.Metrics == nil {
 		// Private registry so the counter-backed Stats still work for
@@ -777,40 +776,31 @@ func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]
 	for i, p := range pairs { // orig ascends, so A < B still holds
 		pairs[i].A, pairs[i].B = int32(orig[p.A]), int32(orig[p.B])
 	}
-	comp, _, _, _, st, err := connectedComponents(c, set, keep, pairs, nil, 0, cfg, start)
-	return comp, st, err
+	comp, _, _, st := connectedComponents(c, set, keep, pairs, nil, cfg, start)
+	return comp, st, nil
 }
 
 // ConnectedComponentsFrom is ConnectedComponents over this rank's pairs
-// from Enumerate, of which it keeps those with both sides kept. prior
-// (may be nil) is the committed union–find over the previous epoch's
-// corpus, sequences 0..newFrom-1, and the pairs may leave out the pairs
-// of two prior sequences: their merges are already encoded in prior.
-// Because a connected-component partition is the transitive closure of
-// its positive pairs and closure is order-invariant, seeding a clone of
-// prior and merging only epoch-crossing pairs yields exactly the cold
-// partition. Alongside comp it returns, on rank 0 only (nil on other
-// ranks), the resulting union–find over the whole set — redundant
-// sequences stay singletons — so the caller can commit it as the next
-// epoch's prior; every kept–kept pair the phase handled, once and in no
-// particular order (rank 0's own kept pairs at p = 1, the master's
-// de-duplicated ingest at p ≥ 2); the verdict of every pair the phase
-// aligned; and the phase Stats (zero Stats on other ranks). Each
-// verdict's counts are those of the local alignment of the lower ID
-// against the higher one.
-func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config) ([]int32, *unionfind.UF, []PairItem, []Verdict, Stats, error) {
-	return connectedComponents(c, set, keep, pairs, prior, newFrom, cfg, c.Time())
+// from Enumerate, of which it keeps those with both sides kept, merged
+// into uf, a union–find over set (nil means singletons). Every rank
+// passes an equal uf. A connected-component partition is the transitive
+// closure of its positive pairs and closure is order-invariant, so when
+// uf is the closure of some positive pairs and pairs holds every other
+// pair that can join two of its sets, comp is the cold partition.
+// Alongside comp it returns, on rank 0 only (nil on other ranks), every
+// kept–kept pair the phase handled, once and in no particular order
+// (rank 0's own kept pairs at p = 1, the master's de-duplicated ingest
+// at p ≥ 2); the verdict of every pair the phase aligned; and the phase
+// Stats (zero Stats on other ranks). Each verdict's counts are those of
+// the local alignment of the lower ID against the higher one.
+func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, uf *unionfind.UF, cfg Config) ([]int32, []PairItem, []Verdict, Stats) {
+	return connectedComponents(c, set, keep, pairs, uf, cfg, c.Time())
 }
 
-func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, prior *unionfind.UF, newFrom int, cfg Config, start float64) ([]int32, *unionfind.UF, []PairItem, []Verdict, Stats, error) {
+func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, uf *unionfind.UF, cfg Config, start float64) ([]int32, []PairItem, []Verdict, Stats) {
 	cfg = cfg.withDefaults()
-	uf := unionfind.New(set.Len())
-	if prior != nil {
-		if prior.Len() != newFrom {
-			return nil, nil, nil, nil, Stats{}, fmt.Errorf("pace: prior union-find covers %d sequences, the prior corpus has %d", prior.Len(), newFrom)
-		}
-		uf = prior.Clone()
-		uf.Extend(set.Len())
+	if uf == nil {
+		uf = unionfind.New(set.Len())
 	}
 	if keep != nil {
 		kept := make([]PairItem, 0, len(pairs))
@@ -848,9 +838,9 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairIte
 	}
 	comp = c.Bcast(0, comp).([]int32)
 	if c.Rank() != 0 {
-		return comp, nil, nil, nil, st, nil
+		return comp, nil, nil, st
 	}
-	return comp, uf, pairs, ml.verdicts, st, nil
+	return comp, pairs, ml.verdicts, st
 }
 
 // ComponentsBySize groups sequence IDs by component label (ignoring -1)

@@ -10,9 +10,8 @@
 // exact match of length ≥ ψ — in decreasing match-length order
 // (Enumerate). A pipeline run enumerates once: RR ships the whole list to
 // the master, CCD the pairs with both sides kept, and CCD hands those
-// back to the caller, whose pair table feeds phase 3 and a later
-// demotion's cold CCD. The master maintains
-// the global clustering state,
+// back to the caller, whose pair table feeds phase 3 and seeds later
+// epochs' CCD. The master maintains the global clustering state,
 // filters incoming pairs (duplicate elimination plus the closure test:
 // for CCD, pairs already in one cluster; for RR, pairs whose later side
 // is already redundant), and dynamically assigns the surviving alignment

@@ -67,34 +67,5 @@ func (u *UF) Union(x, y int) bool {
 	return true
 }
 
-// Clone returns an independent deep copy of the structure. The copy is
-// taken without path compression (no Find calls), so concurrent Clones
-// of a quiescent UF are safe; mutations of the clone never touch the
-// original. This is the snapshot primitive behind incremental epochs:
-// each epoch merges new pairs into a clone of the committed state, so
-// an aborted epoch leaves the published clustering untouched.
-func (u *UF) Clone() *UF {
-	c := &UF{
-		parent: make([]int32, len(u.parent)),
-		rank:   make([]int8, len(u.rank)),
-		sets:   u.sets,
-	}
-	copy(c.parent, u.parent)
-	copy(c.rank, u.rank)
-	return c
-}
-
-// Extend grows the structure to n elements, adding n-Len() fresh
-// singleton sets at the end. Extending to n ≤ Len() is a no-op. New
-// epochs use this to widen a cloned prior union–find over the sequences
-// that arrived since it was committed.
-func (u *UF) Extend(n int) {
-	for i := len(u.parent); i < n; i++ {
-		u.parent = append(u.parent, int32(i))
-		u.rank = append(u.rank, 0)
-		u.sets++
-	}
-}
-
 // Same reports whether x and y are in the same set.
 func (u *UF) Same(x, y int) bool { return u.Find(x) == u.Find(y) }

@@ -39,57 +39,6 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	u := New(6)
-	u.Union(0, 1)
-	u.Union(2, 3)
-	c := u.Clone()
-	if c.Len() != 6 || c.Sets() != u.Sets() {
-		t.Fatalf("clone shape: Len=%d Sets=%d want 6/%d", c.Len(), c.Sets(), u.Sets())
-	}
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			if c.Same(i, j) != u.Same(i, j) {
-				t.Fatalf("clone partition differs at (%d,%d)", i, j)
-			}
-		}
-	}
-	// Mutating the clone must not leak back into the original, and vice
-	// versa.
-	c.Union(0, 5)
-	if u.Same(0, 5) {
-		t.Error("clone union leaked into original")
-	}
-	u.Union(1, 3)
-	if c.Same(1, 3) {
-		t.Error("original union leaked into clone")
-	}
-}
-
-func TestExtendAddsSingletons(t *testing.T) {
-	u := New(3)
-	u.Union(0, 2)
-	u.Extend(6)
-	if u.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", u.Len())
-	}
-	if u.Sets() != 5 { // {0,2}, {1}, {3}, {4}, {5}
-		t.Fatalf("Sets = %d, want 5", u.Sets())
-	}
-	for i := 3; i < 6; i++ {
-		if u.Find(i) != i {
-			t.Errorf("new element %d not a singleton root", i)
-		}
-	}
-	if !u.Same(0, 2) {
-		t.Error("extend destroyed an existing set")
-	}
-	u.Extend(2) // shrinking request is a no-op
-	if u.Len() != 6 {
-		t.Errorf("Extend(2) changed Len to %d", u.Len())
-	}
-}
-
 // Property: union–find agrees with a naive label-propagation clustering on
 // random union sequences.
 func TestAgainstNaive(t *testing.T) {

@@ -91,10 +91,7 @@ func TestBdMemoMatchesBuildBd(t *testing.T) {
 							panic(err)
 						}
 						keep, _ := pace.RedundancyRemovalFrom(c, tc.set, pairs, nil, pcfg)
-						cc, _, l, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, keep, pairs, nil, 0, pcfg)
-						if err != nil {
-							panic(err)
-						}
+						cc, l, v, _ := pace.ConnectedComponentsFrom(c, tc.set, keep, pairs, nil, pcfg)
 						if c.Rank() == 0 {
 							list, verdicts, comp, comps = l, v, cc, pace.ComponentsBySize(cc, tc.minComp)
 						}
@@ -186,10 +183,7 @@ func TestBdAlignsEachPairOnce(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				comp, _, _, v, _, err := pace.ConnectedComponentsFrom(c, tc.set, res.Keep, pairs, nil, 0, tc.pace)
-				if err != nil {
-					panic(err)
-				}
+				comp, _, v, _ := pace.ConnectedComponentsFrom(c, tc.set, res.Keep, pairs, nil, tc.pace)
 				if c.Rank() == 0 {
 					verdicts, comps = v, pace.ComponentsBySize(comp, tc.minComp)
 				}

@@ -1,10 +1,12 @@
 package profam
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"profam/internal/bipartite"
@@ -15,7 +17,6 @@ import (
 	"profam/internal/seq"
 	"profam/internal/shingle"
 	"profam/internal/trace"
-	"profam/internal/unionfind"
 )
 
 // wireFamily is the gob-friendly family representation exchanged between
@@ -76,9 +77,9 @@ func compKey(members []int) string {
 // set; a nil or epoch-0 prior (an empty corpus) makes this a cold run.
 // Otherwise the run reuses prior's verdicts: RR aligns only pairs
 // touching a new sequence on top of the prior redundancy mask, CCD merges
-// epoch-crossing pairs into a clone of the prior union–find, and
-// components whose member list the prior already built skip phases 3+4
-// via the family cache. prior is only read. Rank 0 alone holds the run's
+// them into a union–find seeded with the pair table's stored positives,
+// and components whose member list the prior already built skip phases
+// 3+4 via the family cache. prior is only read. Rank 0 alone holds the run's
 // outputs: it returns the *Result and the next state over set, whose
 // epoch and fingerprint the caller stamps; every other rank returns
 // (nil, nil, nil) once its families and reports are gathered.
@@ -149,33 +150,31 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 		return nil, nil, err
 	}
 
-	// Phase 2: connected components over the non-redundant set, replaying
-	// the kept pairs of RR's list. Incremental CCD is sound only while
-	// every previously-kept sequence stays kept: union–find can merge but
-	// never split. If a new arrival demoted an old sequence (contains it),
-	// fall back to a cold CCD for this epoch. It needs the old–old pairs
-	// the list left out, which the prior's pair table holds: rank 0
-	// replays them. The scan runs on every rank over the broadcast keep
-	// mask, so the fallback decision is collective for free.
+	// Phase 2: connected components over the non-redundant set. Every
+	// rank seeds its union–find with the prior pair table's kept–kept
+	// pairs whose stored counts pass Definition 2, and CCD merges the kept
+	// pairs of RR's list into it. Rank 0 adds the table's kept–kept pairs
+	// without counts that the seed leaves in two sets, longest match
+	// first. Only a demotion leaves such pairs: without one, every
+	// count-less table pair was closed by positives the table stores.
 	tracer.Instant(trace.CatPipeline, "phase:ccd", "", 0, "", 0)
 	ccdSpan := reg.StartSpan("ccd")
-	ccPrior, ccNewFrom := prior.uf, newFrom
-	for i := range newFrom {
-		if !prior.redundant[i] && !keep[i] {
-			ccPrior, ccNewFrom = nil, 0
-			if c.Rank() == 0 {
+	uf, open := prior.table.seed(set.Len(), keep, pcfg.Overlap)
+	if c.Rank() == 0 {
+		for i := range newFrom {
+			if !prior.redundant[i] && !keep[i] {
 				reg.Counter("pipeline_epoch_demotions").Add(1)
-				log.Info("prior sequence demoted by new arrival; cold CCD rebuild", "t", c.Time())
-				pairs = prior.table.replay(pairs)
+				log.Info("prior sequence demoted by new arrival", "replayed", len(open), "t", c.Time())
+				break
 			}
-			break
+		}
+		if len(open) > 0 {
+			pairs = append(pairs, open...)
+			slices.SortStableFunc(pairs, func(x, y pace.PairItem) int { return cmp.Compare(y.Len, x.Len) })
 		}
 	}
-	comp, ccUF, ccPairs, ccVerdicts, ccStats, err := pace.ConnectedComponentsFrom(c, set, keep, pairs, ccPrior, ccNewFrom, pcfg)
+	comp, ccPairs, ccVerdicts, ccStats := pace.ConnectedComponentsFrom(c, set, keep, pairs, uf, pcfg)
 	ccdSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
 	probeHeapPeak(c, reg)
 	res.CCD = fromPace(ccStats)
 	res.Components = pace.ComponentsBySize(comp, cfg.MinComponentSize)
@@ -269,7 +268,7 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 		res.Families[i] = f
 	}
 	sortFamilies(res.Families)
-	next = nextState(set, keep, ccUF, keys, all, table)
+	next = nextState(set, keep, keys, all, table)
 
 	// Phases 3+4 time is the slowest rank's: the critical path of the
 	// merged report's bgg and dsd spans, one per rank.
@@ -294,11 +293,10 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 }
 
 // nextState is the state a run over set commits for the next epoch: the
-// full redundancy verdict, CCD's union–find over set, a family-cache
-// entry per component keyed by keys (family-less components included —
-// their absence of families is itself a reusable result), and the pair
-// table.
-func nextState(set *seq.Set, keep []bool, uf *unionfind.UF, keys []string, fams []wireFamily, table pairTable) *EpochState {
+// full redundancy verdict, a family-cache entry per component keyed by
+// keys (family-less components included — their absence of families is
+// itself a reusable result), and the pair table.
+func nextState(set *seq.Set, keep []bool, keys []string, fams []wireFamily, table pairTable) *EpochState {
 	redundant := make([]bool, len(keep))
 	for i, k := range keep {
 		redundant[i] = !k
@@ -311,7 +309,7 @@ func nextState(set *seq.Set, keep []bool, uf *unionfind.UF, keys []string, fams 
 		k := keys[w.Comp]
 		famCache[k] = append(famCache[k], w)
 	}
-	return &EpochState{set: set, redundant: redundant, uf: uf, famCache: famCache, table: table}
+	return &EpochState{set: set, redundant: redundant, famCache: famCache, table: table}
 }
 
 // buildFamilies runs phases 3+4 on this rank's share of comps: per
