@@ -64,7 +64,6 @@ func main() {
 
 	// --- real sockets ------------------------------------------------
 	fmt.Println("\nfull pipeline over a 4-rank TCP mesh (loopback):")
-	profam.RegisterWireTypes()
 	pcfg := profam.Config{Psi: 7, EdgeSimilarity: 0.7}
 	var famCount, seqInFam int
 	err := mpi.RunTCP(4, *port, func(c *mpi.Comm) {

@@ -44,7 +44,6 @@ func TestPipelineDeterministic(t *testing.T) {
 // sockets and requires identical output to the serial reference. Rank 0
 // alone holds the result: ranks 1 and 2 return nil, nil.
 func TestPipelineTCPMatchesSerial(t *testing.T) {
-	profam.RegisterWireTypes()
 	set, _ := integrationSet()
 	cfg := profam.Config{Psi: 6, MinComponentSize: 3, MinFamilySize: 3}
 	want, _, err := profam.RunSet(set, 1, false, cfg)

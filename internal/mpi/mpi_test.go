@@ -411,6 +411,32 @@ func TestTCPDeadPeerFailsRecv(t *testing.T) {
 	}
 }
 
+// TestTCPUnregisteredTypeFails: a payload whose type nobody registered
+// cannot be gob-encoded, so the run must fail, neither hang nor deliver
+// a nil payload.
+func TestTCPUnregisteredTypeFails(t *testing.T) {
+	type unregistered struct{ V int }
+	done := make(chan error, 1)
+	go func() {
+		done <- RunTCP(2, 0, func(c *Comm) {
+			if c.Rank() == 0 {
+				c.Send(1, 7, unregistered{V: 1})
+				return
+			}
+			c.Recv(0, 7)
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("an unregistered payload type crossed the wire")
+		}
+		t.Log(err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("run still blocked 10 s after sending an unregistered payload type")
+	}
+}
+
 // TestTCPCleanShutdown: ranks leave a finished job at different times,
 // closing their sockets while others still wait in the final barrier.
 // That is not a lost peer: every run must succeed.

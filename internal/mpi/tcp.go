@@ -14,9 +14,9 @@ import (
 // errors out shortly after instead of blocking in Accept forever.
 const meshHandshakeTimeout = 15 * time.Second
 
-// wireMsg is the gob envelope exchanged over TCP. Data is either the
-// payload itself (gob-encoded) or a rawFrame holding a compact binary
-// encoding of it (see codec.go).
+// wireMsg is the gob envelope exchanged over TCP. Data is the payload
+// itself, gob-encoded, so its dynamic type must be registered with
+// RegisterType on every rank.
 type wireMsg struct {
 	From int
 	Tag  int
@@ -83,23 +83,12 @@ func (t *tcpTransport) send(to, tag int, data any) int {
 		t.box.put(Message{From: t.r, Tag: tag, Data: data})
 		return payloadBytes(data)
 	}
-	payload := data
-	var scratch *[]byte
-	if bp, ok := data.(BinaryPayload); ok {
-		scratch = wireBufPool.Get().(*[]byte)
-		body := bp.AppendBinary((*scratch)[:0])
-		*scratch = body // keep any growth for reuse
-		payload = rawFrame{Kind: bp.WireKind(), Body: body}
-	}
 	p := t.peers[to]
 	p.mu.Lock()
 	before := p.cw.n
-	err := p.enc.Encode(wireMsg{From: t.r, Tag: tag, Data: payload})
+	err := p.enc.Encode(wireMsg{From: t.r, Tag: tag, Data: data})
 	sent := p.cw.n - before
 	p.mu.Unlock()
-	if scratch != nil {
-		wireBufPool.Put(scratch) // Encode has flushed; safe to recycle
-	}
 	if err != nil {
 		panic(fmt.Sprintf("mpi: tcp send rank %d -> %d: %v", t.r, to, err))
 	}
@@ -112,11 +101,10 @@ func (t *tcpTransport) time() float64              { return time.Since(t.start).
 
 // readLoop pumps messages from one peer. It must use the same Decoder
 // that read the handshake: gob decoders buffer ahead, so a second decoder
-// on the same connection would lose bytes. Binary frames are decoded here
-// — off the receiving rank's critical path — and a decode failure poisons
-// the mailbox so the rank unwinds instead of hanging. A read error or EOF
-// marks the peer lost: a peer closes its end when it leaves the job, and
-// also when it dies, so a receive that only it could satisfy fails.
+// on the same connection would lose bytes. A read or decode error, EOF
+// included, marks the peer lost: a peer closes its end when it leaves the
+// job, and also when it dies, so a receive that only it could satisfy
+// fails.
 func (t *tcpTransport) readLoop(peer int, dec *gob.Decoder, cr *countReader) {
 	for {
 		before := cr.n
@@ -125,16 +113,7 @@ func (t *tcpTransport) readLoop(peer int, dec *gob.Decoder, cr *countReader) {
 			t.box.lose(peer, err)
 			return
 		}
-		data := m.Data
-		if f, ok := data.(rawFrame); ok {
-			v, err := decodeBinaryFrame(f)
-			if err != nil {
-				t.box.put(Message{From: m.From, Tag: abortTag, Data: err})
-				return
-			}
-			data = v
-		}
-		t.box.put(Message{From: m.From, Tag: m.Tag, Data: data, wire: int(cr.n - before)})
+		t.box.put(Message{From: m.From, Tag: m.Tag, Data: m.Data, wire: int(cr.n - before)})
 	}
 }
 

@@ -239,14 +239,12 @@ type MasterMsg struct {
 // WireSize implements mpi.Sized.
 func (m MasterMsg) WireSize() int { return 16 + 12*len(m.Tasks) + 8*len(m.Merges) }
 
-// RegisterWireTypes registers the phase payloads for the TCP transport:
-// the binary frame decoders for the hot batch messages, and the gob types
-// of everything that has no frame.
-func RegisterWireTypes() {
-	registerBinaryCodecs()
-	mpi.RegisterType([]bool{})
-	mpi.RegisterType([]int32{})
-	mpi.RegisterType(float64(0))
+// The round payloads cross the TCP transport gob-encoded, so they
+// register with it here; the broadcast []bool and []int32 and the
+// reduced float64 are gob's own basic types.
+func init() {
+	mpi.RegisterType(WorkerMsg{})
+	mpi.RegisterType(MasterMsg{})
 }
 
 // message tags.

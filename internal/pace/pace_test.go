@@ -449,7 +449,6 @@ func TestSimScalingShape(t *testing.T) {
 }
 
 func TestRunsOnInprocAndTCP(t *testing.T) {
-	RegisterWireTypes()
 	set, _ := workload.Generate(workload.Params{
 		Families: 3, MeanFamilySize: 5, MeanLength: 80, Singletons: 2, Seed: 4,
 	})

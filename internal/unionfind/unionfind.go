@@ -28,9 +28,6 @@ func New(n int) *UF {
 	return u
 }
 
-// Len returns the number of elements.
-func (u *UF) Len() int { return len(u.parent) }
-
 // Sets returns the current number of disjoint sets.
 func (u *UF) Sets() int { return u.sets }
 

@@ -8,8 +8,8 @@ import (
 
 func TestSingletons(t *testing.T) {
 	u := New(4)
-	if u.Sets() != 4 || u.Len() != 4 {
-		t.Fatalf("Sets=%d Len=%d", u.Sets(), u.Len())
+	if u.Sets() != 4 {
+		t.Fatalf("Sets=%d", u.Sets())
 	}
 	for i := 0; i < 4; i++ {
 		if u.Find(i) != i {

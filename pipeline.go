@@ -48,14 +48,12 @@ func (b familyBatch) WireSize() int {
 	return n
 }
 
-// RegisterWireTypes registers all pipeline payloads with the TCP
-// transport: what the phases exchange, and the per-rank metrics snapshot
-// and trace buffer gathered at rank 0 (the merged report and timeline
-// never leave it). Callers using DialMesh/RunTCP across processes must
-// invoke it on every rank; the in-process and simulated transports don't
-// need it.
-func RegisterWireTypes() {
-	pace.RegisterWireTypes()
+// The pipeline's own payloads cross the TCP transport gob-encoded, so
+// they register with it here: what the phases exchange, and the per-rank
+// metrics snapshot and trace buffer gathered at rank 0 (the merged
+// report and timeline never leave it). pace registers its round
+// messages itself.
+func init() {
 	mpi.RegisterType(familyBatch{})
 	mpi.RegisterType(componentPairs{})
 	mpi.RegisterType(metrics.Snapshot{})

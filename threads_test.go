@@ -95,7 +95,6 @@ func TestThreadsSerialRankMatchesSeed(t *testing.T) {
 // that intra-rank parallelism is clean on the TCP transport; the result
 // must still match the serial reference.
 func TestThreadsTCPTransport(t *testing.T) {
-	profam.RegisterWireTypes()
 	set, _ := workload.Generate(workload.Params{
 		Families: 4, MeanFamilySize: 10, MeanLength: 100,
 		Divergence: 0.08, ContainedFrac: 0.15, Singletons: 4, Seed: 777,
