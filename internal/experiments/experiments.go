@@ -15,6 +15,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"profam"
@@ -225,25 +226,25 @@ type RRCCDTimes struct {
 	Makespan float64
 }
 
-// runRRCCD executes RR+CCD on p simulated ranks and reports phase times.
+// runRRCCD executes RR+CCD on p simulated ranks and reports phase times
+// from each rank's clock at the end of each phase: RR ends when the last
+// rank leaves it, and CCD takes the rest of the makespan.
 func runRRCCD(set *seq.Set, p int, cfg profam.Config) (RRCCDTimes, error) {
 	out := RRCCDTimes{N: set.Len(), P: p}
 	pcfg := paceConfigOf(cfg)
+	rrEnd := make([]float64, p)
 	mk, err := mpi.RunSim(p, mpi.BlueGeneLike(), func(c *mpi.Comm) {
-		keep, rrSt, err := pace.RedundancyRemoval(c, set, pcfg)
+		keep, _, err := pace.RedundancyRemoval(c, set, pcfg)
 		if err != nil {
 			panic(err)
 		}
-		_, ccSt, err := pace.ConnectedComponents(c, set, keep, pcfg)
-		if err != nil {
+		rrEnd[c.Rank()] = c.Time()
+		if _, _, err := pace.ConnectedComponents(c, set, keep, pcfg); err != nil {
 			panic(err)
-		}
-		if c.Rank() == 0 {
-			out.RR = rrSt.PhaseTime
-			out.CCD = ccSt.PhaseTime
 		}
 	})
-	out.Makespan = mk
+	out.RR = slices.Max(rrEnd)
+	out.CCD, out.Makespan = mk-out.RR, mk
 	return out, err
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -84,12 +85,17 @@ func (b *mailbox) take(from, tag int) Message {
 		// job, and a rank may still be waiting on another peer then.
 		for peer, err := range b.lost {
 			if from == Any || from == peer {
-				panic(fmt.Sprintf("mpi: connection to rank %d lost: %v", peer, err))
+				panic(fmt.Errorf("mpi: connection to rank %d %w: %w", peer, errPeerLost, err))
 			}
 		}
 		b.cond.Wait()
 	}
 }
+
+// errPeerLost marks a receive that failed because its peer's connection
+// closed. A failing rank closes its connections, so on its peers this
+// error is usually the echo of that rank's own.
+var errPeerLost = errors.New("lost")
 
 type inprocTransport struct {
 	job *inprocJob

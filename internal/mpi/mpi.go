@@ -269,21 +269,3 @@ func (c *Comm) Gather(root int, data any) []any {
 	c.send(root, tag, data)
 	return nil
 }
-
-// MaxFloat64 is a reduce-max to rank 0, used for a phase time or a job's
-// makespan (the maximum per-rank finish time): rank 0 folds every rank's
-// value and returns the maximum; every other rank sends its value and
-// gets it back.
-func (c *Comm) MaxFloat64(v float64) float64 {
-	tag := c.nextCollTag()
-	if c.Rank() != 0 {
-		c.send(0, tag, v)
-		return v
-	}
-	for i := 1; i < c.Size(); i++ {
-		if x := c.recv(Any, tag).Data.(float64); x > v {
-			v = x
-		}
-	}
-	return v
-}

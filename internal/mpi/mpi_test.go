@@ -63,21 +63,7 @@ func TestCollectives(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			err := Run(p, func(c *Comm) {
 				c.Barrier()
-				got := c.Bcast(0, 42).(int)
-				if got != 42 {
-					panic("bcast wrong")
-				}
-				all := c.Gather(0, c.Rank()*2)
-				if c.Rank() == 0 {
-					for i, v := range all {
-						if v.(int) != i*2 {
-							panic(fmt.Sprintf("gather[%d] = %v", i, v))
-						}
-					}
-				} else if all != nil {
-					panic("non-root gather should be nil")
-				}
-				checkReduceMax(c)
+				checkBcastGather(c)
 				c.Barrier()
 			})
 			if err != nil {
@@ -87,16 +73,21 @@ func TestCollectives(t *testing.T) {
 	}
 }
 
-// checkReduceMax asserts MaxFloat64's reduce semantics: rank 0 gets the
-// maximum, every other rank its own input back.
-func checkReduceMax(c *Comm) {
-	in := float64(c.Rank())
-	want := in
-	if c.Rank() == 0 {
-		want = float64(c.Size() - 1)
+// checkBcastGather asserts the root's broadcast reaches every rank and
+// the gather collects every rank's value at the root, by rank.
+func checkBcastGather(c *Comm) {
+	if got := c.Bcast(0, 42).(int); got != 42 {
+		panic(fmt.Sprintf("%s rank %d: bcast got %d", c.tr.name(), c.Rank(), got))
 	}
-	if got := c.MaxFloat64(in); got != want {
-		panic(fmt.Sprintf("%s rank %d: MaxFloat64(%v) = %v, want %v", c.tr.name(), c.Rank(), in, got, want))
+	all := c.Gather(0, c.Rank()*2)
+	if c.Rank() == 0 {
+		for i, v := range all {
+			if v.(int) != i*2 {
+				panic(fmt.Sprintf("%s: gather[%d] = %v", c.tr.name(), i, v))
+			}
+		}
+	} else if all != nil {
+		panic("non-root gather should be nil")
 	}
 }
 
@@ -348,7 +339,7 @@ func TestSimMasterWorkerScaling(t *testing.T) {
 
 func TestSimCollectives(t *testing.T) {
 	_, err := RunSim(4, BlueGeneLike(), func(c *Comm) {
-		checkReduceMax(c)
+		checkBcastGather(c)
 		c.Barrier()
 	})
 	if err != nil {
@@ -372,7 +363,6 @@ func TestTCPRingAndCollectives(t *testing.T) {
 	RegisterType("")
 	RegisterType(0)
 	RegisterType(int64(0))
-	RegisterType(float64(0))
 	const p = 3
 	err := RunTCP(p, 0, func(c *Comm) {
 		next := (c.Rank() + 1) % p
@@ -382,7 +372,7 @@ func TestTCPRingAndCollectives(t *testing.T) {
 		if m.Data.(string) != fmt.Sprintf("hello-%d", prev) {
 			panic(fmt.Sprintf("rank %d ring payload %v", c.Rank(), m))
 		}
-		checkReduceMax(c)
+		checkBcastGather(c)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,27 +403,33 @@ func TestTCPDeadPeerFailsRecv(t *testing.T) {
 
 // TestTCPUnregisteredTypeFails: a payload whose type nobody registered
 // cannot be gob-encoded, so the run must fail, neither hang nor deliver
-// a nil payload.
+// a nil payload. The receiver then fails too, on the sender's closed
+// connection; the run must report the sender's gob error every time, not
+// that echo.
 func TestTCPUnregisteredTypeFails(t *testing.T) {
 	type unregistered struct{ V int }
-	done := make(chan error, 1)
-	go func() {
-		done <- RunTCP(2, 0, func(c *Comm) {
-			if c.Rank() == 0 {
-				c.Send(1, 7, unregistered{V: 1})
-				return
+	for i := 0; i < 20; i++ {
+		done := make(chan error, 1)
+		go func() {
+			done <- RunTCP(2, 0, func(c *Comm) {
+				if c.Rank() == 0 {
+					c.Send(1, 7, unregistered{V: 1})
+					return
+				}
+				c.Recv(0, 7)
+			})
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("run %d: an unregistered payload type crossed the wire", i)
 			}
-			c.Recv(0, 7)
-		})
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("an unregistered payload type crossed the wire")
+			if !strings.Contains(err.Error(), "type not registered") {
+				t.Fatalf("run %d: got %q, want the sender's gob registration error", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d: still blocked 10 s after sending an unregistered payload type", i)
 		}
-		t.Log(err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("run still blocked 10 s after sending an unregistered payload type")
 	}
 }
 

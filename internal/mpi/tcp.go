@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -293,7 +294,7 @@ func RunTCP(p int, basePort int, f func(c *Comm)) error {
 		}
 		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	errs := make(chan error, p)
+	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
@@ -301,12 +302,16 @@ func RunTCP(p int, basePort int, f func(c *Comm)) error {
 			defer wg.Done()
 			defer func() {
 				if e := recover(); e != nil {
-					errs <- fmt.Errorf("mpi: tcp rank %d panicked: %v", r, e)
+					if err, ok := e.(error); ok {
+						errs[r] = fmt.Errorf("mpi: tcp rank %d panicked: %w", r, err)
+					} else {
+						errs[r] = fmt.Errorf("mpi: tcp rank %d panicked: %v", r, e)
+					}
 				}
 			}()
 			c, cleanup, err := dialMesh(r, lns[r], addrs)
 			if err != nil {
-				errs <- err
+				errs[r] = err
 				return
 			}
 			defer cleanup()
@@ -317,6 +322,18 @@ func RunTCP(p int, basePort int, f func(c *Comm)) error {
 		}(r)
 	}
 	wg.Wait()
-	close(errs)
-	return <-errs
+	// A rank that fails closes its connections, so its peers' lost-peer
+	// errors only echo its own: report the lowest rank's other error,
+	// else the lowest rank's.
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, errPeerLost) {
+			return err
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -291,12 +291,12 @@ func (ms *masterState) mergesFor(w int, s *workerState) []Merge {
 // next pair batch and the outcomes of the batch the worker just
 // finished), which is the accounting behind expect/received — the
 // master knows precisely how many requests remain, so the phase
-// terminates with zero messages left in flight even though tags are
-// reused by the next phase.
+// terminates with zero messages left in flight.
 //
-// Every non-Done reply carries the worker's merge log (mergesFor), so
-// each worker's replica of the clustering state lags the master by at
-// most the outcomes still in flight.
+// Every reply carries the worker's merge log (mergesFor), so each
+// worker's replica of the clustering state lags the master by at most
+// the outcomes still in flight, and the first Done reply brings it level:
+// nothing is absorbed once the phase is done.
 //
 // A request is answered immediately unless the worker is a pure task
 // sink with an empty queue (exhausted, nothing to dispatch): answering
@@ -309,6 +309,7 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 	p := c.Size()
 	tr := ms.cfg.Trace
 	phase := ms.ctr.phase
+	toMaster, toWorker := roundTags(phase)
 	// With prefetchDepth requests in flight per worker, a per-dispatch
 	// quota of BatchTasks/prefetchDepth keeps each worker's window of
 	// dispatched tasks at BatchTasks. The worker's replica re-filters
@@ -326,7 +327,6 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 	reply := func(w int) {
 		s := &ws[w]
 		var tasks []PairItem
-		var merges []Merge
 		if !done {
 			quota := s.quota
 			if fair := ms.pending.Len()/(p-1) + 1; fair < quota {
@@ -344,13 +344,13 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 				}
 				ms.ctr.quota.SetMax(float64(s.quota))
 			}
-			merges = ms.mergesFor(w, s)
 			s.expect++ // one more request will answer this reply
 		}
 		s.owed--
+		merges := ms.mergesFor(w, s)
 		tr.Instant(trace.CatMaster, phase+"/dispatch",
 			"to", int64(w), "tasks", int64(len(tasks)))
-		c.Send(w, tagMaster, MasterMsg{Tasks: tasks, Merges: merges, Done: done})
+		c.Send(w, toWorker, MasterMsg{Tasks: tasks, Merges: merges, Done: done})
 	}
 
 	var served int64
@@ -368,7 +368,7 @@ func runMaster(c *mpi.Comm, ms *masterState) {
 			}
 		}
 		t0 := tr.Now()
-		in := c.RecvAny(tagWorker)
+		in := c.RecvAny(toMaster)
 		msg := in.Data.(WorkerMsg)
 		w := in.From
 		s := &ws[w]
@@ -512,6 +512,7 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, replica masterLogic, p
 	threads := max(1, cfg.Threads)
 	cache := pool.NewAlignerCache(align.DefaultScoring())
 	obs := poolObserver(cfg.Metrics, phase, "align")
+	toMaster, toWorker := roundTags(phase)
 	exhausted := false
 	sent, recvd := 0, 0
 	request := func(results []AlignOutcome) {
@@ -527,31 +528,33 @@ func runWorker(c *mpi.Comm, set *seq.Set, wl workerLogic, replica masterLogic, p
 				"pairs", int64(len(batch)), "exhausted", ex)
 		}
 		sent++
-		c.Send(0, tagWorker, WorkerMsg{Pairs: batch, Exhausted: exhausted, Results: results})
+		c.Send(0, toMaster, WorkerMsg{Pairs: batch, Exhausted: exhausted, Results: results})
 	}
 	for i := 0; i < prefetchDepth; i++ {
 		request(nil)
 	}
 	for {
 		w0 := tr.Now()
-		msg := c.Recv(0, tagMaster).Data.(MasterMsg)
+		msg := c.Recv(0, toWorker).Data.(MasterMsg)
 		recvd++
 		tr.Span(trace.CatComm, "task-wait", w0, tr.Now(),
 			"from", 0, "inflight", int64(sent-recvd))
-		if msg.Done {
-			// Done implies the master saw every outcome (its outstanding
-			// count for this worker was zero), so nothing is unreported.
-			// Every request gets exactly one reply and the stragglers are
-			// all Done; drain them so the phase leaves nothing in flight.
-			for recvd < sent {
-				c.Recv(0, tagMaster)
-				recvd++
-			}
-			return
-		}
 		t0 := tr.Now()
 		for _, m := range msg.Merges {
 			replica.merge(m.A, m.B)
+		}
+		if msg.Done {
+			// Done implies the master saw every outcome, so nothing is
+			// unreported and, with these merges, the replica equals the
+			// master's final state. Every request gets exactly one reply
+			// and the stragglers are all Done; drain them so the phase
+			// leaves nothing in flight.
+			c.Advance(float64(len(msg.Merges)) * DefaultCostParams().SecPerPairFilter)
+			for recvd < sent {
+				c.Recv(0, toWorker)
+				recvd++
+			}
+			return
 		}
 		results, cells, ops := alignBatch(cache, threads, set, wl, replica, msg.Tasks, obs)
 		c.Advance(float64(int64(len(msg.Merges))+ops)*DefaultCostParams().SecPerPairFilter +
@@ -664,14 +667,15 @@ func Enumerate(c *mpi.Comm, set *seq.Set, newFrom int, cfg Config, phase string)
 }
 
 // runPhase runs the master/worker/serial loops of one phase over this
-// rank's pair list. It returns the master's stats on rank 0 (zero Stats
-// elsewhere), with PhaseTime counted from start on rank 0 to the slowest
-// rank's end. Stats are a read-out of the phase's registry counters —
-// the registry is the one accumulation path. At p ≥ 2 the master ingests
-// its own list (the pair-table pairs an epoch replays) before serving,
-// as it ingests a worker's, and returns what it ingested: each distinct
-// pair with its longest match length.
-func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl workerLogic, cfg Config, phase string, start float64) (Stats, map[int64]int32) {
+// rank's pair list. Every rank's ml ends it holding the phase's final
+// state: rank 0's is the master state, and a worker's replica receives
+// the last merges with its Done reply. It returns the master's stats on
+// rank 0 (zero Stats elsewhere), a read-out of the phase's registry
+// counters — the registry is the one accumulation path. At p ≥ 2 the
+// master ingests its own list (the pair-table pairs an epoch replays)
+// before serving, as it ingests a worker's, and returns what it
+// ingested: each distinct pair with its longest match length.
+func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl workerLogic, cfg Config, phase string) (Stats, map[int64]int32) {
 	if cfg.Metrics == nil {
 		// Private registry so the counter-backed Stats still work for
 		// direct API callers that don't collect metrics.
@@ -683,9 +687,7 @@ func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl wo
 		sp := cfg.Metrics.StartSpan(phase + "/exchange")
 		runSerial(c, set, ml, wl, pairs, cfg, &ctr)
 		sp.End()
-		st := ctr.stats()
-		st.PhaseTime = c.Time() - start
-		return st, nil
+		return ctr.stats(), nil
 	case c.Rank() == 0:
 		// The master owns the clustering state; each worker's own ml
 		// serves as its replica of it.
@@ -695,12 +697,9 @@ func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl wo
 		c.Advance(float64(ms.ingestPairs(pairs)) * DefaultCostParams().SecPerPairFilter)
 		runMaster(c, ms)
 		sp.End()
-		st := ms.ctr.stats()
-		st.PhaseTime = c.MaxFloat64(c.Time()) - start
-		return st, ms.seen
+		return ms.ctr.stats(), ms.seen
 	default:
 		runWorker(c, set, wl, ml, pairs, cfg, phase)
-		c.MaxFloat64(c.Time())
 		return Stats{}, nil
 	}
 }
@@ -711,15 +710,14 @@ func runPhase(c *mpi.Comm, set *seq.Set, pairs []PairItem, ml masterLogic, wl wo
 // own enumeration of set: every rank calls it with the same set and
 // config, and every rank returns the same keep mask (keep[id] == false
 // means sequence id is contained in another sequence and should be
-// dropped). The phase Stats, whose PhaseTime includes the index build,
-// are rank 0's; every other rank gets zero Stats.
+// dropped). The phase Stats are rank 0's; every other rank gets zero
+// Stats.
 func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, error) {
-	start := c.Time()
 	pairs, err := Enumerate(c, set, 0, cfg, "rr")
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	keep, st := redundancyRemoval(c, set, pairs, nil, cfg, false, start)
+	keep, st := redundancyRemoval(c, set, pairs, nil, cfg, false)
 	return keep, st, nil
 }
 
@@ -733,35 +731,32 @@ func RedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, er
 // boundary included (see DESIGN.md §9). The returned keep mask covers the
 // whole set on all ranks; the Stats are rank 0's, zero elsewhere.
 func RedundancyRemovalFrom(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config) ([]bool, Stats) {
-	return redundancyRemoval(c, set, pairs, prior, cfg, false, c.Time())
+	return redundancyRemoval(c, set, pairs, prior, cfg, false)
 }
 
 // redundancyRemoval runs RR over pairs; exact swaps the containment
-// cascade for the full-matrix predicate.
-func redundancyRemoval(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config, exact bool, start float64) ([]bool, Stats) {
+// cascade for the full-matrix predicate. Each rank reads the keep mask
+// off its own marks, which end the phase equal to the master's.
+func redundancyRemoval(c *mpi.Comm, set *seq.Set, pairs []PairItem, prior []bool, cfg Config, exact bool) ([]bool, Stats) {
 	cfg = cfg.withDefaults()
 	ml := &rrMaster{set: set, redundant: make([]bool, set.Len())}
 	copy(ml.redundant, prior)
-	st, _ := runPhase(c, set, pairs, ml, rrWorker{params: cfg.Contain, exact: exact}, cfg, "rr", start)
+	st, _ := runPhase(c, set, pairs, ml, rrWorker{params: cfg.Contain, exact: exact}, cfg, "rr")
 	keep := make([]bool, set.Len())
-	if c.Rank() == 0 {
-		for i := range keep {
-			keep[i] = !ml.redundant[i]
-		}
+	for i := range keep {
+		keep[i] = !ml.redundant[i]
 	}
-	keep = c.Bcast(0, keep).([]bool)
 	return keep, st
 }
 
 // ConnectedComponents executes the paper's CCD phase collectively over
 // the sequences with keep[id] == true (pass nil to cluster everything),
-// enumerating the pairs of that kept subset itself, so PhaseTime includes
-// the phase's own index build. It returns comp, where comp[id] is the
-// component label of sequence id (labels are the smallest member ID in
-// the component) or -1 for dropped sequences, identical on all ranks. The
-// phase Stats are rank 0's; every other rank gets zero Stats.
+// enumerating the pairs of that kept subset itself. It returns comp,
+// where comp[id] is the component label of sequence id (labels are the
+// smallest member ID in the component) or -1 for dropped sequences,
+// identical on all ranks. The phase Stats are rank 0's; every other rank
+// gets zero Stats.
 func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]int32, Stats, error) {
-	start := c.Time()
 	var ids []int
 	for i := range set.Len() {
 		if keep == nil || keep[i] {
@@ -776,7 +771,7 @@ func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]
 	for i, p := range pairs { // orig ascends, so A < B still holds
 		pairs[i].A, pairs[i].B = int32(orig[p.A]), int32(orig[p.B])
 	}
-	comp, _, _, st := connectedComponents(c, set, keep, pairs, nil, cfg, start)
+	comp, _, _, st := connectedComponents(c, set, keep, pairs, nil, cfg)
 	return comp, st, nil
 }
 
@@ -794,10 +789,12 @@ func ConnectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, cfg Config) ([]
 // Stats (zero Stats on other ranks). Each verdict's counts are those of
 // the local alignment of the lower ID against the higher one.
 func ConnectedComponentsFrom(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, uf *unionfind.UF, cfg Config) ([]int32, []PairItem, []Verdict, Stats) {
-	return connectedComponents(c, set, keep, pairs, uf, cfg, c.Time())
+	return connectedComponents(c, set, keep, pairs, uf, cfg)
 }
 
-func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, uf *unionfind.UF, cfg Config, start float64) ([]int32, []PairItem, []Verdict, Stats) {
+// connectedComponents runs CCD over pairs into uf. Each rank labels the
+// components off its own uf, which ends the phase equal to the master's.
+func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairItem, uf *unionfind.UF, cfg Config) ([]int32, []PairItem, []Verdict, Stats) {
 	cfg = cfg.withDefaults()
 	if uf == nil {
 		uf = unionfind.New(set.Len())
@@ -812,7 +809,7 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairIte
 		pairs = kept
 	}
 	ml := &ccMaster{uf: uf, disableFilter: cfg.DisableClosureFilter}
-	st, seen := runPhase(c, set, pairs, ml, ccWorker{params: cfg.Overlap}, cfg, "ccd", start)
+	st, seen := runPhase(c, set, pairs, ml, ccWorker{params: cfg.Overlap}, cfg, "ccd")
 	if seen != nil {
 		pairs = make([]PairItem, 0, len(seen))
 		for k, l := range seen {
@@ -820,23 +817,20 @@ func connectedComponents(c *mpi.Comm, set *seq.Set, keep []bool, pairs []PairIte
 		}
 	}
 
+	// Label components by their smallest member ID: the first visit.
 	comp := make([]int32, set.Len())
-	if c.Rank() == 0 {
-		// Label components by their smallest member ID: the first visit.
-		label := make(map[int]int32)
-		for i := range comp {
-			if keep != nil && !keep[i] {
-				comp[i] = -1
-				continue
-			}
-			r := uf.Find(i)
-			if _, ok := label[r]; !ok {
-				label[r] = int32(i)
-			}
-			comp[i] = label[r]
+	label := make(map[int]int32)
+	for i := range comp {
+		if keep != nil && !keep[i] {
+			comp[i] = -1
+			continue
 		}
+		r := uf.Find(i)
+		if _, ok := label[r]; !ok {
+			label[r] = int32(i)
+		}
+		comp[i] = label[r]
 	}
-	comp = c.Bcast(0, comp).([]int32)
 	if c.Rank() != 0 {
 		return comp, nil, nil, st
 	}

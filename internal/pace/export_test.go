@@ -9,11 +9,10 @@ import (
 // cascade swapped for the full-matrix Contained predicate, the reference
 // arm of the cascade tests.
 func ExactRedundancyRemoval(c *mpi.Comm, set *seq.Set, cfg Config) ([]bool, Stats, error) {
-	start := c.Time()
 	pairs, err := Enumerate(c, set, 0, cfg, "rr")
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	keep, st := redundancyRemoval(c, set, pairs, nil, cfg, true, start)
+	keep, st := redundancyRemoval(c, set, pairs, nil, cfg, true)
 	return keep, st, nil
 }

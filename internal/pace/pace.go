@@ -137,13 +137,12 @@ type Stats struct {
 	PairsPositive  int64 // alignments that passed the phase predicate
 	Cells          int64 // total DP cells across workers
 	Rounds         int64 // master–worker exchange rounds
-	PhaseTime      float64
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("pairs: %d generated, %d dup, %d closure-skipped, %d aligned (%d positive); cells=%d rounds=%d time=%.1fs",
+	return fmt.Sprintf("pairs: %d generated, %d dup, %d closure-skipped, %d aligned (%d positive); cells=%d rounds=%d",
 		s.PairsGenerated, s.PairsDuplicate, s.PairsClosure,
-		s.PairsAligned, s.PairsPositive, s.Cells, s.Rounds, s.PhaseTime)
+		s.PairsAligned, s.PairsPositive, s.Cells, s.Rounds)
 }
 
 // WorkReduction returns the fraction of generated pairs that never needed
@@ -240,18 +239,22 @@ type MasterMsg struct {
 func (m MasterMsg) WireSize() int { return 16 + 12*len(m.Tasks) + 8*len(m.Merges) }
 
 // The round payloads cross the TCP transport gob-encoded, so they
-// register with it here; the broadcast []bool and []int32 and the
-// reduced float64 are gob's own basic types.
+// register with it here.
 func init() {
 	mpi.RegisterType(WorkerMsg{})
 	mpi.RegisterType(MasterMsg{})
 }
 
-// message tags.
-const (
-	tagWorker = 10 // worker → master round message
-	tagMaster = 11 // master → worker round message
-)
+// roundTags returns a phase's message tags: worker → master requests and
+// master → worker replies. No collective separates RR from CCD, so a
+// worker holding its RR Done may send CCD requests while the master
+// still serves RR; each phase's own tags keep those apart.
+func roundTags(phase string) (toMaster, toWorker int) {
+	if phase == "ccd" {
+		return 12, 13
+	}
+	return 10, 11
+}
 
 // prefetchDepth is how many task requests a worker keeps in flight: the
 // next batch is requested before the current one is aligned, so compute

@@ -216,7 +216,7 @@ func TestStatsOnRankZeroOnly(t *testing.T) {
 	if rr[0].PairsAligned == 0 || rr[0].PairsAligned != serial.PairsAligned {
 		t.Errorf("rank 0 RR aligned %d pairs, the p = 1 run %d", rr[0].PairsAligned, serial.PairsAligned)
 	}
-	if ccd[0].PairsAligned == 0 || ccd[0].PhaseTime <= 0 {
+	if ccd[0].PairsAligned == 0 || ccd[0].Rounds == 0 {
 		t.Errorf("rank 0 CCD stats empty: %+v", ccd[0])
 	}
 }

@@ -61,23 +61,24 @@ func TestWireRoundTrip(t *testing.T) {
 		masters = append(masters, randomMasterMsg(rng))
 	}
 
+	toMaster, toWorker := roundTags("rr")
 	var gotW []WorkerMsg
 	var gotM []MasterMsg
 	err := mpi.RunTCP(2, 0, func(c *mpi.Comm) {
 		if c.Rank() == 1 {
 			for _, w := range workers {
-				c.Send(0, tagWorker, w)
+				c.Send(0, toMaster, w)
 			}
 			for range masters {
-				gotM = append(gotM, c.Recv(0, tagMaster).Data.(MasterMsg))
+				gotM = append(gotM, c.Recv(0, toWorker).Data.(MasterMsg))
 			}
 			return
 		}
 		for _, m := range masters {
-			c.Send(1, tagMaster, m)
+			c.Send(1, toWorker, m)
 		}
 		for range workers {
-			gotW = append(gotW, c.Recv(1, tagWorker).Data.(WorkerMsg))
+			gotW = append(gotW, c.Recv(1, toMaster).Data.(WorkerMsg))
 		}
 	})
 	if err != nil {

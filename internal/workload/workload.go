@@ -302,12 +302,3 @@ func Generate(p Params) (*seq.Set, *Truth) {
 
 	return set, truth
 }
-
-// LabelsOf extracts, for a subset of sequence IDs, their truth labels.
-func (t *Truth) LabelsOf(ids []int) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = t.Label[id]
-	}
-	return out
-}

@@ -13,6 +13,7 @@ import (
 
 	"profam"
 	"profam/internal/ledger"
+	"profam/internal/metrics"
 	"profam/internal/seq"
 	"profam/internal/workload"
 )
@@ -102,6 +103,44 @@ func newLedgerLeg(t *testing.T, set *seq.Set, res *profam.Result) ledgerLeg {
 	return leg
 }
 
+// checkLedgerGates fails a leg whose work lost what the design relies on,
+// whatever the pinned numbers say. No leg may build a CCD index: CCD
+// takes the kept pairs of RR's enumeration, so a run enumerates once. At
+// p ≥ 2 the workers' replicas must skip some dispatched task, since the
+// master's filter lags the outcomes in flight. At p = 8 B_d must reuse
+// some of CCD's counts, since CCD aligns many pairs inside components.
+func checkLedgerGates(t *testing.T, leg string, p int, reduction profam.Reduction, m *metrics.Report) {
+	t.Helper()
+	series := make([]string, 0, len(m.Counters)+len(m.Gauges))
+	for name := range m.Counters {
+		series = append(series, name)
+	}
+	for name := range m.Gauges {
+		series = append(series, name)
+	}
+	for _, name := range series {
+		if strings.HasPrefix(name, "pace_index_") && strings.HasSuffix(name, "{phase=ccd}") {
+			t.Errorf("%s: %s present: CCD built its own index, so the run enumerated pairs twice", leg, name)
+		}
+	}
+	if p >= 2 {
+		var skipped int64
+		for name, v := range m.Counters {
+			if strings.HasPrefix(name, "pace_pairs_worker_skipped{") {
+				skipped += v
+			}
+		}
+		if skipped == 0 {
+			t.Errorf("%s: no worker's replica skipped a dispatched task", leg)
+		}
+	}
+	if p == 8 && reduction == profam.GlobalSimilarity {
+		if m.CounterValue("bgg_pairs_reused{reduction=global-similarity}") == 0 {
+			t.Errorf("%s: B_d reused no CCD counts: it aligned pairs whose verdicts CCD held", leg)
+		}
+	}
+}
+
 // TestWorkLedger pins every run's work: the canonical counters of the
 // three batch workload shapes at p = 1 in process and at simulated p = 2
 // and 8, one thread per rank, default cost model, and of every epoch of
@@ -109,7 +148,8 @@ func newLedgerLeg(t *testing.T, set *seq.Set, res *profam.Result) ledgerLeg {
 // deterministic functions of (corpus, config), so any change here is a
 // change in the work the program does; a change that claims none must
 // leave the file as it is. Rewrite it with `go test -run TestWorkLedger
-// -update` and say which numbers moved and why.
+// -update` and say which numbers moved and why. Every leg also passes
+// checkLedgerGates, -update or not.
 func TestWorkLedger(t *testing.T) {
 	got := map[string]ledgerLeg{}
 	for _, sh := range ledgerShapes() {
@@ -123,7 +163,9 @@ func TestWorkLedger(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", sh.name, p, err)
 			}
-			got[fmt.Sprintf("%s/p=%d", sh.name, p)] = newLedgerLeg(t, set, res)
+			leg := fmt.Sprintf("%s/p=%d", sh.name, p)
+			got[leg] = newLedgerLeg(t, set, res)
+			checkLedgerGates(t, leg, p, cfg.Reduction, res.Metrics)
 		}
 	}
 	st := profam.NewEpochState()
@@ -133,7 +175,9 @@ func TestWorkLedger(t *testing.T) {
 			t.Fatalf("random_arrival epoch %d: %v", k+1, err)
 		}
 		st = next
-		got[fmt.Sprintf("random_arrival/p=1/epoch=%d", k+1)] = newLedgerLeg(t, st.Set(), res)
+		leg := fmt.Sprintf("random_arrival/p=1/epoch=%d", k+1)
+		got[leg] = newLedgerLeg(t, st.Set(), res)
+		checkLedgerGates(t, leg, 1, profam.GlobalSimilarity, res.Metrics)
 	}
 
 	if *updateLedger {

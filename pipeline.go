@@ -268,10 +268,14 @@ func runEpochPipeline(ctx context.Context, c *mpi.Comm, set *seq.Set, cfg Config
 	sortFamilies(res.Families)
 	next = nextState(set, keep, keys, all, table)
 
-	// Phases 3+4 time is the slowest rank's: the critical path of the
-	// merged report's bgg and dsd spans, one per rank.
+	// Each phase's time is the slowest rank's: the critical path of the
+	// merged report's rr, ccd, bgg and dsd spans, one per rank.
 	for _, ph := range res.Metrics.Phases {
 		switch ph.Name {
+		case "rr":
+			res.RR.Time = ph.MaxSeconds
+		case "ccd":
+			res.CCD.Time = ph.MaxSeconds
 		case "bgg":
 			res.BGGTime = ph.MaxSeconds
 		case "dsd":
@@ -571,6 +575,7 @@ func RunSet(set *seq.Set, p int, simulate bool, cfg Config) (*Result, float64, e
 func runJob(ctx context.Context, set *seq.Set, p int, simulate bool, cfg Config, prior *EpochState) (*Result, *EpochState, float64, error) {
 	regs := make([]*metrics.Registry, max(p, 0))
 	tracers := make([]*trace.Tracer, max(p, 0))
+	ends := make([]float64, max(p, 0))
 	var res *Result
 	var next *EpochState
 	var rerr error
@@ -581,31 +586,24 @@ func runJob(ctx context.Context, set *seq.Set, p int, simulate bool, cfg Config,
 		if c.Rank() == 0 {
 			res, next, rerr = r, n, e
 		}
+		ends[c.Rank()] = c.Time()
 	}
-	var span float64
 	var err error
 	if simulate {
 		if cfg.ThreadsPerRank == 0 {
 			cfg.ThreadsPerRank = 1
 		}
-		span, err = mpi.RunSim(p, mpi.BlueGeneLike(), body)
+		_, err = mpi.RunSim(p, mpi.BlueGeneLike(), body)
 	} else {
 		cfg = cfg.withAutoThreads(p)
-		err = mpi.RunContext(ctx, p, func(c *mpi.Comm) {
-			body(c)
-			// The wall-clock makespan is the slowest rank's clock; RunSim
-			// reports the virtual one itself, without a collective that
-			// would be charged to it.
-			if t := c.MaxFloat64(c.Time()); c.Rank() == 0 {
-				span = t
-			}
-		})
+		err = mpi.RunContext(ctx, p, body)
 	}
 	if err == nil {
 		err = rerr
 	}
 	if err == nil {
-		return res, next, span, nil
+		// The makespan is the slowest rank's clock at its end.
+		return res, next, slices.Max(ends), nil
 	}
 	if aerr := cancelled(ctx); aerr != nil {
 		err = aerr

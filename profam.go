@@ -258,7 +258,10 @@ type PhaseStats struct {
 	PairsAligned   int64
 	PairsPositive  int64
 	Cells          int64
-	Time           float64 // seconds (virtual under RunSimulated)
+	// Time is the phase's seconds (virtual under simulation): the
+	// slowest rank's rr or ccd span of Result.Metrics. RR's span includes
+	// the run's one pair enumeration, index build and all.
+	Time float64
 }
 
 // WorkReduction is the fraction of generated promising pairs that never
@@ -278,7 +281,6 @@ func fromPace(st pace.Stats) PhaseStats {
 		PairsAligned:   st.PairsAligned,
 		PairsPositive:  st.PairsPositive,
 		Cells:          st.Cells,
-		Time:           st.PhaseTime,
 	}
 }
 
